@@ -12,6 +12,10 @@ import re
 
 _PATTERN = re.compile(r"^([+-]?\d+)(?:/2\^(\d+))?$")
 
+# Largest k accepted in a parsed "p/2^k": arithmetic aligns exponents by
+# shifting, so an unbounded k in an input file is an unbounded allocation.
+MAX_PARSE_EXP = 4096
+
 
 class Dyadic:
     """An exact dyadic rational ``num / 2**exp`` in canonical form."""
@@ -40,6 +44,9 @@ class Dyadic:
             raise ValueError(f"not a dyadic rational: {text!r}")
         num = int(m.group(1))
         exp = int(m.group(2)) if m.group(2) else 0
+        if exp > MAX_PARSE_EXP:
+            raise ValueError(f"exponent {exp} in {text.strip()!r} is above"
+                             f" the limit {MAX_PARSE_EXP}")
         return cls(num, exp)
 
     # -- predicates ---------------------------------------------------

@@ -10,7 +10,9 @@ Text function format::
     function over=<complex name>
     <vertex labels of a simplex> : <value as p or p/2^k>
 
-Simplices omitted from a function file default to zero.  A JSON variant of
+Blank lines and lines starting with ``#`` are skipped in both text formats,
+so no vertex label may start with ``#``.  Simplices omitted from a function
+file default to zero.  A JSON variant of
 each is also accepted: ``{"name": ..., "facets": [[labels]]}`` and
 ``{"complex": ..., "values": [{"simplex": [labels], "value": "p/2^k"}],
 "default": "0"}``.
@@ -46,9 +48,24 @@ def _label_key(label: str):
 
 
 def _check_label(label: str, line: int | None = None) -> str:
-    if not label or ":" in label or any(c.isspace() for c in label):
+    if (not label or label.startswith("#") or ":" in label
+            or any(c.isspace() for c in label)):
         raise ParseError(f"bad vertex label {label!r}", line)
     return label
+
+
+def _load_json(text: str):
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as e:
+        raise ParseError(f"bad JSON: {e}") from None
+
+
+def _parse_value(text: str, line: int | None = None) -> Dyadic:
+    try:
+        return Dyadic.parse(text)
+    except ValueError as e:
+        raise ParseError(str(e), line) from None
 
 
 # -- complexes ------------------------------------------------------------------
@@ -57,13 +74,13 @@ def _check_label(label: str, line: int | None = None) -> str:
 def parse_complex(text: str, name: str | None = None) -> SimplicialComplex:
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        return _complex_from_obj(json.loads(text), name)
+        return _complex_from_obj(_load_json(text), name)
     lines = text.splitlines()
     header = None
     facets: list[tuple[str, ...]] = []
     for i, raw in enumerate(lines, start=1):
         line = raw.strip()
-        if not line:
+        if not line or line.startswith("#"):
             continue
         if header is None:
             if not line.startswith("complex"):
@@ -102,6 +119,8 @@ def _complex_from_obj(obj, name: str | None) -> SimplicialComplex:
             raise ParseError(f"repeated vertex in facet {' '.join(labels)}")
         facets.append(labels)
     got = obj.get("name")
+    if got is not None and not isinstance(got, str):
+        raise ParseError("'name' must be a string")
     return _from_label_facets(facets, name=got if got is not None else name)
 
 
@@ -173,13 +192,13 @@ def _simplex_by_labels(k: SimplicialComplex, labels, line=None) -> Simplex:
 def parse_function(text: str, k: SimplicialComplex) -> ConstructibleFunction:
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        return _function_from_obj(json.loads(text), k)
+        return _function_from_obj(_load_json(text), k)
     lines = text.splitlines()
     over = None
     table: dict[Simplex, Dyadic] = {}
     for i, raw in enumerate(lines, start=1):
         line = raw.strip()
-        if not line:
+        if not line or line.startswith("#"):
             continue
         if over is None:
             parts = line.split()
@@ -200,10 +219,7 @@ def parse_function(text: str, k: SimplicialComplex) -> ConstructibleFunction:
         s = _simplex_by_labels(k, labels, i)
         if s in table:
             raise ParseError(f"duplicate assignment for ({' '.join(labels)})", i)
-        try:
-            table[s] = Dyadic.parse(right)
-        except ValueError as e:
-            raise ParseError(str(e), i) from None
+        table[s] = _parse_value(right, i)
     if over is None:
         raise ParseError("empty input: missing 'function over=<name>' header")
     return ConstructibleFunction.from_dict(k, table, default=ZERO)
@@ -212,17 +228,27 @@ def parse_function(text: str, k: SimplicialComplex) -> ConstructibleFunction:
 def _function_from_obj(obj, k: SimplicialComplex) -> ConstructibleFunction:
     if not isinstance(obj, dict) or "values" not in obj:
         raise ParseError("structured function needs a 'values' field")
+    if not isinstance(obj["values"], list):
+        raise ParseError("'values' must be an array")
     over = obj.get("complex")
+    if over is not None and not isinstance(over, str):
+        raise ParseError("'complex' must be a string")
     if over is not None and k.name is not None and over != k.name:
         raise ParseError(f"function is over {over!r}, complex is {k.name!r}")
-    default = Dyadic.parse(str(obj.get("default", "0")))
+    default = _parse_value(str(obj.get("default", "0")))
     table: dict[Simplex, Dyadic] = {}
     for entry in obj["values"]:
-        s = _simplex_by_labels(k, [str(l) for l in entry["simplex"]])
+        if not isinstance(entry, dict) or "simplex" not in entry \
+                or "value" not in entry:
+            raise ParseError("each entry of 'values' must be an object with"
+                             " 'simplex' and 'value' fields")
+        if not isinstance(entry["simplex"], list) or not entry["simplex"]:
+            raise ParseError("'simplex' must be a nonempty array of labels")
+        labels = [str(l) for l in entry["simplex"]]
+        s = _simplex_by_labels(k, labels)
         if s in table:
-            raise ParseError("duplicate assignment for"
-                             f" ({' '.join(map(str, entry['simplex']))})")
-        table[s] = Dyadic.parse(str(entry["value"]))
+            raise ParseError(f"duplicate assignment for ({' '.join(labels)})")
+        table[s] = _parse_value(str(entry["value"]))
     return ConstructibleFunction.from_dict(k, table, default=default)
 
 

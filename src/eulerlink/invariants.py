@@ -17,20 +17,24 @@ homeomorphic to a real algebraic set:
 * ``divisibility_certificate`` / ``bonnard_bounds`` — the sufficiency
   certificate via 2-adic valuation and the closed-form presentation bounds.
 
+Both link-based checks (``dim3_check`` and ``search_check``) run their local
+test once per link shape and reuse the result on every other simplex whose
+link has that shape (see ``_per_link_shape``).
+
 A pass is never a realizability proof; reports carry that caveat.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .complexes import Simplex, SimplicialComplex, geometric_link
 from .dyadic import Dyadic
 from .functions import (ConstructibleFunction, ParityObstruction,
                         euler_integral, half_link, link_operator)
 from .search import (DEFAULT_BUDGET, ExpressionWitness, KIND_NON_INTEGER,
-                     ONE_EXPR, SearchBudget, SearchResult, dim4_local_search,
-                     expression_depth, expression_size)
+                     ONE_EXPR, SearchBudget, SearchResult, closure_search,
+                     dim4_local_search, expression_depth, expression_size)
 
 NECESSARY_ONLY = ("all checks are necessary conditions for homeomorphism to"
                   " a real algebraic set; passing is not a realizability proof")
@@ -176,14 +180,44 @@ def sullivan_check(k: SimplicialComplex) -> ObstructionReport:
         summary={"sullivan": "pass" if passed else "fail"}, notes=tuple(notes))
 
 
+def _moved(res, first: SimplicialComplex, link: SimplicialComplex):
+    """Carry a local test's result from ``first`` to ``link``, a link of
+    the same shape: a witness location moves to the simplex at its index."""
+    if isinstance(res, SearchResult):
+        return replace(res, link=link,
+                       witness=_moved(res.witness, first, link))
+    if isinstance(res, ExpressionWitness) and res.location is not None:
+        return replace(res, location=link.simplices[first.index(res.location)])
+    return res
+
+
+def _per_link_shape(k: SimplicialComplex, test):
+    """Yield ``(tau, link, test(link))`` for every simplex ``tau`` of ``k``,
+    running ``test`` once per link shape.
+
+    A link's shape is its simplex tuple with the vertex ids relabelled
+    densely in increasing order.  An increasing relabelling keeps the
+    canonical simplex order, so every index-based computation (value
+    vectors, first violations, search counts) is the same on all links of
+    one shape; only witness locations need moving, by index.
+    """
+    memo: dict[tuple, tuple[SimplicialComplex, object]] = {}
+    for tau in k.simplices:
+        link = geometric_link(k, tau)
+        dense = {v: i for i, v in enumerate(sorted(link.vertex_ids))}
+        shape = tuple(tuple(dense[v] for v in s) for s in link.simplices)
+        if shape not in memo:
+            memo[shape] = (link, test(link))
+        first, res = memo[shape]
+        yield tau, link, _moved(res, first, link)
+
+
 def dim3_check(k: SimplicialComplex) -> ObstructionReport:
     """Vanishing of the b-vector of every simplex's geometric link."""
     if k.dim > 3:
         raise ValueError("dim3 check requires dimension <= 3")
     rows = []
-    for tau in k.simplices:
-        link = geometric_link(k, tau)
-        res = b_vector(link)
+    for tau, link, res in _per_link_shape(k, b_vector):
         if isinstance(res, InvariantVector):
             ok = res.is_zero
             bad = [name for name, c in zip(("chi2", "b1", "b2", "b3", "b4"),
@@ -212,8 +246,8 @@ def search_check(k: SimplicialComplex,
     rows = []
     budget_noted = False
     notes = [NECESSARY_ONLY]
-    for tau in k.simplices:
-        res: SearchResult = dim4_local_search(k, tau, budget)
+    for tau, _, res in _per_link_shape(
+            k, lambda link: closure_search(link, budget)):
         if res.verdict == "witness":
             w = res.witness
             rows.append(TestRow(

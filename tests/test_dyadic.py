@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from eulerlink.dyadic import Dyadic
+from eulerlink.dyadic import MAX_PARSE_EXP, Dyadic
 
 
 dyadics = st.builds(Dyadic,
@@ -61,6 +61,16 @@ def test_parse_forms():
     assert str(Dyadic(-4)) == "-4"
     for bad in ["", "1/3", "x", "1/2^", "2^3", "1.5"]:
         with pytest.raises(ValueError):
+            Dyadic.parse(bad)
+
+
+def test_parse_caps_the_exponent():
+    # parse only: the values above the cap are never built
+    assert Dyadic.parse(f"1/2^{MAX_PARSE_EXP}") == Dyadic(1, MAX_PARSE_EXP)
+    assert Dyadic.parse(f"-8/2^{MAX_PARSE_EXP}").exp == MAX_PARSE_EXP - 3
+    for bad in [f"1/2^{MAX_PARSE_EXP + 1}", "1/2^4000000000",
+                f"0/2^{MAX_PARSE_EXP + 1}"]:
+        with pytest.raises(ValueError, match="limit"):
             Dyadic.parse(bad)
 
 

@@ -1,10 +1,14 @@
 """Text and JSON round trips, canonical form, parse diagnostics."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from eulerlink import corpus
+from eulerlink import cli, corpus
 from eulerlink.dyadic import Dyadic
 from eulerlink.fileio import (ParseError, parse_complex, parse_function,
                               read_complex, read_function, save_complex,
@@ -108,3 +112,168 @@ def test_parse_function_diagnostics():
     assert err is not None and err.line == 2
     with pytest.raises(ParseError, match="not a simplex"):
         parse_function("function over=window\n0,0 2,2 : 1\n", w)
+
+
+def test_hash_lines_are_comments():
+    text = "# a complex\ncomplex v=3\n# a comment\n  # indented\na b\n\nb c\n"
+    k = parse_complex(text, name="path")
+    assert k.counts_by_dim() == (3, 2)
+    assert write_complex(k) == "complex v=3\na b\nb c\n"
+
+    w = corpus.window()
+    phi = parse_function("# q\nfunction over=window\n# 0,0 : 5\n0,0 : 1\n", w)
+    assert {w.simplex_name(s): v for s, v in phi.as_dict().items()} == \
+        {"(0,0)": Dyadic(1)}
+
+
+def test_hash_labels_are_rejected_so_files_round_trip():
+    with pytest.raises(ParseError, match="bad vertex label '#b'"):
+        parse_complex("complex v=2\na #b\n")
+    with pytest.raises(ParseError, match="bad vertex label"):
+        parse_complex(json.dumps({"facets": [["#", "a"]]}))
+    from eulerlink.complexes import build_complex
+    hashed = build_complex([(0, 1)], labels={0: "a", 1: "#b"})
+    with pytest.raises(ParseError):
+        write_complex(hashed)
+
+
+def test_function_values_above_the_exponent_cap_are_parse_errors():
+    w = corpus.window()
+    with pytest.raises(ParseError, match="line 2: exponent 4000000000"):
+        parse_function("function over=window\n0,0 : 1/2^4000000000\n", w)
+    obj = {"values": [{"simplex": ["0,0"], "value": "1/2^4000000000"}]}
+    with pytest.raises(ParseError, match="limit"):
+        parse_function(json.dumps(obj), w)
+    with pytest.raises(ParseError, match="limit"):
+        parse_function(json.dumps({"values": [], "default": "1/2^5000"}), w)
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"values": [{"value": "1"}]}, "'simplex' and 'value'"),
+    ({"values": [{"simplex": ["0,0"]}]}, "'simplex' and 'value'"),
+    ({"values": [3]}, "'simplex' and 'value'"),
+    ({"values": ["0,0 : 1"]}, "'simplex' and 'value'"),
+    ({"values": {"simplex": ["0,0"], "value": "1"}}, "'values' must be"),
+    ({"values": "0,0"}, "'values' must be"),
+    ({"values": [{"simplex": "0,0", "value": "1"}]}, "'simplex' must be"),
+    ({"values": [{"simplex": [], "value": "1"}]}, "'simplex' must be"),
+    ({"values": [{"simplex": 7, "value": "1"}]}, "'simplex' must be"),
+    ({"values": [], "complex": 3}, "'complex' must be"),
+    ({"values": [], "default": "1/3"}, "not a dyadic"),
+])
+def test_malformed_json_functions_are_parse_errors(obj, message):
+    with pytest.raises(ParseError, match=message):
+        parse_function(json.dumps(obj), corpus.window())
+
+
+@pytest.mark.parametrize("text, message", [
+    (json.dumps({"name": 3, "facets": [["a", "b"]]}), "'name' must be"),
+    (json.dumps({"name": ["x"], "facets": [["a", "b"]]}), "'name' must be"),
+    ('{"facets": [["a", "b"]]', "bad JSON"),
+    ("{" * 100000, "bad JSON"),
+], ids=["int-name", "list-name", "truncated", "deeply-nested"])
+def test_malformed_json_complexes_are_parse_errors(text, message):
+    with pytest.raises(ParseError, match=message):
+        parse_complex(text)
+
+
+# -- fuzzing the readers through the command line ------------------------------
+
+labels = st.sampled_from(["c0", "c1", "c2", "a", "b", "#", "#c0", ":", "a:b",
+                          "0", "", "c0 c1"])
+# exponents stay small enough to be harmless if the cap were missing
+values = st.sampled_from(["1", "-3", "1/2^3", "7/2^4096", "1/2^4097", "1/3",
+                          "x", "", "2^3"])
+json_any = st.recursive(
+    st.none() | st.booleans() | st.integers() | labels | values,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["name", "facets", "complex", "values",
+                                       "default", "simplex", "value", "x"]),
+                      inner, max_size=4),
+    max_leaves=12)
+label_lists = st.lists(labels, max_size=4)
+text_lines = st.lists(
+    label_lists.map(" ".join)
+    | st.tuples(label_lists.map(" ".join), values).map(" : ".join)
+    | st.sampled_from(["complex v=3", "complex v=x", "complex", "# note",
+                       "function over=circle", "function over=other",
+                       "function", "{", ""]),
+    max_size=6).map("\n".join)
+raw_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=60)
+
+json_complexes = (
+    st.fixed_dictionaries({"facets": json_any | st.lists(label_lists,
+                                                         max_size=4)},
+                          optional={"name": json_any})
+    | json_any).map(json.dumps)
+json_functions = (
+    st.fixed_dictionaries(
+        {"values": json_any | st.lists(st.fixed_dictionaries(
+            {"simplex": json_any | label_lists, "value": json_any | values}),
+            max_size=3)},
+        optional={"complex": json_any | st.just("circle"),
+                  "default": json_any | values})
+    | json_any).map(json.dumps)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    save_complex(corpus.circle(), str(d / "circle.cplx"))
+    return d
+
+
+def _run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+def _assert_clean_exit(code, err):
+    """Exit 0 without a word on stderr, or exit 1 with one line on it."""
+    if code == 0:
+        assert err == ""
+    else:
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.endswith("\n")
+
+
+def _write(path, text):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=json_complexes | text_lines | raw_text)
+def test_fuzzed_complex_files_fail_in_one_line(fuzz_dir, text):
+    path = str(fuzz_dir / "fuzz.cplx")
+    _write(path, text)
+    _assert_clean_exit(*_run_cli(["validate", path]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=json_functions | text_lines | raw_text)
+def test_fuzzed_function_files_fail_in_one_line(fuzz_dir, text):
+    path = str(fuzz_dir / "fuzz.fn")
+    _write(path, text)
+    _assert_clean_exit(*_run_cli(["integrate", str(fuzz_dir / "circle.cplx"),
+                                  path]))
+
+
+@pytest.mark.parametrize("name, text", [
+    ("f.fn", '{"complex": "circle", "values": [{"value": "1"}]}'),
+    ("f.fn", '{"values": [3]}'),
+    ("f.fn", '{"values": {"c0": "1"}}'),
+    ("f.fn", "function over=circle\nc0 : 1/2^4097\n"),
+    ("k.cplx", '{"name": 3, "facets": [["a", "b"]]}'),
+])
+def test_reported_malformed_files_exit_one(fuzz_dir, name, text):
+    path = str(fuzz_dir / name)
+    _write(path, text)
+    argv = (["integrate", str(fuzz_dir / "circle.cplx"), path]
+            if name.endswith(".fn") else ["validate", path])
+    code, err = _run_cli(argv)
+    assert code == 1
+    _assert_clean_exit(code, err)

@@ -4,15 +4,17 @@ import pytest
 
 from eulerlink import corpus
 from eulerlink.complexes import (cone, disjoint_union, euler_characteristic,
-                                 point_complex)
+                                 geometric_link, point_complex)
 from eulerlink.dyadic import Dyadic
 from eulerlink.functions import (ConstructibleFunction, indicator_of_subcomplex,
                                  is_euler)
 from eulerlink.invariants import (NECESSARY_ONLY, BoundQuery, InvariantVector,
-                                  ZERO_VECTOR, b_vector, bonnard_bounds,
-                                  dim3_check, divisibility_certificate,
-                                  merge_reports, search_check, sullivan_check)
-from eulerlink.search import ExpressionWitness, SearchBudget
+                                  ZERO_VECTOR, _per_link_shape, b_vector,
+                                  bonnard_bounds, dim3_check,
+                                  divisibility_certificate, merge_reports,
+                                  search_check, sullivan_check)
+from eulerlink.search import (ExpressionWitness, SearchBudget, closure_search,
+                              dim4_local_search, replay_witness)
 
 DIM2_CORPUS = ["theta", "segment", "circle", "sphere2", "torus", "klein",
                "rp2", "window"]
@@ -126,6 +128,99 @@ def test_dim3_check_apex_iff_base_vector_vanishes():
         vec = b_vector(y)
         base_ok = isinstance(vec, InvariantVector) and vec.is_zero
         assert (apex_rows[0].verdict == "pass") == base_ok, name
+
+
+# -- one local test per link shape --------------------------------------------------
+
+
+def test_dim3_check_equals_per_simplex_b_vector_on_corpus():
+    for name in corpus.corpus_names():
+        k = corpus.corpus_complex(name)
+        if k.dim > 3:
+            continue
+        rows = dim3_check(k).rows
+        assert [r.simplex for r in rows] == list(k.simplices), name
+        for row, tau in zip(rows, k.simplices):
+            link = geometric_link(k, tau)
+            res = b_vector(link)
+            assert row.where == k.simplex_name(tau)
+            if isinstance(res, InvariantVector):
+                assert (row.verdict == "pass") == res.is_zero
+                assert row.value.startswith(f"b = {res}")
+                assert row.data == {"b": list(res.as_tuple())}
+            else:
+                assert row.verdict == "fail"
+                assert row.value == \
+                    f"half-link obstruction: {res.describe(link)}"
+                assert row.data == {"witness": res.as_dict(link)}, \
+                    (name, row.where)
+
+
+@pytest.mark.parametrize("name", ["cone_sphere3", "susp_sphere3"])
+def test_search_check_equals_per_simplex_search(name):
+    k = corpus.corpus_complex(name)
+    budget = SearchBudget(max_functions=50)
+    expected = []
+    first_pass = None
+    for tau in k.simplices:
+        res = dim4_local_search(k, tau, budget)
+        w = res.witness
+        if w is not None:
+            expected.append((k.simplex_name(tau), "fail", w.describe(res.link),
+                             {"witness": w.as_dict(res.link),
+                              "explored": res.explored, "stop": res.stop}))
+        else:
+            first_pass = first_pass or res
+            expected.append((k.simplex_name(tau), "pass",
+                             f"no witness within budget ({res.explored}"
+                             f" functions, stop: {res.stop})",
+                             {"explored": res.explored, "stop": res.stop,
+                              "guard_hits": res.guard_hits}))
+    report = search_check(k, budget)
+    assert [(r.where, r.verdict, r.value, r.data)
+            for r in report.rows] == expected
+    assert report.notes == (NECESSARY_ONLY,) + first_pass.notes()
+
+
+def test_search_runs_once_per_link_shape():
+    k = corpus.corpus_complex("susp_sphere3")
+    searched = []
+
+    def search(link):
+        searched.append(link)
+        return closure_search(link, SearchBudget(max_depth=1))
+
+    results = list(_per_link_shape(k, search))
+    assert len(results) == len(k.simplices) == 92
+    assert len(searched) == 6
+    for tau, link, res in results:
+        assert res.link is link
+        assert link.simplices == geometric_link(k, tau).simplices
+
+
+def test_reused_witnesses_replay_on_their_own_links():
+    # search witnesses on the 4-ball are all odd integrals
+    ball = corpus.corpus_complex("cone_sphere3")
+    budget = SearchBudget(max_functions=50)
+    searched = [(tau, res.witness) for tau, _, res in
+                _per_link_shape(ball, lambda l: closure_search(l, budget))
+                if res.witness is not None]
+    assert len(searched) == 30
+    # half-link witnesses of the cone over the window sit at a simplex,
+    # which moves from link to link
+    cw = corpus.corpus_complex("cone_window")
+    halved = [(tau, res) for tau, _, res in _per_link_shape(cw, b_vector)
+              if isinstance(res, ExpressionWitness)]
+    assert len({w.location for _, w in halved}) > 1
+    for k, found, report in ((ball, searched, search_check(ball, budget)),
+                             (cw, halved, dim3_check(cw))):
+        rows = {r.simplex: r for r in report.rows}
+        for tau, w in found:
+            own = geometric_link(k, tau)
+            assert replay_witness(w, own) == w.value
+            where = "integral" if w.location is None \
+                else own.simplex_name(w.location)
+            assert rows[tau].data["witness"]["location"] == where
 
 
 # -- search check and report plumbing ---------------------------------------------
