@@ -53,9 +53,6 @@ class Simplex(tuple):
             out.extend(Simplex(c) for c in itertools.combinations(self, k))
         return tuple(out)
 
-    def union(self, other: "Simplex") -> "Simplex":
-        return Simplex(sorted(set(self) | set(other)))
-
     def contains(self, other: "Simplex") -> bool:
         return set(other) <= set(self)
 
@@ -118,12 +115,8 @@ class SimplicialComplex:
 
     def facets(self) -> tuple[Simplex, ...]:
         """Maximal simplices, in canonical order."""
-        sets = [frozenset(s) for s in self.simplices]
-        out = []
-        for i, s in enumerate(self.simplices):
-            if not any(sets[i] < sets[j] for j in range(len(sets)) if j != i):
-                out.append(s)
-        return tuple(out)
+        return tuple(s for i, s in enumerate(self.simplices)
+                     if not self.cofaces(i))
 
     def is_downward_closed(self) -> bool:
         return all(f in self._index for s in self.simplices for f in s.subfaces())
@@ -135,26 +128,21 @@ class SimplicialComplex:
         return tuple(counts)
 
     def cofaces(self, i: int) -> tuple[int, ...]:
-        """Indices of all simplices strictly containing simplex ``i``."""
+        """Indices of all simplices strictly containing simplex ``i``, in
+        ascending order.
+
+        The first call builds the whole table by enumerating the proper
+        faces of every simplex through the index: sum of 2^|s| - 2 lookups.
+        """
         if self._cofaces is None:
-            sets = [frozenset(s) for s in self.simplices]
+            index = self._index
             table = [[] for _ in self.simplices]
-            for j, big in enumerate(sets):
-                if len(big) == 1:
-                    continue
-                for k, small in enumerate(sets):
-                    if len(small) < len(big) and small < big:
-                        table[k].append(j)
+            for j, s in enumerate(self.simplices):
+                for r in range(1, len(s)):
+                    for face in itertools.combinations(s, r):
+                        table[index[face]].append(j)
             self._cofaces = tuple(tuple(row) for row in table)
         return self._cofaces[i]
-
-    def with_name(self, name: str) -> "SimplicialComplex":
-        out = SimplicialComplex((), name=name)
-        out.simplices = self.simplices
-        out._index = self._index
-        out._labels = self._labels
-        out._cofaces = self._cofaces
-        return out
 
     def __repr__(self) -> str:
         tag = self.name or "complex"
@@ -182,15 +170,17 @@ def euler_characteristic(k: SimplicialComplex) -> int:
 
 def simplicial_link(k: SimplicialComplex, tau) -> SimplicialComplex:
     """The classical link: simplices disjoint from ``tau`` whose join with
-    it lies in the complex.  Vertex ids are inherited from ``k``."""
+    it lies in the complex.  Vertex ids are inherited from ``k``.
+
+    Read from the star: ``s`` is disjoint from ``tau`` with ``s | tau`` in
+    ``k`` exactly when ``s | tau`` is a strict coface of ``tau``.
+    """
     tau = tau if isinstance(tau, Simplex) else Simplex(tau)
     if tau not in k:
         raise ValueError(f"simplex {tuple(tau)} is not in the complex")
     tset = set(tau)
-    out = []
-    for s in k.simplices:
-        if tset.isdisjoint(s) and s.union(tau) in k:
-            out.append(s)
+    out = [tuple(v for v in k.simplices[j] if v not in tset)
+           for j in k.cofaces(k.index(tau))]
     return SimplicialComplex(out, labels=k._labels)
 
 
@@ -318,21 +308,11 @@ def barycentric_subdivision(k: SimplicialComplex) -> Subdivision:
     """Order complex of the face poset of ``k``."""
     n = len(k.simplices)
     vertex_simplex = dict(enumerate(k.simplices))
-    by_len: dict[int, list[int]] = {}
-    for i, s in enumerate(k.simplices):
-        by_len.setdefault(len(s), []).append(i)
-    # Edges of the order complex: strict face relations.
-    above: dict[int, list[int]] = {i: [] for i in range(n)}
-    sets = [frozenset(s) for s in k.simplices]
-    for i in range(n):
-        for j in range(n):
-            if len(sets[i]) < len(sets[j]) and sets[i] < sets[j]:
-                above[i].append(j)
     chains: list[tuple[int, ...]] = []
 
     def grow(chain: tuple[int, ...]) -> None:
         chains.append(chain)
-        for j in above[chain[-1]]:
+        for j in k.cofaces(chain[-1]):
             grow(chain + (j,))
 
     for i in range(n):

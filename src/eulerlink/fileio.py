@@ -11,7 +11,9 @@ Text function format::
     <vertex labels of a simplex> : <value as p or p/2^k>
 
 Blank lines and lines starting with ``#`` are skipped in both text formats,
-so no vertex label may start with ``#``.  Simplices omitted from a function
+so no vertex label may start with ``#``.  A facet may have at most
+``MAX_FACET_VERTICES`` labels, in either format, since the reader builds
+all 2^n - 1 faces of an n-label facet.  Simplices omitted from a function
 file default to zero.  A JSON variant of
 each is also accepted: ``{"name": ..., "facets": [[labels]]}`` and
 ``{"complex": ..., "values": [{"simplex": [labels], "value": "p/2^k"}],
@@ -30,6 +32,8 @@ import os
 from .complexes import Simplex, SimplicialComplex, build_complex
 from .dyadic import Dyadic, ZERO
 from .functions import ConstructibleFunction
+
+MAX_FACET_VERTICES = 12
 
 
 class ParseError(ValueError):
@@ -52,6 +56,16 @@ def _check_label(label: str, line: int | None = None) -> str:
             or any(c.isspace() for c in label)):
         raise ParseError(f"bad vertex label {label!r}", line)
     return label
+
+
+def _parse_facet(tokens, line: int | None = None) -> tuple[str, ...]:
+    if len(tokens) > MAX_FACET_VERTICES:
+        raise ParseError(f"facet has {len(tokens)} vertices, more than the"
+                         f" {MAX_FACET_VERTICES} allowed", line)
+    labels = tuple(_check_label(str(t), line) for t in tokens)
+    if len(set(labels)) != len(labels):
+        raise ParseError(f"repeated vertex in facet {' '.join(labels)}", line)
+    return labels
 
 
 def _load_json(text: str):
@@ -93,10 +107,7 @@ def parse_complex(text: str, name: str | None = None) -> SimplicialComplex:
             except ValueError:
                 raise ParseError("vertex count is not an integer", i) from None
             continue
-        labels = tuple(_check_label(t, i) for t in line.split())
-        if len(set(labels)) != len(labels):
-            raise ParseError(f"repeated vertex in facet {' '.join(labels)}", i)
-        facets.append(labels)
+        facets.append(_parse_facet(line.split(), i))
     if header is None:
         raise ParseError("empty input: missing 'complex v=<n>' header")
     if not facets:
@@ -114,10 +125,7 @@ def _complex_from_obj(obj, name: str | None) -> SimplicialComplex:
     for f in raw:
         if not isinstance(f, list) or not f:
             raise ParseError("each facet must be a nonempty array of labels")
-        labels = tuple(_check_label(str(t)) for t in f)
-        if len(set(labels)) != len(labels):
-            raise ParseError(f"repeated vertex in facet {' '.join(labels)}")
-        facets.append(labels)
+        facets.append(_parse_facet(f))
     got = obj.get("name")
     if got is not None and not isinstance(got, str):
         raise ParseError("'name' must be a string")
@@ -141,26 +149,23 @@ def read_complex(path: str) -> SimplicialComplex:
     return parse_complex(text, name=stem)
 
 
-def write_complex(k: SimplicialComplex) -> str:
+def _facet_rows(k: SimplicialComplex) -> list[list[str]]:
+    """The facets as label lists, in the canonical writers' order."""
     for v in k.vertex_ids:
         _check_label(k.label(v))
-    def facet_labels(s: Simplex):
-        return sorted((k.label(v) for v in s), key=_label_key)
-    rows = sorted((facet_labels(f) for f in k.facets()),
-                  key=lambda ls: (len(ls), [_label_key(l) for l in ls]))
+    rows = [sorted((k.label(v) for v in f), key=_label_key) for f in k.facets()]
+    rows.sort(key=lambda ls: (len(ls), [_label_key(l) for l in ls]))
+    return rows
+
+
+def write_complex(k: SimplicialComplex) -> str:
     lines = [f"complex v={k.n_vertices}"]
-    lines += [" ".join(ls) for ls in rows]
+    lines += [" ".join(ls) for ls in _facet_rows(k)]
     return "\n".join(lines) + "\n"
 
 
 def write_complex_json(k: SimplicialComplex) -> str:
-    for v in k.vertex_ids:
-        _check_label(k.label(v))
-    def facet_labels(s: Simplex):
-        return sorted((k.label(v) for v in s), key=_label_key)
-    rows = sorted((facet_labels(f) for f in k.facets()),
-                  key=lambda ls: (len(ls), [_label_key(l) for l in ls]))
-    obj = {"name": k.name or "complex", "facets": rows}
+    obj = {"name": k.name or "complex", "facets": _facet_rows(k)}
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 

@@ -206,6 +206,28 @@ def test_geometric_link_examples():
         geometric_link(tri, Simplex((0, 3)))
 
 
+def _incidence_cases():
+    yield from ALL_CORPUS
+    yield join(corpus.rp2(), corpus.rp2(), name="rp2*rp2")
+    yield barycentric_subdivision(corpus.corpus_complex("susp_rp2")).complex
+
+
+@pytest.mark.parametrize("k", _incidence_cases(),
+                         ids=lambda k: k.name or "complex")
+def test_incidence_matches_the_frozenset_definitions(k):
+    sets = [frozenset(s) for s in k.simplices]
+    present = set(sets)
+    for i, small in enumerate(sets):
+        assert list(k.cofaces(i)) == [j for j, big in enumerate(sets)
+                                      if small < big]
+    assert set(k.facets()) == {s for s, a in zip(k.simplices, sets)
+                               if not any(a < b for b in sets)}
+    for tau, t in zip(k.simplices, sets):
+        want = [s for s, a in zip(k.simplices, sets)
+                if t.isdisjoint(a) and a | t in present]
+        assert simplicial_link(k, tau).simplices == tuple(want)
+
+
 # -- join, cone, suspension, union ----------------------------------------------
 
 

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulerlink import cli, corpus
+from eulerlink import cli, corpus, fileio
 from eulerlink.dyadic import Dyadic
-from eulerlink.fileio import (ParseError, parse_complex, parse_function,
+from eulerlink.fileio import (MAX_FACET_VERTICES, ParseError, parse_complex,
+                              parse_function,
                               read_complex, read_function, save_complex,
                               write_complex, write_complex_json,
                               write_function)
@@ -148,6 +149,20 @@ def test_function_values_above_the_exponent_cap_are_parse_errors():
         parse_function(json.dumps({"values": [], "default": "1/2^5000"}), w)
 
 
+def test_facets_above_the_size_cap_are_parse_errors(monkeypatch):
+    # The readers hand the facets over to build_complex, which is replaced
+    # here so that no test builds the 2^n - 1 faces of a long facet.
+    monkeypatch.setattr(fileio, "build_complex", lambda facets, **kw: facets)
+    at_cap = [f"v{i}" for i in range(MAX_FACET_VERTICES)]
+    over = at_cap + ["w"]
+    assert len(parse_complex(json.dumps({"facets": [at_cap]}))[0]) == 12
+    with pytest.raises(ParseError, match="line 3: facet has 13 vertices"):
+        parse_complex(f"complex v=13\na b\n{' '.join(over)}\n")
+    with pytest.raises(ParseError, match="facet has 13 vertices, more than"
+                                         " the 12 allowed"):
+        parse_complex(json.dumps({"facets": [["a", "b"], over]}))
+
+
 @pytest.mark.parametrize("obj, message", [
     ({"values": [{"value": "1"}]}, "'simplex' and 'value'"),
     ({"values": [{"simplex": ["0,0"]}]}, "'simplex' and 'value'"),
@@ -268,6 +283,7 @@ def test_fuzzed_function_files_fail_in_one_line(fuzz_dir, text):
     ("f.fn", '{"values": {"c0": "1"}}'),
     ("f.fn", "function over=circle\nc0 : 1/2^4097\n"),
     ("k.cplx", '{"name": 3, "facets": [["a", "b"]]}'),
+    ("k.cplx", "complex v=13\n" + " ".join(f"v{i}" for i in range(13)) + "\n"),
 ])
 def test_reported_malformed_files_exit_one(fuzz_dir, name, text):
     path = str(fuzz_dir / name)
