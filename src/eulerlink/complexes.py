@@ -72,6 +72,9 @@ class SimplicialComplex:
         self._index = {s: i for i, s in enumerate(self.simplices)}
         self._labels = dict(labels) if labels else {}
         self._cofaces: tuple[tuple[int, ...], ...] | None = None
+        # Vertices come first in canonical order.
+        self._n_vertices = next((i for i, s in enumerate(self.simplices)
+                                 if len(s) > 1), len(self.simplices))
 
     # -- basic queries ---------------------------------------------------
 
@@ -94,11 +97,11 @@ class SimplicialComplex:
 
     @property
     def vertex_ids(self) -> tuple[int, ...]:
-        return tuple(s[0] for s in self.simplices if len(s) == 1)
+        return tuple(s[0] for s in self.simplices[:self._n_vertices])
 
     @property
     def n_vertices(self) -> int:
-        return len(self.vertex_ids)
+        return self._n_vertices
 
     def label(self, v: int) -> str:
         return self._labels.get(v, str(v))
@@ -111,7 +114,8 @@ class SimplicialComplex:
         return "(" + " ".join(self.label(v) for v in s) + ")"
 
     def max_vertex_id(self) -> int:
-        return max(self.vertex_ids, default=-1)
+        """Id of the last vertex (vertex ids ascend); -1 without vertices."""
+        return self.simplices[self._n_vertices - 1][0] if self._n_vertices else -1
 
     def facets(self) -> tuple[Simplex, ...]:
         """Maximal simplices, in canonical order."""
@@ -143,6 +147,12 @@ class SimplicialComplex:
                         table[index[face]].append(j)
             self._cofaces = tuple(tuple(row) for row in table)
         return self._cofaces[i]
+
+    def coface_table(self) -> tuple[tuple[int, ...], ...]:
+        """Every row of ``cofaces`` at once, indexed by simplex."""
+        if self._cofaces is None and self.simplices:
+            self.cofaces(0)  # the first call builds the table
+        return self._cofaces or ()
 
     def __repr__(self) -> str:
         tag = self.name or "complex"

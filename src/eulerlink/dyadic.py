@@ -29,10 +29,11 @@ class Dyadic:
             exp = 0
         if num == 0:
             exp = 0
-        else:
-            while exp > 0 and num % 2 == 0:
-                num //= 2
-                exp -= 1
+        elif exp:
+            # Strip trailing zero bits, at most exp of them, in one shift.
+            shift = min(exp, (num & -num).bit_length() - 1)
+            num >>= shift
+            exp -= shift
         self.num = num
         self.exp = exp
 

@@ -12,10 +12,19 @@ The central operator is the combinatorial link ``lam``:
 which computes, for every simplex, the Euler integral of phi restricted to
 a small sphere around that simplex.  The duality operator, half link, and
 the parity test for Euler functions are all built from it.
+
+Values are Dyadic at the API boundary and plain ints inside these
+operators.  A function's values become one list of ints over a shared
+exponent e, the largest exponent among them (value i is xs[i] / 2**e).  The
+sign (-1)^(dim sigma + 1) is applied once to the whole list, lam is sums of
+ints along the complex's coface table, and each output value becomes a
+Dyadic once, at the end.  Halving is the same ints over 2**(e + 1), and
+parity is read from their low bits.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .complexes import (Simplex, SimplicialComplex, SimplicialMap,
@@ -38,14 +47,6 @@ class ParityObstruction:
     def describe(self, complex: SimplicialComplex) -> str:
         return (f"value {self.value} at {complex.simplex_name(self.simplex)}"
                 f" is {self.kind.replace('-', ' ')}")
-
-
-def _parity_kind(value: Dyadic) -> str | None:
-    if not value.is_integer:
-        return "non-integer"
-    if value.num % 2 != 0:
-        return "odd-integer"
-    return None
 
 
 class ConstructibleFunction:
@@ -174,32 +175,75 @@ def indicator_of_subcomplex(complex: SimplicialComplex,
 # -- integral and link-based operators ----------------------------------------
 
 
+def _ints(values) -> tuple[list[int], int]:
+    """Values as ints over one shared exponent e: values[i] == xs[i] / 2**e."""
+    e = max([v.exp for v in values], default=0)
+    if e == 0:
+        return [v.num for v in values], 0
+    return [v.num << (e - v.exp) for v in values], e
+
+
+def _signed(k: SimplicialComplex, xs: list[int]) -> list[int]:
+    """``(-1)^(dim sigma + 1) * x_sigma`` for every simplex sigma."""
+    return [-x if len(s) % 2 else x for s, x in zip(k.simplices, xs)]
+
+
+def _closed_star_sums(k: SimplicialComplex, xs: list[int]) -> list[int]:
+    """Sum over sigma >= tau of ``(-1)^(dim sigma + 1) * x_sigma``, for every tau.
+
+    Lambda x = x + this, since the term of tau itself is ``-x_tau`` on even
+    and ``+x_tau`` on odd dimensions, and dual x = x - Lambda x = -this.
+    """
+    signed = _signed(k, xs)
+    term = signed.__getitem__
+    return [sum(map(term, row), y) for y, row in zip(signed, k.coface_table())]
+
+
+def _function(k: SimplicialComplex, xs, e: int) -> ConstructibleFunction:
+    """The function with values ``xs[i] / 2**e``."""
+    return ConstructibleFunction(k, tuple(Dyadic(x, e) for x in xs))
+
+
 def euler_integral(phi: ConstructibleFunction) -> Dyadic:
     """Integral against the Euler characteristic of open cells."""
-    total = ZERO
-    for s, v in zip(phi.complex.simplices, phi.values):
-        total = total - v if s.dim % 2 else total + v
-    return total
+    xs, e = _ints(phi.values)
+    return Dyadic(-sum(_signed(phi.complex, xs)), e)
+
+
+def _link_ints(phi: ConstructibleFunction) -> tuple[list[int], int]:
+    """Lambda phi as ints over a shared exponent."""
+    xs, e = _ints(phi.values)
+    return [x + c for x, c in zip(xs, _closed_star_sums(phi.complex, xs))], e
 
 
 def link_operator(phi: ConstructibleFunction) -> ConstructibleFunction:
     """Apply the combinatorial link operator (see module docstring)."""
-    k = phi.complex
-    out = []
-    for i, tau in enumerate(k.simplices):
-        acc = ZERO if tau.dim % 2 == 0 else phi.values[i] + phi.values[i]
-        for j in k.cofaces(i):
-            if k.simplices[j].dim % 2:
-                acc = acc + phi.values[j]
-            else:
-                acc = acc - phi.values[j]
-        out.append(acc)
-    return ConstructibleFunction(k, tuple(out))
+    return _function(phi.complex, *_link_ints(phi))
 
 
 def dual(phi: ConstructibleFunction) -> ConstructibleFunction:
     """Verdier-style duality: phi minus its link."""
-    return phi - link_operator(phi)
+    xs, e = _ints(phi.values)
+    return _function(phi.complex,
+                     [-c for c in _closed_star_sums(phi.complex, xs)], e)
+
+
+def _halved(phi: ConstructibleFunction
+            ) -> tuple[list[int], int, Iterator[ParityObstruction]]:
+    """Half the link operator, with the simplices that forbid halving.
+
+    Returns ``(xs, e, obstructions)``: half of Lambda phi is ``xs[i] / 2**e``,
+    and ``obstructions`` lazily yields a ParityObstruction, in canonical
+    order, for every link value that is not an even integer.
+    """
+    lam, e = _link_ints(phi)
+    even = (1 << (e + 1)) - 1  # a / 2**e is an even integer iff a & even == 0
+    whole = (1 << e) - 1       # a / 2**e is an integer iff a & whole == 0
+    obstructions = (
+        ParityObstruction(simplex=s, value=Dyadic(a, e),
+                          kind="non-integer" if a & whole else "odd-integer")
+        for s, a in zip(phi.complex.simplices, lam) if a & even)
+    return lam, e + 1, obstructions
 
 
 def half_link(phi: ConstructibleFunction):
@@ -209,12 +253,19 @@ def half_link(phi: ConstructibleFunction):
     otherwise the first offending simplex is returned as a
     ParityObstruction instead of a function.
     """
-    lam = link_operator(phi)
-    for s, v in zip(lam.complex.simplices, lam.values):
-        kind = _parity_kind(v)
-        if kind is not None:
-            return ParityObstruction(simplex=s, value=v, kind=kind)
-    return ConstructibleFunction(lam.complex, tuple(v.half() for v in lam.values))
+    xs, e, obstructions = _halved(phi)
+    first = next(obstructions, None)
+    return first if first is not None else _function(phi.complex, xs, e)
+
+
+def half_link_total(phi: ConstructibleFunction) -> ConstructibleFunction:
+    """Half the link operator as a total map into dyadic functions.
+
+    Unlike ``half_link``, this never refuses: a non-integer value in the
+    result is exactly what the closure search is after.
+    """
+    xs, e, _ = _halved(phi)
+    return _function(phi.complex, xs, e)
 
 
 def is_euler(phi: ConstructibleFunction) -> tuple[bool, list[ParityObstruction]]:
@@ -226,21 +277,17 @@ def is_euler(phi: ConstructibleFunction) -> tuple[bool, list[ParityObstruction]]
     """
     if not phi.is_integer_valued:
         raise ValueError("parity test needs an integer-valued function")
-    lam = link_operator(phi)
-    bad = []
-    for s, v in zip(lam.complex.simplices, lam.values):
-        kind = _parity_kind(v)
-        if kind is not None:
-            bad.append(ParityObstruction(simplex=s, value=v, kind=kind))
+    bad = list(_halved(phi)[2])
     return (not bad, bad)
 
 
 def p_operator(phi: ConstructibleFunction) -> ConstructibleFunction:
     """Pointwise (phi^4 - phi^2) / 2, which is integer on integer inputs."""
+    # For v = n / 2**k: (v^4 - v^2) / 2 = (n^4 - n^2 * 4**k) / 2**(4k + 1).
     out = []
     for v in phi.values:
-        sq = v * v
-        out.append((sq * sq - sq).half())
+        sq = v.num * v.num
+        out.append(Dyadic(sq * sq - (sq << 2 * v.exp), 4 * v.exp + 1))
     return ConstructibleFunction(phi.complex, tuple(out))
 
 

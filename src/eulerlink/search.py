@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .complexes import Simplex, SimplicialComplex, geometric_link
 from .dyadic import Dyadic
-from .functions import (ConstructibleFunction, euler_integral, link_operator,
+from .functions import (ConstructibleFunction, euler_integral, half_link_total,
                         p_operator)
 
 Expression = tuple  # ("ONE",) | (op, child...) nested tuples
@@ -45,16 +45,6 @@ def expression_str(expr: Expression) -> str:
     if len(expr) == 1:
         return expr[0]
     return expr[0] + "(" + ", ".join(expression_str(c) for c in expr[1:]) + ")"
-
-
-def half_link_total(phi: ConstructibleFunction) -> ConstructibleFunction:
-    """Half the link operator as a total map into dyadic functions.
-
-    Unlike the guarded half link of the calculus module, this never refuses:
-    a non-integer value in the result is exactly what the search is after.
-    """
-    lam = link_operator(phi)
-    return ConstructibleFunction(lam.complex, tuple(v.half() for v in lam.values))
 
 
 def evaluate_expression(expr: Expression,

@@ -5,8 +5,8 @@ import itertools
 import pytest
 
 from eulerlink import corpus
-from eulerlink.complexes import (Simplex, SimplicialMap, build_complex,
-                                 barycentric_subdivision, cone,
+from eulerlink.complexes import (Simplex, SimplicialComplex, SimplicialMap,
+                                 build_complex, barycentric_subdivision, cone,
                                  disjoint_union, euler_characteristic,
                                  geometric_link, join, point_complex,
                                  simplicial_link, suspension, validate_map,
@@ -226,6 +226,25 @@ def test_incidence_matches_the_frozenset_definitions(k):
         want = [s for s, a in zip(k.simplices, sets)
                 if t.isdisjoint(a) and a | t in present]
         assert simplicial_link(k, tau).simplices == tuple(want)
+    assert k.coface_table() == tuple(k.cofaces(i) for i in range(len(k)))
+
+
+def _vertex_cases():
+    yield from _incidence_cases()
+    yield SimplicialComplex([])
+    sw = corpus.corpus_complex("susp_window")
+    for tau in sw.simplices[::17]:
+        yield geometric_link(sw, tau)  # fresh ids above sw's maximum
+
+
+@pytest.mark.parametrize("k", _vertex_cases(),
+                         ids=lambda k: k.name or "complex")
+def test_vertex_queries_match_a_scan(k):
+    vertices = tuple(s[0] for s in k.simplices if len(s) == 1)
+    assert k.vertex_ids == vertices
+    assert k.n_vertices == len(vertices)
+    assert k.max_vertex_id() == max(vertices, default=-1)
+    assert k.labels == {v: k.label(v) for v in vertices}
 
 
 # -- join, cone, suspension, union ----------------------------------------------

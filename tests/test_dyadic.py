@@ -104,3 +104,35 @@ def test_valuation_is_multiplicative(a, b):
 @given(dyadics, st.integers(min_value=0, max_value=6))
 def test_powers(a, n):
     assert as_fraction(a ** n) == as_fraction(a) ** n
+
+
+def halving_loop(num: int, exp: int) -> tuple[int, int]:
+    """Canonical form by halving one bit at a time (the reference)."""
+    if exp < 0:
+        num <<= -exp
+        exp = 0
+    if num == 0:
+        return 0, 0
+    while exp > 0 and num % 2 == 0:
+        num //= 2
+        exp -= 1
+    return num, exp
+
+
+@given(st.integers(min_value=-10**6, max_value=10**6),
+       st.integers(min_value=0, max_value=MAX_PARSE_EXP + 8),
+       st.integers(min_value=-4, max_value=MAX_PARSE_EXP))
+def test_normalisation_matches_the_halving_loop(odd, zeros, exp):
+    num = odd << zeros
+    d = Dyadic(num, exp)
+    assert (d.num, d.exp) == halving_loop(num, exp)
+
+
+def test_normalisation_edge_cases():
+    cases = [(0, 0), (0, 7), (0, -3), (0, MAX_PARSE_EXP), (-1, 0), (-6, 1),
+             (-6, 2), (12, -2), (-3, -5), (1 << MAX_PARSE_EXP, MAX_PARSE_EXP),
+             (-(5 << (MAX_PARSE_EXP + 9)), MAX_PARSE_EXP),
+             (-(1 << 100), MAX_PARSE_EXP), (3 << 4000, MAX_PARSE_EXP - 1)]
+    for num, exp in cases:
+        d = Dyadic(num, exp)
+        assert (d.num, d.exp) == halving_loop(num, exp), (num, exp)

@@ -1,0 +1,160 @@
+"""The integer kernel of the link operator against the Dyadic loops it replaced.
+
+The operators compute on ints over one shared exponent; the loops below
+compute one Dyadic operation per term and stay here as the reference.  The
+inputs mix exponents (values p/2^k), which the integer-valued generators of
+the property suites never do.
+"""
+
+import random
+
+import pytest
+
+from eulerlink import corpus
+from eulerlink.complexes import (SimplicialComplex, barycentric_subdivision,
+                                 join, point_complex)
+from eulerlink.dyadic import ZERO, Dyadic
+from eulerlink.functions import (ConstructibleFunction, ParityObstruction,
+                                 dual, euler_integral, half_link,
+                                 half_link_total, is_euler, link_operator,
+                                 p_operator)
+
+
+# -- the reference: one Dyadic operation per term -------------------------------
+
+
+def ref_euler_integral(phi):
+    total = ZERO
+    for s, v in zip(phi.complex.simplices, phi.values):
+        total = total - v if s.dim % 2 else total + v
+    return total
+
+
+def ref_link_operator(phi):
+    k = phi.complex
+    out = []
+    for i, tau in enumerate(k.simplices):
+        acc = ZERO if tau.dim % 2 == 0 else phi.values[i] + phi.values[i]
+        for j in k.cofaces(i):
+            if k.simplices[j].dim % 2:
+                acc = acc + phi.values[j]
+            else:
+                acc = acc - phi.values[j]
+        out.append(acc)
+    return ConstructibleFunction(k, tuple(out))
+
+
+def ref_dual(phi):
+    return phi - ref_link_operator(phi)
+
+
+def ref_parity_kind(value):
+    if not value.is_integer:
+        return "non-integer"
+    if value.num % 2 != 0:
+        return "odd-integer"
+    return None
+
+
+def ref_obstructions(phi):
+    lam = ref_link_operator(phi)
+    return [ParityObstruction(simplex=s, value=v, kind=ref_parity_kind(v))
+            for s, v in zip(lam.complex.simplices, lam.values)
+            if ref_parity_kind(v) is not None]
+
+
+def ref_half_link_total(phi):
+    lam = ref_link_operator(phi)
+    return ConstructibleFunction(lam.complex, tuple(v.half() for v in lam.values))
+
+
+def ref_half_link(phi):
+    bad = ref_obstructions(phi)
+    return bad[0] if bad else ref_half_link_total(phi)
+
+
+def ref_is_euler(phi):
+    if not phi.is_integer_valued:
+        raise ValueError("parity test needs an integer-valued function")
+    bad = ref_obstructions(phi)
+    return (not bad, bad)
+
+
+def ref_p_operator(phi):
+    out = []
+    for v in phi.values:
+        sq = v * v
+        out.append((sq * sq - sq).half())
+    return ConstructibleFunction(phi.complex, tuple(out))
+
+
+PAIRS = [(link_operator, ref_link_operator), (dual, ref_dual),
+         (half_link, ref_half_link), (half_link_total, ref_half_link_total),
+         (euler_integral, ref_euler_integral), (p_operator, ref_p_operator)]
+
+
+# -- inputs -----------------------------------------------------------------------
+
+
+def _cases():
+    for name in corpus.corpus_names():
+        yield name, corpus.corpus_complex(name)
+    yield ("sd(susp_rp2)",
+           barycentric_subdivision(corpus.corpus_complex("susp_rp2")).complex)
+    yield "rp2*rp2", join(corpus.rp2(), corpus.rp2())
+    yield "empty", SimplicialComplex([])
+    yield "point", point_complex()
+
+
+CASES = list(_cases())
+
+
+def mixed(k: SimplicialComplex, seed: int) -> ConstructibleFunction:
+    """Seeded values p/2^k, p in -7..7 and k in 0..6."""
+    rng = random.Random(seed)
+    return ConstructibleFunction(
+        k, [Dyadic(rng.randint(-7, 7), rng.randint(0, 6)) for _ in k.simplices])
+
+
+def inputs(k: SimplicialComplex, seed: int):
+    """Mixed exponents; the integers 2^6 phi and 2^7 phi, whose links have
+    odd and only even values; and the constant 1."""
+    phi = mixed(k, seed)
+    return [phi, phi.scale(64), phi.scale(128), ConstructibleFunction.one(k)]
+
+
+@pytest.mark.parametrize("name,k", CASES, ids=[n for n, _ in CASES])
+def test_kernel_matches_the_dyadic_loops(name, k):
+    for phi in inputs(k, seed=len(k)):
+        for op, ref in PAIRS:
+            assert op(phi) == ref(phi), (name, op.__name__)
+        if phi.is_integer_valued:
+            assert is_euler(phi) == ref_is_euler(phi), name
+        else:
+            with pytest.raises(ValueError):
+                is_euler(phi)
+
+
+@pytest.mark.parametrize("name,k", CASES, ids=[n for n, _ in CASES])
+def test_identities_on_non_integer_values(name, k):
+    phi = mixed(k, seed=len(k) + 1)
+    assert dual(dual(phi)) == phi, name
+    assert euler_integral(link_operator(phi)) == Dyadic(0), name
+
+
+def test_link_operator_and_dual_build_one_dyadic_per_value(monkeypatch):
+    k = join(corpus.rp2(), corpus.rp2())
+    phi = mixed(k, seed=5)
+    built = []
+    init = Dyadic.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Dyadic, "__init__", counting_init)
+    for op in (link_operator, dual):
+        built.clear()
+        out = op(phi)
+        assert len(out.values) == len(k) == 1023
+        assert len(built) <= len(out.values), op.__name__
