@@ -32,9 +32,9 @@ from .complexes import Simplex, SimplicialComplex, geometric_link
 from .dyadic import Dyadic
 from .functions import (ConstructibleFunction, ParityObstruction,
                         euler_integral, half_link, link_operator)
-from .search import (DEFAULT_BUDGET, ExpressionWitness, KIND_NON_INTEGER,
-                     ONE_EXPR, SearchBudget, SearchResult, closure_search,
-                     dim4_local_search, expression_depth, expression_size)
+from .search import (DEFAULT_BUDGET, ExpressionWitness, ONE_EXPR,
+                     SearchBudget, SearchResult, closure_search,
+                     dim4_local_search, halving_witness)
 
 NECESSARY_ONLY = ("all checks are necessary conditions for homeomorphism to"
                   " a real algebraic set; passing is not a realizability proof")
@@ -79,12 +79,10 @@ def _parity(value: Dyadic) -> int:
 
 
 def _obstructed(expr, obstruction: ParityObstruction) -> ExpressionWitness:
-    # Halving an odd link value: the witness value is the non-integer half.
-    return ExpressionWitness(expr=expr, kind=KIND_NON_INTEGER,
-                             location=obstruction.simplex,
-                             value=obstruction.value.half(),
-                             depth=expression_depth(expr),
-                             size=expression_size(expr))
+    # The link value a / 2**e is not an even integer, so its half is not
+    # an integer.
+    value = obstruction.value
+    return halving_witness(expr, obstruction.simplex, value.num, value.exp)
 
 
 def b_vector(k: SimplicialComplex) -> InvariantVector | ExpressionWitness:
@@ -242,12 +240,17 @@ def dim3_check(k: SimplicialComplex) -> ObstructionReport:
 
 def search_check(k: SimplicialComplex,
                  budget: SearchBudget = DEFAULT_BUDGET) -> ObstructionReport:
-    """Closure search at every simplex; report assembled in canonical order."""
+    """Closure search at every simplex; report assembled in canonical order.
+
+    The notes hold for every row: the completeness of the weakest pass row
+    (fewest complete levels, first in canonical order on a tie), and the
+    guard hits summed over all rows."""
     rows = []
-    budget_noted = False
-    notes = [NECESSARY_ONLY]
+    weakest = None
+    guard_hits = 0
     for tau, _, res in _per_link_shape(
             k, lambda link: closure_search(link, budget)):
+        guard_hits += res.guard_hits
         if res.verdict == "witness":
             w = res.witness
             rows.append(TestRow(
@@ -263,10 +266,17 @@ def search_check(k: SimplicialComplex,
                 value=f"no witness within budget ({res.explored} functions,"
                       f" stop: {res.stop})",
                 data={"explored": res.explored, "stop": res.stop,
-                      "guard_hits": res.guard_hits}))
-            if not budget_noted:
-                notes.extend(res.notes())
-                budget_noted = True
+                      "guard_hits": res.guard_hits,
+                      "depth_complete": res.depth_complete}))
+            if weakest is None or res.depth_complete < weakest[1].depth_complete:
+                weakest = (rows[-1].where, res)
+    notes = [NECESSARY_ONLY]
+    if weakest is not None:
+        where, res = weakest
+        notes.append(f"search, weakest pass row {where}: {res.completeness()}")
+    if guard_hits:
+        notes.append(f"value-growth guard pruned {guard_hits} branches"
+                     " over all rows")
     passed = all(r.verdict == "pass" for r in rows)
     return ObstructionReport(
         complex_name=k.name or "complex", dimension=k.dim, rows=tuple(rows),

@@ -8,20 +8,44 @@ odd Euler integral, is an obstruction witness: on a space realizable as a
 real algebraic set, every function in this closure is an integer-valued
 function of even integral.
 
-Enumeration is smallest-size-first (size = expression node count) with the
-fixed operator order ONE < ADD < SUB < MUL < HALFLINK < POP, deduplicating
-functions by their exact value vector, so results and witnesses are fully
-deterministic for a given complex and budget.
+The search runs level by level.  Level 0 is the constant 1, and level d
+holds every value that some expression of depth d reaches and no shallower
+one does.  Level d is built from level d-1: ADD and MUL of each unordered
+pair with one member in level d-1 and the other in any level <= d-1, SUB of
+the same pairs in both orders, then HALFLINK and POP of each member of
+level d-1.  The order is fixed: operators ADD, SUB, MUL, HALFLINK, POP; for
+a binary operator, the newer operand runs through level d-1 in the order
+it was found and the older one through the table from its start up to the
+newer one, and SUB takes the older operand first.  A value is kept the
+first time it is reached, so every kept value and every witness has
+minimal depth, and a pass that stops at the function budget has explored
+every level below the one it stopped in.
+
+Every kept value is integer-valued with an even integral, since anything
+else is a witness and ends the search.  So values are plain int tuples:
+ADD, SUB and MUL map over two tuples, POP is ``(x^4 - x^2) >> 1``, the
+integral's parity is the parity of the sum of the values, and HALFLINK
+halves the link operator's ints, its first odd value being a non-integer
+witness.  A Dyadic is built only for a witness.
+
+The value-growth guard drops a candidate with a value whose canonical
+numerator exceeds 2**guard_bits in absolute value, and counts it as a guard
+hit; such a value is neither kept nor a witness, so levels are complete up
+to the guard.  A dropped value is never in the table, so testing for a
+duplicate before the guard changes neither outcome nor count.  A half link
+with a non-integer value is never a duplicate, even when its canonical
+numerators are those of a kept function.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add, mul, sub
 
 from .complexes import Simplex, SimplicialComplex, geometric_link
 from .dyadic import Dyadic
-from .functions import (ConstructibleFunction, euler_integral, half_link_total,
-                        p_operator)
+from .functions import (ConstructibleFunction, _closed_star_sums,
+                        euler_integral, half_link_total, p_operator)
 
 Expression = tuple  # ("ONE",) | (op, child...) nested tuples
 
@@ -99,15 +123,15 @@ class ExpressionWitness:
         }
 
 
-def violation(cf: ConstructibleFunction) -> tuple[str, Simplex | None, Dyadic] | None:
-    """First violation in canonical order, or None if the function is clean."""
-    for s, v in zip(cf.complex.simplices, cf.values):
-        if not v.is_integer:
-            return (KIND_NON_INTEGER, s, v)
-    total = euler_integral(cf)
-    if total.num % 2 != 0:
-        return (KIND_ODD_INTEGRAL, None, total)
-    return None
+def halving_witness(expr: Expression, simplex: Simplex, a: int,
+                    e: int) -> ExpressionWitness:
+    """The witness of a failed halving: ``expr`` halves a link whose value
+    ``a / 2**e`` at ``simplex`` is not an even integer, so the half,
+    ``a / 2**(e + 1)``, is not an integer."""
+    return ExpressionWitness(expr=expr, kind=KIND_NON_INTEGER, location=simplex,
+                             value=Dyadic(a, e + 1),
+                             depth=expression_depth(expr),
+                             size=expression_size(expr))
 
 
 def replay_witness(witness: ExpressionWitness, link: SimplicialComplex) -> Dyadic:
@@ -146,142 +170,128 @@ class SearchResult:
     explored: int = 0  # distinct functions admitted to the table
     candidates: int = 0  # expression evaluations attempted
     guard_hits: int = 0
-    stop: str = ""  # "witness" | "size-limit" | "max-functions"
+    stop: str = ""  # "witness" | "max-functions" | "depth-limit"
     budget: SearchBudget = DEFAULT_BUDGET
+    levels: tuple[int, ...] = ()  # functions per complete level, depth 0 up
 
     @property
     def passed(self) -> bool:
         return self.verdict == "pass"
 
+    @property
+    def depth_complete(self) -> int:
+        """Every expression of depth <= this was evaluated."""
+        return len(self.levels) - 1
+
+    def completeness(self) -> str:
+        """What a pass explored: the complete levels, and where the search
+        stopped."""
+        d = self.depth_complete
+        head = f"depth <= {d} exhausted ({sum(self.levels)} functions)"
+        if self.stop == "max-functions":
+            return (f"{head}; depth {d + 1} stopped at the"
+                    f" {self.budget.max_functions}-function budget;"
+                    " a pass is within-budget only")
+        return (f"{head}; depth {d} is the depth limit; a pass is a bounded"
+                " necessary-condition check, not a realizability proof")
+
     def notes(self) -> tuple[str, ...]:
         out = []
         if self.verdict == "pass":
-            if self.stop == "max-functions":
-                out.append(f"search stopped at the {self.budget.max_functions}"
-                           "-function budget; pass is within-budget only")
-            else:
-                out.append(f"search exhausted depth {self.budget.max_depth}"
-                           f" ({self.explored} distinct functions);"
-                           " a pass is a bounded necessary-condition check,"
-                           " not a realizability proof")
+            out.append("search " + self.completeness())
         if self.guard_hits:
             out.append(f"value-growth guard pruned {self.guard_hits} branches")
         return tuple(out)
+
+
+def _pop(x: int) -> int:
+    sq = x * x
+    return (sq * sq - sq) >> 1
+
+
+def _candidates(link: SimplicialComplex, values: list[tuple[int, ...]],
+                budget: SearchBudget):
+    """Yield ``(depth, op, args, nums, odd)`` for every candidate expression,
+    in search order.
+
+    ``args`` indexes the operands in ``values``, the table of admitted
+    functions, which the caller extends while the level is being built.
+    ``nums`` are the canonical numerators of the value; ``odd`` is -1, or,
+    for a half link with a non-integer value, the index of the first one
+    (whose value is then ``nums[odd] / 2``).
+    """
+    yield 0, "ONE", (), (1,) * len(link.simplices), -1
+    lo = 0
+    for depth in range(1, budget.max_depth + 1):
+        hi = len(values)  # level depth - 1 is values[lo:hi]
+        for op, f in (("ADD", add), ("SUB", sub), ("MUL", mul)):
+            for j in range(lo, hi):
+                b = values[j]
+                for i in range(j + 1):
+                    a = values[i]
+                    yield depth, op, (i, j), tuple(map(f, a, b)), -1
+                    if f is sub and i != j:
+                        yield depth, op, (j, i), tuple(map(sub, b, a)), -1
+        for j in range(lo, hi):
+            x = values[j]
+            lam = list(map(add, x, _closed_star_sums(link, x)))
+            odd = next((i for i, a in enumerate(lam) if a & 1), -1)
+            if odd < 0:
+                yield depth, "HALFLINK", (j,), tuple(a >> 1 for a in lam), -1
+            else:
+                yield depth, "HALFLINK", (j,), tuple(
+                    a if a & 1 else a >> 1 for a in lam), odd
+        if budget.use_p:
+            for j in range(lo, hi):
+                yield depth, "POP", (j,), tuple(map(_pop, values[j])), -1
+        lo = hi
 
 
 def closure_search(link: SimplicialComplex,
                    budget: SearchBudget = DEFAULT_BUDGET) -> SearchResult:
     """Search the operator closure of the link's indicator for a violation."""
     budget.validate()
-    base = ConstructibleFunction.one(link)
     guard = 1 << budget.guard_bits
-    guard_hits = 0
-    candidates = 0
-
-    size_cap = (1 << (budget.max_depth + 1)) - 1
-
-    def check(values: tuple[Dyadic, ...], expr, depth, size):
-        cf = ConstructibleFunction(link, values)
-        bad = violation(cf)
-        if bad is None:
-            return None
-        kind, where, value = bad
-        return ExpressionWitness(expr=expr, kind=kind, location=where,
-                                 value=value, depth=depth, size=size)
-
-    # rep tables: parallel lists indexed by discovery order
-    exprs: list[Expression] = [ONE_EXPR]
-    values: list[tuple[Dyadic, ...]] = [base.values]
-    depths: list[int] = [0]
-    seen: set[tuple[Dyadic, ...]] = {base.values}
-    bins: dict[int, list[int]] = {1: [0]}
-
-    candidates = 1
-    w = check(base.values, ONE_EXPR, 0, 1)
-    if w is not None:
-        return SearchResult("witness", w, link, explored=1, candidates=1,
-                            guard_hits=0, stop="witness", budget=budget)
-
-    def admit(vals, expr, depth, size):
-        """Returns a witness, True (admitted or duplicate), or 'full'."""
-        nonlocal guard_hits, candidates
+    values: list[tuple[int, ...]] = []
+    exprs: list[Expression] = []
+    seen: set[tuple[int, ...]] = set()
+    levels = [0] * (budget.max_depth + 1)
+    candidates = guard_hits = 0
+    witness = None
+    stop, complete = "depth-limit", budget.max_depth
+    found = _candidates(link, values, budget)
+    for depth, op, args, nums, odd in found:
         candidates += 1
-        if any(abs(v.num) > guard for v in vals):
+        if odd < 0 and nums in seen:
+            continue
+        if max(nums, default=0) > guard or min(nums, default=0) < -guard:
             guard_hits += 1
-            return True
-        if vals in seen:
-            return True
-        w = check(vals, expr, depth, size)
-        if w is not None:
-            return w
-        seen.add(vals)
+            continue
+        expr = (op, *(exprs[i] for i in args))
+        if odd >= 0:
+            witness = halving_witness(expr, link.simplices[odd], nums[odd], 0)
+        elif sum(nums) & 1:
+            witness = ExpressionWitness(
+                expr=expr, kind=KIND_ODD_INTEGRAL, location=None,
+                value=euler_integral(ConstructibleFunction(link, nums)),
+                depth=depth, size=expression_size(expr))
+        if witness is not None:
+            stop, complete = "witness", depth - 1
+            break
+        seen.add(nums)
+        values.append(nums)
         exprs.append(expr)
-        values.append(vals)
-        depths.append(depth)
-        bins.setdefault(size, []).append(len(exprs) - 1)
-        if len(exprs) >= budget.max_functions:
-            return "full"
-        return True
-
-    max_rep_size = 1
-    size = 2
-    while size <= size_cap and size <= 2 * max_rep_size + 1:
-        for op in ("ADD", "SUB", "MUL"):
-            for lsize in range(1, size - 1):
-                rsize = size - 1 - lsize
-                if rsize < 1 or (op != "SUB" and lsize > rsize):
-                    continue
-                for li in bins.get(lsize, ()):
-                    for ri in bins.get(rsize, ()):
-                        if op != "SUB" and lsize == rsize and li > ri:
-                            continue
-                        depth = 1 + max(depths[li], depths[ri])
-                        if depth > budget.max_depth:
-                            continue
-                        a, b = values[li], values[ri]
-                        if op == "ADD":
-                            vals = tuple(x + y for x, y in zip(a, b))
-                        elif op == "SUB":
-                            vals = tuple(x - y for x, y in zip(a, b))
-                        else:
-                            vals = tuple(x * y for x, y in zip(a, b))
-                        got = admit(vals, (op, exprs[li], exprs[ri]), depth, size)
-                        if isinstance(got, ExpressionWitness):
-                            return SearchResult(
-                                "witness", got, link, explored=len(exprs),
-                                candidates=candidates, guard_hits=guard_hits,
-                                stop="witness", budget=budget)
-                        if got == "full":
-                            return SearchResult(
-                                "pass", None, link, explored=len(exprs),
-                                candidates=candidates, guard_hits=guard_hits,
-                                stop="max-functions", budget=budget)
-        unary_ops = ("HALFLINK", "POP") if budget.use_p else ("HALFLINK",)
-        for op in unary_ops:
-            for i in list(bins.get(size - 1, ())):
-                depth = depths[i] + 1
-                if depth > budget.max_depth:
-                    continue
-                cf = ConstructibleFunction(link, values[i])
-                out = half_link_total(cf) if op == "HALFLINK" else p_operator(cf)
-                got = admit(out.values, (op, exprs[i]), depth, size)
-                if isinstance(got, ExpressionWitness):
-                    return SearchResult(
-                        "witness", got, link, explored=len(exprs),
-                        candidates=candidates, guard_hits=guard_hits,
-                        stop="witness", budget=budget)
-                if got == "full":
-                    return SearchResult(
-                        "pass", None, link, explored=len(exprs),
-                        candidates=candidates, guard_hits=guard_hits,
-                        stop="max-functions", budget=budget)
-        if bins.get(size):
-            max_rep_size = size
-        size += 1
-
-    return SearchResult("pass", None, link, explored=len(exprs),
-                        candidates=candidates, guard_hits=guard_hits,
-                        stop="size-limit", budget=budget)
+        levels[depth] += 1
+        if len(values) >= budget.max_functions:
+            # Complete up to the level of the next candidate, if any.
+            after = next(found, None)
+            if after is not None:
+                stop, complete = "max-functions", after[0] - 1
+            break
+    return SearchResult("witness" if witness else "pass", witness, link,
+                        explored=len(values), candidates=candidates,
+                        guard_hits=guard_hits, stop=stop, budget=budget,
+                        levels=tuple(levels[:complete + 1]))
 
 
 def dim4_local_search(k: SimplicialComplex, tau,

@@ -3,8 +3,9 @@
 import pytest
 
 from eulerlink import corpus
-from eulerlink.complexes import (cone, disjoint_union, euler_characteristic,
-                                 geometric_link, point_complex)
+from eulerlink.complexes import (build_complex, cone, disjoint_union,
+                                 euler_characteristic, geometric_link,
+                                 point_complex, suspension)
 from eulerlink.dyadic import Dyadic
 from eulerlink.functions import (ConstructibleFunction, indicator_of_subcomplex,
                                  is_euler)
@@ -156,30 +157,71 @@ def test_dim3_check_equals_per_simplex_b_vector_on_corpus():
                     (name, row.where)
 
 
+def _search_notes(k, results):
+    """The report notes of ``search_check``, built from per-simplex
+    searches: the weakest pass row's completeness and the guard hits of
+    every row."""
+    notes = [NECESSARY_ONLY]
+    passes = [(tau, res) for tau, res in zip(k.simplices, results)
+              if res.passed]
+    if passes:
+        low = min(res.depth_complete for _, res in passes)
+        tau, res = next(p for p in passes if p[1].depth_complete == low)
+        notes.append(f"search, weakest pass row {k.simplex_name(tau)}:"
+                     f" {res.completeness()}")
+    guard = sum(res.guard_hits for res in results)
+    if guard:
+        notes.append(f"value-growth guard pruned {guard} branches over all"
+                     " rows")
+    return tuple(notes)
+
+
 @pytest.mark.parametrize("name", ["cone_sphere3", "susp_sphere3"])
 def test_search_check_equals_per_simplex_search(name):
     k = corpus.corpus_complex(name)
     budget = SearchBudget(max_functions=50)
     expected = []
-    first_pass = None
+    results = []
     for tau in k.simplices:
         res = dim4_local_search(k, tau, budget)
+        results.append(res)
         w = res.witness
         if w is not None:
             expected.append((k.simplex_name(tau), "fail", w.describe(res.link),
                              {"witness": w.as_dict(res.link),
                               "explored": res.explored, "stop": res.stop}))
         else:
-            first_pass = first_pass or res
             expected.append((k.simplex_name(tau), "pass",
                              f"no witness within budget ({res.explored}"
                              f" functions, stop: {res.stop})",
                              {"explored": res.explored, "stop": res.stop,
-                              "guard_hits": res.guard_hits}))
+                              "guard_hits": res.guard_hits,
+                              "depth_complete": res.depth_complete}))
     report = search_check(k, budget)
     assert [(r.where, r.verdict, r.value, r.data)
             for r in report.rows] == expected
-    assert report.notes == (NECESSARY_ONLY,) + first_pass.notes()
+    assert report.notes == _search_notes(k, results)
+
+
+def test_search_notes_hold_for_every_row():
+    # The sphere's links come first and complete depth 3 at this budget;
+    # the suspended figure eight has links with a richer closure that stop
+    # inside depth 3.  At 8 guard bits only the sphere's rows hit the guard.
+    fig8 = build_complex([(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)])
+    k = disjoint_union(corpus.sphere2(), suspension(fig8))
+    budget = SearchBudget(max_functions=50, guard_bits=8)
+    results = [dim4_local_search(k, tau, budget) for tau in k.simplices]
+    report = search_check(k, budget)
+    passes = [(r, res) for r, res in zip(report.rows, results) if res.passed]
+    depths = [res.depth_complete for _, res in passes]
+    assert set(depths) == {2, 3} and depths[0] == 3
+    for row, res in passes:
+        assert row.data["depth_complete"] == res.depth_complete
+    assert 0 < passes[0][1].guard_hits < sum(r.guard_hits for r in results)
+    assert report.notes == _search_notes(k, results)
+    assert "depth <= 2 exhausted" in report.notes[1]
+    assert report.notes[2] == ("value-growth guard pruned 44 branches over"
+                               " all rows")
 
 
 def test_search_runs_once_per_link_shape():
