@@ -8,6 +8,7 @@ odd.  Arithmetic is exact at arbitrary precision (plain Python ints).
 
 from __future__ import annotations
 
+import functools
 import re
 
 _PATTERN = re.compile(r"^([+-]?\d+)(?:/2\^(\d+))?$")
@@ -17,6 +18,7 @@ _PATTERN = re.compile(r"^([+-]?\d+)(?:/2\^(\d+))?$")
 MAX_PARSE_EXP = 4096
 
 
+@functools.total_ordering
 class Dyadic:
     """An exact dyadic rational ``num / 2**exp`` in canonical form."""
 
@@ -70,12 +72,7 @@ class Dyadic:
             return None
         if self.exp > 0:
             return -self.exp  # canonical form: numerator is odd
-        v = 0
-        n = self.num
-        while n % 2 == 0:
-            n //= 2
-            v += 1
-        return v
+        return (self.num & -self.num).bit_length() - 1
 
     # -- arithmetic ---------------------------------------------------
 
@@ -133,10 +130,6 @@ class Dyadic:
 
     # -- comparison and hashing ----------------------------------------
 
-    def _cmp_key(self, other: "Dyadic") -> tuple[int, int]:
-        e = max(self.exp, other.exp)
-        return self.num << (e - self.exp), other.num << (e - other.exp)
-
     def __eq__(self, other) -> bool:
         o = self._coerce(other)
         if o is None:
@@ -144,32 +137,12 @@ class Dyadic:
         return self.num == o.num and self.exp == o.exp
 
     def __lt__(self, other) -> bool:
+        # <=, > and >= come from functools.total_ordering
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self._cmp_key(o)
-        return a < b
-
-    def __le__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b = self._cmp_key(o)
-        return a <= b
-
-    def __gt__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b = self._cmp_key(o)
-        return a > b
-
-    def __ge__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b = self._cmp_key(o)
-        return a >= b
+        e = max(self.exp, o.exp)
+        return self.num << (e - self.exp) < o.num << (e - o.exp)
 
     def __hash__(self) -> int:
         if self.exp == 0:

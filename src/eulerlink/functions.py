@@ -20,12 +20,18 @@ sign (-1)^(dim sigma + 1) is applied once to the whole list, lam is sums of
 ints along the complex's coface table, and each output value becomes a
 Dyadic once, at the end.  Halving is the same ints over 2**(e + 1), and
 parity is read from their low bits.
+
+Lambda on ints is written once, in ``_int_link``, which also returns the
+index of its first odd value.  Every local test halves through it: the
+closure search's HALFLINK, ``b_vector`` and ``sullivan_check`` work on
+int lists alone and never build a Dyadic for a passing value.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from operator import add, mul, sub
 
 from .complexes import (Simplex, SimplicialComplex, SimplicialMap,
                         geometric_link, Subdivision)
@@ -100,34 +106,26 @@ class ConstructibleFunction:
 
     # -- pointwise algebra ---------------------------------------------
 
-    def _same_complex(self, other: "ConstructibleFunction") -> None:
-        if self.complex is other.complex:
-            return
-        if self.complex.simplices != other.complex.simplices:
+    def _pointwise(self, other, op):
+        """``op`` value by value with another function on the same complex."""
+        if not isinstance(other, ConstructibleFunction):
+            return NotImplemented
+        if (self.complex is not other.complex
+                and self.complex.simplices != other.complex.simplices):
             raise ValueError("functions live on different complexes")
+        return ConstructibleFunction(
+            self.complex, tuple(map(op, self.values, other.values)))
 
     def __add__(self, other):
-        if not isinstance(other, ConstructibleFunction):
-            return NotImplemented
-        self._same_complex(other)
-        return ConstructibleFunction(
-            self.complex, tuple(a + b for a, b in zip(self.values, other.values)))
+        return self._pointwise(other, add)
 
     def __sub__(self, other):
-        if not isinstance(other, ConstructibleFunction):
-            return NotImplemented
-        self._same_complex(other)
-        return ConstructibleFunction(
-            self.complex, tuple(a - b for a, b in zip(self.values, other.values)))
+        return self._pointwise(other, sub)
 
     def __mul__(self, other):
-        if isinstance(other, ConstructibleFunction):
-            self._same_complex(other)
-            return ConstructibleFunction(
-                self.complex, tuple(a * b for a, b in zip(self.values, other.values)))
         if isinstance(other, (int, Dyadic)):
             return self.scale(other)
-        return NotImplemented
+        return self._pointwise(other, mul)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Dyadic)):
@@ -199,6 +197,13 @@ def _closed_star_sums(k: SimplicialComplex, xs: list[int]) -> list[int]:
     return [sum(map(term, row), y) for y, row in zip(signed, k.coface_table())]
 
 
+def _int_link(k: SimplicialComplex, xs: list[int]) -> tuple[list[int], int]:
+    """Lambda of the ints ``xs``, and the index of its first odd value (-1
+    when every value is even, i.e. when the link halves to ints)."""
+    lam = list(map(add, xs, _closed_star_sums(k, xs)))
+    return lam, next((i for i, a in enumerate(lam) if a & 1), -1)
+
+
 def _function(k: SimplicialComplex, xs, e: int) -> ConstructibleFunction:
     """The function with values ``xs[i] / 2**e``."""
     return ConstructibleFunction(k, tuple(Dyadic(x, e) for x in xs))
@@ -210,15 +215,10 @@ def euler_integral(phi: ConstructibleFunction) -> Dyadic:
     return Dyadic(-sum(_signed(phi.complex, xs)), e)
 
 
-def _link_ints(phi: ConstructibleFunction) -> tuple[list[int], int]:
-    """Lambda phi as ints over a shared exponent."""
-    xs, e = _ints(phi.values)
-    return [x + c for x, c in zip(xs, _closed_star_sums(phi.complex, xs))], e
-
-
 def link_operator(phi: ConstructibleFunction) -> ConstructibleFunction:
     """Apply the combinatorial link operator (see module docstring)."""
-    return _function(phi.complex, *_link_ints(phi))
+    xs, e = _ints(phi.values)
+    return _function(phi.complex, _int_link(phi.complex, xs)[0], e)
 
 
 def dual(phi: ConstructibleFunction) -> ConstructibleFunction:
@@ -236,7 +236,8 @@ def _halved(phi: ConstructibleFunction
     and ``obstructions`` lazily yields a ParityObstruction, in canonical
     order, for every link value that is not an even integer.
     """
-    lam, e = _link_ints(phi)
+    xs, e = _ints(phi.values)
+    lam, _ = _int_link(phi.complex, xs)
     even = (1 << (e + 1)) - 1  # a / 2**e is an even integer iff a & even == 0
     whole = (1 << e) - 1       # a / 2**e is an integer iff a & whole == 0
     obstructions = (

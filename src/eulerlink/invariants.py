@@ -21,17 +21,23 @@ Both link-based checks (``dim3_check`` and ``search_check``) run their local
 test once per link shape and reuse the result on every other simplex whose
 link has that shape (see ``_per_link_shape``).
 
+Sullivan's parities and the b-vector are computed on int lists, with the
+link operator of the functions module's ``_int_link``, the same halving
+the closure search uses; a failed halving becomes the same witness.  Every
+value they handle is an integer, so an integral's parity is the parity of
+the sum of the values.
+
 A pass is never a realizability proof; reports carry that caveat.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import mul, sub
 
-from .complexes import Simplex, SimplicialComplex, geometric_link
-from .dyadic import Dyadic
-from .functions import (ConstructibleFunction, ParityObstruction,
-                        euler_integral, half_link, link_operator)
+from .complexes import (Simplex, SimplicialComplex, euler_characteristic,
+                        geometric_link)
+from .functions import ConstructibleFunction, _int_link
 from .search import (DEFAULT_BUDGET, ExpressionWitness, ONE_EXPR,
                      SearchBudget, SearchResult, closure_search,
                      dim4_local_search, halving_witness)
@@ -73,16 +79,15 @@ class InvariantVector:
 ZERO_VECTOR = InvariantVector(0, 0, 0, 0, 0)
 
 
-def _parity(value: Dyadic) -> int:
-    # integrals of integer-valued functions only
-    return int(value) % 2
-
-
-def _obstructed(expr, obstruction: ParityObstruction) -> ExpressionWitness:
-    # The link value a / 2**e is not an even integer, so its half is not
-    # an integer.
-    value = obstruction.value
-    return halving_witness(expr, obstruction.simplex, value.num, value.exp)
+def _half_link_ints(k: SimplicialComplex, xs: list[int],
+                    expr) -> list[int] | ExpressionWitness:
+    """Half the link of the ints ``xs``, the value of ``expr``, or the
+    witness of its first odd link value."""
+    lam, odd = _int_link(k, xs)
+    if odd >= 0:
+        return halving_witness(("HALFLINK", expr), k.simplices[odd],
+                               lam[odd], 0)
+    return [a >> 1 for a in lam]
 
 
 def b_vector(k: SimplicialComplex) -> InvariantVector | ExpressionWitness:
@@ -93,36 +98,28 @@ def b_vector(k: SimplicialComplex) -> InvariantVector | ExpressionWitness:
     """
     if k.dim > 2:
         raise ValueError("b-vector requires dimension <= 2")
-    from .complexes import euler_characteristic
-
-    one = ConstructibleFunction.one(k)
-    chi2 = euler_characteristic(k) % 2
-
+    alpha = _half_link_ints(k, [1] * len(k.simplices), ONE_EXPR)
+    if isinstance(alpha, ExpressionWitness):
+        return alpha
     alpha_expr = ("HALFLINK", ONE_EXPR)
-    alpha = half_link(one)
-    if isinstance(alpha, ParityObstruction):
-        return _obstructed(alpha_expr, alpha)
-
-    asq = alpha * alpha
     asq_expr = ("MUL", alpha_expr, alpha_expr)
-    h = half_link(asq)
-    if isinstance(h, ParityObstruction):
-        return _obstructed(("HALFLINK", asq_expr), h)
-    beta = asq - h
-
-    acube = asq * alpha
-    acube_expr = ("MUL", asq_expr, alpha_expr)
-    h = half_link(acube)
-    if isinstance(h, ParityObstruction):
-        return _obstructed(("HALFLINK", acube_expr), h)
-    gamma = acube - h
-
+    asq = list(map(mul, alpha, alpha))
+    acube = list(map(mul, asq, alpha))
+    # beta and gamma: x minus half the link of x, for x = alpha^2, alpha^3
+    corrections = []
+    for x, expr in ((asq, asq_expr), (acube, ("MUL", asq_expr, alpha_expr))):
+        h = _half_link_ints(k, x, expr)
+        if isinstance(h, ExpressionWitness):
+            return h
+        corrections.append(list(map(sub, x, h)))
+    beta, gamma = corrections
+    ab = list(map(mul, alpha, beta))
     return InvariantVector(
-        chi2,
-        _parity(euler_integral(alpha * beta)),
-        _parity(euler_integral(alpha * gamma)),
-        _parity(euler_integral(beta * gamma)),
-        _parity(euler_integral(alpha * beta * gamma)),
+        euler_characteristic(k) % 2,
+        sum(ab) & 1,
+        sum(map(mul, alpha, gamma)) & 1,
+        sum(map(mul, beta, gamma)) & 1,
+        sum(map(mul, ab, gamma)) & 1,
     )
 
 
@@ -159,10 +156,9 @@ class ObstructionReport:
 
 def sullivan_check(k: SimplicialComplex) -> ObstructionReport:
     """Per-simplex parity of the link's Euler characteristic."""
-    lam = link_operator(ConstructibleFunction.one(k))
+    lam, _ = _int_link(k, [1] * len(k.simplices))
     rows = []
-    for s, v in zip(k.simplices, lam.values):
-        chi = int(v)
+    for s, chi in zip(k.simplices, lam):
         rows.append(TestRow(
             test="sullivan", simplex=s, where=k.simplex_name(s),
             verdict="pass" if chi % 2 == 0 else "fail",

@@ -19,14 +19,16 @@ it was found and the older one through the table from its start up to the
 newer one, and SUB takes the older operand first.  A value is kept the
 first time it is reached, so every kept value and every witness has
 minimal depth, and a pass that stops at the function budget has explored
-every level below the one it stopped in.
+every level below the one it stopped in.  An empty level has no deeper
+one, so it ends the search as if at the depth limit.
 
 Every kept value is integer-valued with an even integral, since anything
 else is a witness and ends the search.  So values are plain int tuples:
 ADD, SUB and MUL map over two tuples, POP is ``(x^4 - x^2) >> 1``, the
 integral's parity is the parity of the sum of the values, and HALFLINK
-halves the link operator's ints, its first odd value being a non-integer
-witness.  A Dyadic is built only for a witness.
+halves the link operator's ints (``functions._int_link``, the halving
+``b_vector`` uses too), its first odd value being a non-integer witness.
+A Dyadic is built only for a witness.
 
 The value-growth guard drops a candidate with a value whose canonical
 numerator exceeds 2**guard_bits in absolute value, and counts it as a guard
@@ -44,8 +46,8 @@ from operator import add, mul, sub
 
 from .complexes import Simplex, SimplicialComplex, geometric_link
 from .dyadic import Dyadic
-from .functions import (ConstructibleFunction, _closed_star_sums,
-                        euler_integral, half_link_total, p_operator)
+from .functions import (ConstructibleFunction, _int_link, euler_integral,
+                        half_link_total, p_operator)
 
 Expression = tuple  # ("ONE",) | (op, child...) nested tuples
 
@@ -150,9 +152,12 @@ class SearchBudget:
     use_p: bool = True
     guard_bits: int = 128
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.max_depth < 0 or self.max_functions < 1:
-            raise ValueError("budget must be positive")
+            raise ValueError(
+                "search budget out of range: depth must be >= 0 and max"
+                f" functions >= 1 (got depth {self.max_depth}, max functions"
+                f" {self.max_functions})")
 
     def as_dict(self) -> dict:
         return {"max_depth": self.max_depth, "max_functions": self.max_functions,
@@ -172,7 +177,9 @@ class SearchResult:
     guard_hits: int = 0
     stop: str = ""  # "witness" | "max-functions" | "depth-limit"
     budget: SearchBudget = DEFAULT_BUDGET
-    levels: tuple[int, ...] = ()  # functions per complete level, depth 0 up
+    # Functions per complete level, depth 0 up.  An empty level ends the
+    # closure, so empty levels are left out.
+    levels: tuple[int, ...] = ()
 
     @property
     def passed(self) -> bool:
@@ -181,6 +188,8 @@ class SearchResult:
     @property
     def depth_complete(self) -> int:
         """Every expression of depth <= this was evaluated."""
+        if self.stop == "depth-limit":
+            return self.budget.max_depth
         return len(self.levels) - 1
 
     def completeness(self) -> str:
@@ -224,6 +233,8 @@ def _candidates(link: SimplicialComplex, values: list[tuple[int, ...]],
     lo = 0
     for depth in range(1, budget.max_depth + 1):
         hi = len(values)  # level depth - 1 is values[lo:hi]
+        if lo == hi:
+            return  # an empty level: the closure is exhausted
         for op, f in (("ADD", add), ("SUB", sub), ("MUL", mul)):
             for j in range(lo, hi):
                 b = values[j]
@@ -233,9 +244,7 @@ def _candidates(link: SimplicialComplex, values: list[tuple[int, ...]],
                     if f is sub and i != j:
                         yield depth, op, (j, i), tuple(map(sub, b, a)), -1
         for j in range(lo, hi):
-            x = values[j]
-            lam = list(map(add, x, _closed_star_sums(link, x)))
-            odd = next((i for i, a in enumerate(lam) if a & 1), -1)
+            lam, odd = _int_link(link, values[j])
             if odd < 0:
                 yield depth, "HALFLINK", (j,), tuple(a >> 1 for a in lam), -1
             else:
@@ -250,12 +259,11 @@ def _candidates(link: SimplicialComplex, values: list[tuple[int, ...]],
 def closure_search(link: SimplicialComplex,
                    budget: SearchBudget = DEFAULT_BUDGET) -> SearchResult:
     """Search the operator closure of the link's indicator for a violation."""
-    budget.validate()
     guard = 1 << budget.guard_bits
     values: list[tuple[int, ...]] = []
     exprs: list[Expression] = []
     seen: set[tuple[int, ...]] = set()
-    levels = [0] * (budget.max_depth + 1)
+    levels: list[int] = []  # functions admitted per depth, grown as reached
     candidates = guard_hits = 0
     witness = None
     stop, complete = "depth-limit", budget.max_depth
@@ -281,6 +289,8 @@ def closure_search(link: SimplicialComplex,
         seen.add(nums)
         values.append(nums)
         exprs.append(expr)
+        if depth == len(levels):
+            levels.append(0)
         levels[depth] += 1
         if len(values) >= budget.max_functions:
             # Complete up to the level of the next candidate, if any.

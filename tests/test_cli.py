@@ -149,3 +149,21 @@ def test_corpus_command(tmp_path, capsys):
     assert "quadrant_indicator.fn" in written
 
     assert run(["corpus", "no_such_complex"]) == 1
+
+
+@pytest.mark.parametrize("search", [[], ["--search"]], ids=["", "search"])
+@pytest.mark.parametrize("flags", [["--max-funcs", "0"], ["--depth", "-1"]],
+                         ids=["max-funcs", "depth"])
+def test_an_invalid_budget_is_one_error_line(theta_file, capsys, flags,
+                                             search):
+    assert run(["check", theta_file, *flags, *search]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: search budget out of range: depth must be"
+                          " >= 0 and max functions >= 1")
+
+
+def test_depth_zero_is_a_valid_budget(theta_file, capsys):
+    assert run(["check", theta_file, "--search", "--depth", "0"]) == 2
+    assert capsys.readouterr().err == ""

@@ -35,8 +35,13 @@ def test_agrees_with_fractions(a, b):
     assert as_fraction(a + b) == as_fraction(a) + as_fraction(b)
     assert as_fraction(a - b) == as_fraction(a) - as_fraction(b)
     assert as_fraction(a * b) == as_fraction(a) * as_fraction(b)
-    assert (a < b) == (as_fraction(a) < as_fraction(b))
-    assert (a == b) == (as_fraction(a) == as_fraction(b))
+    fa, fb = as_fraction(a), as_fraction(b)
+    assert (a < b) == (fa < fb)
+    assert (a <= b) == (fa <= fb)
+    assert (a > b) == (fa > fb)
+    assert (a >= b) == (fa >= fb)
+    assert (a == b) == (fa == fb)
+    assert (a <= a) and (a >= a) and not (a < a) and not (a > a)
 
 
 @given(dyadics)

@@ -3,21 +3,29 @@
 The operators compute on ints over one shared exponent; the loops below
 compute one Dyadic operation per term and stay here as the reference.  The
 inputs mix exponents (values p/2^k), which the integer-valued generators of
-the property suites never do.
+the property suites never do.  ``b_vector`` and ``sullivan_check`` compute on
+int lists alone; their reference is the b-vector built from Dyadic
+functions, half links that may refuse, and integrals.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eulerlink import corpus
 from eulerlink.complexes import (SimplicialComplex, barycentric_subdivision,
-                                 join, point_complex)
+                                 build_complex, euler_characteristic,
+                                 geometric_link, join, point_complex)
 from eulerlink.dyadic import ZERO, Dyadic
 from eulerlink.functions import (ConstructibleFunction, ParityObstruction,
                                  dual, euler_integral, half_link,
                                  half_link_total, is_euler, link_operator,
                                  p_operator)
+from eulerlink.invariants import InvariantVector, b_vector, sullivan_check
+from eulerlink.search import (KIND_NON_INTEGER, ONE_EXPR, ExpressionWitness,
+                              expression_depth, expression_size)
 
 
 # -- the reference: one Dyadic operation per term -------------------------------
@@ -86,6 +94,43 @@ def ref_p_operator(phi):
         sq = v * v
         out.append((sq * sq - sq).half())
     return ConstructibleFunction(phi.complex, tuple(out))
+
+
+def ref_witness(expr, obstruction):
+    """The witness of halving ``expr``'s value where the link refused."""
+    return ExpressionWitness(expr=expr, kind=KIND_NON_INTEGER,
+                             location=obstruction.simplex,
+                             value=obstruction.value.half(),
+                             depth=expression_depth(expr),
+                             size=expression_size(expr))
+
+
+def ref_parity(phi):
+    return int(ref_euler_integral(phi)) % 2
+
+
+def ref_b_vector(k):
+    """The b-vector on Dyadic functions: alpha = half link of 1, and beta,
+    gamma = x - half link of x for x = alpha^2, alpha^3."""
+    alpha_expr = ("HALFLINK", ONE_EXPR)
+    asq_expr = ("MUL", alpha_expr, alpha_expr)
+    alpha = ref_half_link(ConstructibleFunction.one(k))
+    if isinstance(alpha, ParityObstruction):
+        return ref_witness(alpha_expr, alpha)
+    asq = alpha * alpha
+    h = ref_half_link(asq)
+    if isinstance(h, ParityObstruction):
+        return ref_witness(("HALFLINK", asq_expr), h)
+    beta = asq - h
+    acube = asq * alpha
+    h = ref_half_link(acube)
+    if isinstance(h, ParityObstruction):
+        return ref_witness(("HALFLINK", ("MUL", asq_expr, alpha_expr)), h)
+    gamma = acube - h
+    return InvariantVector(
+        euler_characteristic(k) % 2, ref_parity(alpha * beta),
+        ref_parity(alpha * gamma), ref_parity(beta * gamma),
+        ref_parity(alpha * beta * gamma))
 
 
 PAIRS = [(link_operator, ref_link_operator), (dual, ref_dual),
@@ -158,3 +203,57 @@ def test_link_operator_and_dual_build_one_dyadic_per_value(monkeypatch):
         out = op(phi)
         assert len(out.values) == len(k) == 1023
         assert len(built) <= len(out.values), op.__name__
+
+
+DIM3 = [name for name in corpus.corpus_names()
+        if corpus.corpus_complex(name).dim <= 3]
+
+
+@pytest.mark.parametrize("name", DIM3)
+def test_b_vector_matches_the_dyadic_reference_on_every_link(name):
+    # vector, or the whole witness: expression, location, value, depth, size
+    k = corpus.corpus_complex(name)
+    for tau in k.simplices:
+        link = geometric_link(k, tau)
+        assert b_vector(link) == ref_b_vector(link), (name, tuple(tau))
+
+
+def test_b_vector_reference_sees_both_outcomes():
+    assert isinstance(b_vector(corpus.torus()), InvariantVector)
+    witness = b_vector(corpus.theta())
+    assert isinstance(witness, ExpressionWitness)
+    assert witness == ref_b_vector(corpus.theta())
+
+
+@st.composite
+def two_complexes(draw):
+    n = draw(st.integers(1, 7))
+    vertex = st.integers(0, n - 1)
+    facets = draw(st.lists(st.lists(vertex, min_size=1, max_size=3,
+                                    unique=True), min_size=1, max_size=8))
+    return build_complex(facets)
+
+
+@settings(max_examples=60, deadline=None)
+@given(two_complexes())
+def test_b_vector_matches_the_dyadic_reference_on_drawn_complexes(k):
+    assert b_vector(k) == ref_b_vector(k)
+
+
+def test_b_vector_and_sullivan_build_no_dyadic(monkeypatch):
+    k = corpus.corpus_complex("susp_sphere2")
+    links = [geometric_link(k, tau) for tau in k.simplices]
+    big = join(corpus.rp2(), corpus.rp2())
+    built = []
+    init = Dyadic.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Dyadic, "__init__", counting_init)
+    for link in links:
+        assert b_vector(link) == InvariantVector(0, 0, 0, 0, 0)
+    report = sullivan_check(big)
+    assert len(report.rows) == 1023
+    assert built == []

@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulerlink import cli, corpus, search
-from eulerlink.complexes import (Simplex, build_complex, disjoint_union,
-                                 geometric_link)
+from eulerlink.complexes import (Simplex, SimplicialComplex, build_complex,
+                                 disjoint_union, geometric_link)
 from eulerlink.dyadic import Dyadic
 from eulerlink.fileio import read_complex, save_complex
 from eulerlink.search import (ExpressionWitness, SearchBudget, closure_search,
@@ -32,6 +33,34 @@ def test_budget_validation():
         SearchBudget(max_depth=-1).validate()
     with pytest.raises(ValueError):
         SearchBudget(max_functions=0).validate()
+
+
+def test_a_deep_budget_allocates_only_the_levels_reached():
+    k = corpus.corpus_complex("susp_sphere3")
+    link = geometric_link(k, k.simplices[0])
+    link.coface_table()  # built before tracing
+    tracemalloc.start()
+    try:
+        res = closure_search(link, SearchBudget(max_depth=10 ** 7,
+                                                max_functions=50))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.explored, res.stop, res.levels) == \
+        (50, "max-functions", (1, 2, 5, 19))
+    assert peak < 1 << 20
+
+
+def test_an_empty_level_ends_the_search():
+    # The link of an isolated vertex is empty: its closure is one function.
+    res = closure_search(SimplicialComplex([]),
+                         SearchBudget(max_depth=10 ** 6))
+    assert (res.explored, res.stop, res.levels) == (1, "depth-limit", (1,))
+    assert res.depth_complete == 10 ** 6
+    assert res.notes() == (
+        "search depth <= 1000000 exhausted (1 functions); depth 1000000 is"
+        " the depth limit; a pass is a bounded necessary-condition check,"
+        " not a realizability proof",)
 
 
 def test_odd_link_integral_is_a_depth_zero_witness():
