@@ -1,0 +1,78 @@
+"""Report bytes and exit codes of ``eulerlink check`` on the shipped corpus,
+pinned by sha256 in ``tests/data/report_digests.json``.
+
+Every run goes through ``cli.main`` with the working directory at the repo
+root and a relative ``corpus/<name>.cplx`` path, because the path is echoed
+into the report.  A change to the report format must regenerate the file:
+
+    PYTHONPATH=src python tests/test_report_digests.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+
+import pytest
+
+from eulerlink import cli, corpus
+from eulerlink.fileio import read_complex
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DIGESTS = os.path.join(ROOT, "tests", "data", "report_digests.json")
+# The 4-complexes run the closure search, so they get a small budget.
+SEARCH_BUDGET = ["--max-funcs", "50"]
+
+
+def _runs() -> list[list[str]]:
+    """The argv of every pinned run."""
+    runs = []
+    for name in corpus.corpus_names():
+        path = f"corpus/{name}.cplx"
+        dim = read_complex(os.path.join(ROOT, path)).dim
+        budget = SEARCH_BUDGET if dim == 4 else []
+        runs.append(["check", path, "--json", *budget])
+        runs.append(["check", path, *budget])
+        if dim <= 3:
+            runs.append(["check", path, "--json", "--search", *SEARCH_BUDGET])
+    return runs
+
+
+def _digest(argv: list[str]) -> dict:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return {"exit_code": code,
+            "sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
+
+
+def _key(argv: list[str]) -> str:
+    return " ".join(argv)
+
+
+def test_runs_cover_the_corpus():
+    assert len(_runs()) == 79
+
+
+@pytest.fixture(scope="module")
+def pinned():
+    with open(DIGESTS, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("argv", _runs(), ids=_key)
+def test_report_bytes_are_pinned(argv, pinned, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    assert _digest(argv) == pinned[_key(argv)]
+
+
+if __name__ == "__main__":
+    os.chdir(ROOT)
+    table = {_key(argv): _digest(argv) for argv in _runs()}
+    os.makedirs(os.path.dirname(DIGESTS), exist_ok=True)
+    with open(DIGESTS, "w", encoding="utf-8") as fh:
+        json.dump(table, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {len(table)} digests to {DIGESTS}", file=sys.stderr)
