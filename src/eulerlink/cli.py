@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Exit codes everywhere: 0 = pass, 1 = error (bad input, parse failure,
-unsupported dimension), 2 = obstruction found.
+Exit codes everywhere: 0 = pass, 1 = error (bad usage, bad input, parse
+failure, unsupported dimension), 2 = obstruction found.
 """
 
 from __future__ import annotations
@@ -164,8 +164,17 @@ def cmd_corpus(args) -> int:
     raise ValueError("corpus: give a name, --list, or --write <dir>")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 with one ``error:`` line, like every other
+    error; argparse's own code, 2, is the obstruction code here.
+    Subparsers are built with the parent's class, so they inherit this."""
+
+    def error(self, message: str):
+        self.exit(1, f"error: {self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="eulerlink",
         description="Exact Euler-calculus engine and local obstruction"
                     " checker for finite simplicial complexes.")

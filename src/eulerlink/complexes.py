@@ -44,17 +44,25 @@ class Simplex(tuple):
         """Codimension-one faces (empty for a vertex)."""
         if len(self) == 1:
             return ()
-        return tuple(Simplex(self[:i] + self[i + 1:]) for i in range(len(self)))
+        return tuple(_trusted(self[:i] + self[i + 1:])
+                     for i in range(len(self)))
 
     def subfaces(self) -> tuple["Simplex", ...]:
         """All nonempty faces, this simplex included."""
         out = []
         for k in range(1, len(self) + 1):
-            out.extend(Simplex(c) for c in itertools.combinations(self, k))
+            out.extend(map(_trusted, itertools.combinations(self, k)))
         return tuple(out)
 
     def contains(self, other: "Simplex") -> bool:
         return set(other) <= set(self)
+
+
+def _trusted(vertices: tuple[int, ...]) -> Simplex:
+    """A simplex from a strictly increasing tuple of non-negative ints,
+    unchecked: only for internal paths that produce such tuples.  Outside
+    input goes through ``Simplex(...)``, which validates."""
+    return tuple.__new__(Simplex, vertices)
 
 
 def _canonical_order(simplices) -> tuple[Simplex, ...]:
@@ -189,7 +197,7 @@ def simplicial_link(k: SimplicialComplex, tau) -> SimplicialComplex:
     if tau not in k:
         raise ValueError(f"simplex {tuple(tau)} is not in the complex")
     tset = set(tau)
-    out = [tuple(v for v in k.simplices[j] if v not in tset)
+    out = [_trusted(tuple(v for v in k.simplices[j] if v not in tset))
            for j in k.cofaces(k.index(tau))]
     return SimplicialComplex(out, labels=k._labels)
 
@@ -225,10 +233,11 @@ def geometric_link(k: SimplicialComplex, tau) -> SimplicialComplex:
     base = k.max_vertex_id() + 1
     bverts = tuple(range(base, base + d + 1))
     blabels = _fresh_labels(k, [f"b{i}" for i in range(d + 1)])
-    bfaces = [Simplex(c) for r in range(1, d + 1)
+    bfaces = [_trusted(c) for r in range(1, d + 1)
               for c in itertools.combinations(bverts, r)]
-    simplices = list(bfaces) + list(lk.simplices)
-    simplices += [Simplex(tuple(b) + tuple(l)) for b in bfaces for l in lk.simplices]
+    simplices = bfaces + list(lk.simplices)
+    # The boundary ids are above every link id, so link + boundary ascends.
+    simplices += [_trusted(l + b) for b in bfaces for l in lk.simplices]
     labels = {v: lk.label(v) for v in lk.vertex_ids}
     labels.update(dict(zip(bverts, blabels)))
     return SimplicialComplex(simplices, labels=labels)
@@ -254,7 +263,8 @@ def join(k: SimplicialComplex, l: SimplicialComplex,
     labels = dict(k._labels)
     labels.update(dict(zip(l2.vertex_ids, fixed)))
     simplices = list(k.simplices) + list(l2.simplices)
-    simplices += [Simplex(tuple(a) + tuple(b))
+    # l2 is on ids above k's, so a + b ascends.
+    simplices += [_trusted(a + b)
                   for a in k.simplices for b in l2.simplices]
     return SimplicialComplex(simplices, labels=labels, name=name)
 
@@ -333,7 +343,7 @@ def barycentric_subdivision(k: SimplicialComplex) -> Subdivision:
             labels[i] = k.label(s[0])
         else:
             labels[i] = "(" + " ".join(k.label(v) for v in s) + ")"
-    sd = SimplicialComplex([Simplex(c) for c in chains], labels=labels,
+    sd = SimplicialComplex(map(_trusted, chains), labels=labels,
                            name=f"sd({k.name})" if k.name else None)
     return Subdivision(base=k, complex=sd, vertex_simplex=vertex_simplex)
 

@@ -19,7 +19,10 @@ homeomorphic to a real algebraic set:
 
 Both link-based checks (``dim3_check`` and ``search_check``) run their local
 test once per link shape and reuse the result on every other simplex whose
-link has that shape (see ``_per_link_shape``).
+link has that shape (see ``_per_link_shape``).  A simplex's star key, read
+from the coface table, decides its link's shape without building the link:
+a geometric link is built once per star key, and again only for a row whose
+witness names a simplex of its own link.
 
 Sullivan's parities and the b-vector are computed on int lists, with the
 link operator of the functions module's ``_int_link``, the same halving
@@ -174,6 +177,13 @@ def sullivan_check(k: SimplicialComplex) -> ObstructionReport:
         summary={"sullivan": "pass" if passed else "fail"}, notes=tuple(notes))
 
 
+def _located(res) -> bool:
+    """Whether a local test's result names a simplex of its link."""
+    if isinstance(res, SearchResult):
+        res = res.witness
+    return isinstance(res, ExpressionWitness) and res.location is not None
+
+
 def _moved(res, first: SimplicialComplex, link: SimplicialComplex):
     """Carry a local test's result from ``first`` to ``link``, a link of
     the same shape: a witness location moves to the simplex at its index."""
@@ -185,25 +195,78 @@ def _moved(res, first: SimplicialComplex, link: SimplicialComplex):
     return res
 
 
+def _dense_shape(link: SimplicialComplex) -> tuple:
+    """The link's simplex tuple with its vertex ids relabelled densely in
+    increasing order."""
+    dense = {v: i for i, v in enumerate(link.vertex_ids)}
+    return tuple(tuple(dense[v] for v in s) for s in link.simplices)
+
+
+def _star_key(k: SimplicialComplex, i: int) -> tuple:
+    """``(dim tau, rows)`` for simplex ``i``, read from the coface table:
+    each row is a strict coface of ``tau`` with ``tau``'s vertices removed,
+    renumbered densely in increasing order.
+
+    The rows are the simplicial link in canonical order (removing the same
+    vertices from every coface keeps their order), and the geometric
+    link's boundary sits on fresh ids above every link vertex, so equal
+    keys give geometric links of equal dense shape.
+    """
+    simplices = k.simplices
+    tau = simplices[i]
+    rows = [simplices[j] for j in k.coface_table()[i]]
+    # The cofaces one dimension up come first: one per link vertex, in
+    # ascending order of that vertex.
+    dense = {}
+    for s in rows:
+        if len(s) > len(tau) + 1:
+            break
+        for v in s:
+            if v not in tau:
+                dense[v] = len(dense)
+    return (len(tau) - 1,
+            tuple(tuple(dense[v] for v in s if v in dense) for s in rows))
+
+
 def _per_link_shape(k: SimplicialComplex, test):
     """Yield ``(tau, link, test(link))`` for every simplex ``tau`` of ``k``,
     running ``test`` once per link shape.
 
-    A link's shape is its simplex tuple with the vertex ids relabelled
-    densely in increasing order.  An increasing relabelling keeps the
-    canonical simplex order, so every index-based computation (value
-    vectors, first violations, search counts) is the same on all links of
-    one shape; only witness locations need moving, by index.
+    A link's shape is its dense shape: its simplex tuple with the vertex
+    ids relabelled densely in increasing order.  An increasing relabelling
+    keeps the canonical simplex order, so every index-based computation
+    (value vectors, first violations, search counts) is the same on all
+    links of one shape.
+
+    The memo has two levels.  The star key (``_star_key``) is read from the
+    coface table, and ``geometric_link`` is built only for the first
+    simplex of each star key; that link's dense shape keys the results of
+    ``test``.  Two star keys can share a dense shape (a vertex link and an
+    edge link, say), so ``test`` still runs once per dense shape.
+
+    The yielded link has the dense shape of ``tau``'s geometric link.  It
+    is ``tau``'s own link only where the result names a link simplex (a
+    witness location); that link is built on demand and the location moved
+    to it by index.
     """
-    memo: dict[tuple, tuple[SimplicialComplex, object]] = {}
-    for tau in k.simplices:
-        link = geometric_link(k, tau)
-        dense = {v: i for i, v in enumerate(sorted(link.vertex_ids))}
-        shape = tuple(tuple(dense[v] for v in s) for s in link.simplices)
-        if shape not in memo:
-            memo[shape] = (link, test(link))
-        first, res = memo[shape]
-        yield tau, link, _moved(res, first, link)
+    shapes: dict[tuple, tuple[SimplicialComplex, object]] = {}
+    stars: dict[tuple, tuple[SimplicialComplex, object]] = {}
+    for i, tau in enumerate(k.simplices):
+        key = _star_key(k, i)
+        own = None
+        if key not in stars:
+            own = geometric_link(k, tau)
+            shape = _dense_shape(own)
+            if shape not in shapes:
+                shapes[shape] = (own, test(own))
+            stars[key] = shapes[shape]
+        first, res = stars[key]
+        if _located(res):
+            if own is None:
+                own = geometric_link(k, tau)
+            yield tau, own, _moved(res, first, own)
+        else:
+            yield tau, first, res
 
 
 def dim3_check(k: SimplicialComplex) -> ObstructionReport:
@@ -330,6 +393,11 @@ def divisibility_certificate(phi: ConstructibleFunction) -> DivisibilityCertific
     return DivisibilityCertificate(mv >= d, d, mv)
 
 
+# The bounds grow as 2^(d-1): a cap keeps ``bonnard_bounds`` from building
+# an int of d bits for any d given on the command line.
+MAX_BOUND_DIMENSION = 4096
+
+
 @dataclass(frozen=True)
 class BoundQuery:
     """Range data for the presentation bounds: values lie in [delta-k, delta+k]."""
@@ -341,6 +409,9 @@ class BoundQuery:
     def __post_init__(self):
         if self.d <= 0:
             raise ValueError("dimension must be positive")
+        if self.d > MAX_BOUND_DIMENSION:
+            raise ValueError(f"dimension {self.d} is above the supported"
+                             f" maximum {MAX_BOUND_DIMENSION}")
         if self.k < 0:
             raise ValueError("range radius must be nonnegative")
 

@@ -167,3 +167,31 @@ def test_an_invalid_budget_is_one_error_line(theta_file, capsys, flags,
 def test_depth_zero_is_a_valid_budget(theta_file, capsys):
     assert run(["check", theta_file, "--search", "--depth", "0"]) == 2
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv", [["check", "--depth", "abc", "corpus/circle.cplx"],
+                                  ["check"], ["frobnicate"]],
+                         ids=["bad-int", "no-path", "no-command"])
+def test_usage_errors_exit_one(argv, capsys):
+    # 2 is the obstruction code, so a usage error must not exit 2
+    with pytest.raises(SystemExit) as e:
+        run(argv)
+    assert e.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: eulerlink")
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as e:
+        run(["check", "--help"])
+    assert e.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+def test_bounds_rejects_a_dimension_above_the_cap(capsys):
+    assert run(["bounds", "4097", "1", "0"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "4096" in err

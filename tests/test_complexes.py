@@ -229,6 +229,27 @@ def test_incidence_matches_the_frozenset_definitions(k):
     assert k.coface_table() == tuple(k.cofaces(i) for i in range(len(k)))
 
 
+def _assert_valid_simplices(k):
+    for s in k.simplices:
+        assert type(s) is Simplex
+        assert s and s[0] >= 0 and all(isinstance(v, int) for v in s)
+        assert all(a < b for a, b in zip(s, s[1:])), s
+
+
+@pytest.mark.parametrize("k", _incidence_cases(),
+                         ids=lambda k: k.name or "complex")
+def test_internal_paths_build_valid_simplices(k):
+    # build_complex, join and subdivision skip validation on the simplices
+    # they make, and so do faces, simplicial links and geometric links
+    _assert_valid_simplices(k)
+    for s in k.simplices:
+        for face in s.boundary() + s.subfaces():
+            assert type(face) is Simplex and face in k
+    for tau in k.simplices:
+        _assert_valid_simplices(simplicial_link(k, tau))
+        _assert_valid_simplices(geometric_link(k, tau))
+
+
 def _vertex_cases():
     yield from _incidence_cases()
     yield SimplicialComplex([])

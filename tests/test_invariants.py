@@ -1,16 +1,22 @@
 """Invariant vectors, the three obstruction checks, certificates, bounds."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from eulerlink import corpus
-from eulerlink.complexes import (build_complex, cone, disjoint_union,
-                                 euler_characteristic, geometric_link,
-                                 point_complex, suspension)
+from eulerlink import corpus, invariants
+from eulerlink.complexes import (barycentric_subdivision, build_complex, cone,
+                                 disjoint_union, euler_characteristic,
+                                 geometric_link, join, point_complex,
+                                 suspension)
 from eulerlink.dyadic import Dyadic
 from eulerlink.functions import (ConstructibleFunction, indicator_of_subcomplex,
                                  is_euler)
-from eulerlink.invariants import (NECESSARY_ONLY, BoundQuery, InvariantVector,
-                                  ZERO_VECTOR, _per_link_shape, b_vector,
+from eulerlink.fileio import write_complex
+from eulerlink.invariants import (MAX_BOUND_DIMENSION, NECESSARY_ONLY,
+                                  BoundQuery, InvariantVector, ZERO_VECTOR,
+                                  _dense_shape, _located, _per_link_shape,
+                                  _star_key, b_vector,
                                   bonnard_bounds, dim3_check,
                                   divisibility_certificate, merge_reports,
                                   search_check, sullivan_check)
@@ -237,7 +243,82 @@ def test_search_runs_once_per_link_shape():
     assert len(searched) == 6
     for tau, link, res in results:
         assert res.link is link
-        assert link.simplices == geometric_link(k, tau).simplices
+        own = geometric_link(k, tau)
+        assert _dense_shape(link) == _dense_shape(own)
+        if _located(res):
+            assert write_complex(link) == write_complex(own)
+
+
+def test_located_witness_rows_get_their_own_link():
+    cw = corpus.corpus_complex("cone_window")
+    located = 0
+    for tau, link, res in _per_link_shape(cw, b_vector):
+        own = geometric_link(cw, tau)
+        assert _dense_shape(link) == _dense_shape(own)
+        if _located(res):
+            located += 1
+            assert write_complex(link) == write_complex(own)
+            assert res.location in own
+    assert located > 1
+
+
+def _star_key_cases():
+    for name in corpus.corpus_names():
+        yield corpus.corpus_complex(name)
+    yield barycentric_subdivision(corpus.corpus_complex("susp_rp2")).complex
+    yield join(corpus.rp2(), corpus.rp2(), name="rp2*rp2")
+
+
+def _assert_star_keys_exact(k):
+    """Simplices with equal star keys have links of equal dense shape."""
+    shapes = {}
+    for i, tau in enumerate(k.simplices):
+        shape = _dense_shape(geometric_link(k, tau))
+        assert shapes.setdefault(_star_key(k, i), shape) == shape, tau
+
+
+@pytest.mark.parametrize("k", _star_key_cases(),
+                         ids=lambda k: k.name or "complex")
+def test_star_keys_are_exact(k):
+    _assert_star_keys_exact(k)
+
+
+@st.composite
+def small_complexes(draw):
+    """Complexes of at most 20 simplices on at most 6 vertices."""
+    n = draw(st.integers(1, 6))
+    vertex = st.integers(0, n - 1)
+    facets = draw(st.lists(st.lists(vertex, min_size=1, max_size=4,
+                                    unique=True), min_size=1, max_size=4))
+    k = build_complex(facets)
+    assume(len(k) <= 20)
+    return k
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_complexes())
+def test_star_keys_are_exact_on_drawn_complexes(k):
+    _assert_star_keys_exact(k)
+
+
+def test_search_check_builds_one_link_per_star_key(monkeypatch):
+    built, searched = [], []
+
+    def counting_link(k, tau):
+        built.append(tau)
+        return geometric_link(k, tau)
+
+    def counting_search(link, budget):
+        searched.append(link)
+        return closure_search(link, budget)
+
+    monkeypatch.setattr(invariants, "geometric_link", counting_link)
+    monkeypatch.setattr(invariants, "closure_search", counting_search)
+    k = corpus.corpus_complex("susp_sphere3")
+    report = search_check(k, SearchBudget(max_functions=50))
+    assert len(report.rows) == 92
+    assert len(built) == 8
+    assert len(searched) == 6
 
 
 def test_reused_witnesses_replay_on_their_own_links():
@@ -326,6 +407,11 @@ def test_bound_query_validation():
         BoundQuery(0, 1, 0)
     with pytest.raises(ValueError):
         BoundQuery(2, -1, 0)
+    BoundQuery(MAX_BOUND_DIMENSION, 1, 0)
+    with pytest.raises(ValueError, match="above the supported maximum"):
+        BoundQuery(MAX_BOUND_DIMENSION + 1, 1, 0)
+    with pytest.raises(ValueError, match="above the supported maximum"):
+        BoundQuery(10**12, 1, 0)
 
 
 def test_bounds_monotone_in_range_radius():
