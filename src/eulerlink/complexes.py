@@ -10,10 +10,15 @@ operand (or any freshly invented vertices, e.g. cone apexes and boundary
 spheres of geometric links) to ids above the current maximum.  That makes
 decompositions such as "boundary part / link part of a join" recoverable
 from the ids alone, which the function calculus relies on.
+
+The link of a simplex is read from its star, in the coface table, in one
+place (``_link_rows``): the simplicial link, the geometric link and the
+link key that decides a geometric link's shape without building it.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass, field
 
@@ -186,20 +191,30 @@ def euler_characteristic(k: SimplicialComplex) -> int:
 # -- links -----------------------------------------------------------------
 
 
-def simplicial_link(k: SimplicialComplex, tau) -> SimplicialComplex:
-    """The classical link: simplices disjoint from ``tau`` whose join with
-    it lies in the complex.  Vertex ids are inherited from ``k``.
+def _link_rows(k: SimplicialComplex, i: int) -> list[tuple[int, ...]]:
+    """The link of simplex ``i`` read from its star: ``s`` is disjoint from
+    tau with ``s | tau`` in ``k`` exactly when ``s | tau`` is a strict coface
+    of tau.  So the rows are tau's strict cofaces with tau's vertices
+    removed, in canonical order (removing the same vertices from every
+    coface keeps their order): the link vertices come first, ascending."""
+    simplices = k.simplices
+    tau = simplices[i]
+    return [tuple([v for v in simplices[j] if v not in tau])
+            for j in k.cofaces(i)]
 
-    Read from the star: ``s`` is disjoint from ``tau`` with ``s | tau`` in
-    ``k`` exactly when ``s | tau`` is a strict coface of ``tau``.
-    """
+
+def _member(k: SimplicialComplex, tau) -> Simplex:
     tau = tau if isinstance(tau, Simplex) else Simplex(tau)
     if tau not in k:
         raise ValueError(f"simplex {tuple(tau)} is not in the complex")
-    tset = set(tau)
-    out = [_trusted(tuple(v for v in k.simplices[j] if v not in tset))
-           for j in k.cofaces(k.index(tau))]
-    return SimplicialComplex(out, labels=k._labels)
+    return tau
+
+
+def simplicial_link(k: SimplicialComplex, tau) -> SimplicialComplex:
+    """The classical link: simplices disjoint from ``tau`` whose join with
+    it lies in the complex.  Vertex ids are inherited from ``k``."""
+    rows = _link_rows(k, k.index(_member(k, tau)))
+    return SimplicialComplex(map(_trusted, rows), labels=k._labels)
 
 
 def vertex_link(k: SimplicialComplex, v: int) -> SimplicialComplex:
@@ -225,22 +240,45 @@ def geometric_link(k: SimplicialComplex, tau) -> SimplicialComplex:
     For a vertex this is the ordinary vertex link; for a maximal simplex of
     top dimension d it is the boundary sphere of a d-simplex.
     """
-    tau = tau if isinstance(tau, Simplex) else Simplex(tau)
-    lk = simplicial_link(k, tau)
-    d = tau.dim
-    if d == 0:
-        return lk
-    base = k.max_vertex_id() + 1
-    bverts = tuple(range(base, base + d + 1))
-    blabels = _fresh_labels(k, [f"b{i}" for i in range(d + 1)])
-    bfaces = [_trusted(c) for r in range(1, d + 1)
-              for c in itertools.combinations(bverts, r)]
-    simplices = bfaces + list(lk.simplices)
-    # The boundary ids are above every link id, so link + boundary ascends.
-    simplices += [_trusted(l + b) for b in bfaces for l in lk.simplices]
-    labels = {v: lk.label(v) for v in lk.vertex_ids}
-    labels.update(dict(zip(bverts, blabels)))
-    return SimplicialComplex(simplices, labels=labels)
+    tau = _member(k, tau)
+    rows = _link_rows(k, k.index(tau))
+    verts = [r[0] for r in rows if len(r) == 1]
+    if tau.dim:
+        base = k.max_vertex_id() + 1
+        bverts = range(base, base + len(tau))
+        bfaces = [c for r in range(1, len(tau))
+                  for c in itertools.combinations(bverts, r)]
+        # The boundary ids are above every link id, so link + boundary
+        # ascends.
+        rows = bfaces + rows + [l + b for b in bfaces for l in rows]
+    return _named_link(SimplicialComplex(map(_trusted, rows)), k, tau.dim,
+                       verts)
+
+
+def _link_key(k: SimplicialComplex, i: int) -> tuple[tuple, list[int]]:
+    """The link key ``(dim tau, rows)`` of simplex ``i``, its link rows
+    renumbered densely in ascending order, and its link vertices.  The
+    geometric link's boundary sits on fresh ids above every link vertex, so
+    equal keys give geometric links of equal dense shape."""
+    rows = _link_rows(k, i)
+    verts = [r[0] for r in rows if len(r) == 1]
+    dense = {v: j for j, v in enumerate(verts)}.__getitem__
+    return ((len(k.simplices[i]) - 1,
+             tuple([tuple(map(dense, r)) for r in rows])), verts)
+
+
+def _named_link(link: SimplicialComplex, k: SimplicialComplex, d: int,
+                verts) -> SimplicialComplex:
+    """``link`` under the labels of the geometric link of a ``d``-simplex of
+    ``k`` with link vertices ``verts``, whose dense shape it has: vertex j
+    is named like vertex j there (``verts`` as in ``k``, then the boundary's
+    fresh labels).  A view that shares ``link``'s simplices and tables."""
+    names = [k.label(v) for v in verts]
+    if d:
+        names += _fresh_labels(k, [f"b{i}" for i in range(d + 1)])
+    view = copy.copy(link)
+    view._labels = dict(zip(link.vertex_ids, names))
+    return view
 
 
 # -- joins and friends ------------------------------------------------------

@@ -147,12 +147,6 @@ def xaxis_subcomplex(k: SimplicialComplex) -> SimplicialComplex:
                            name="xaxis")
 
 
-def yaxis_subcomplex(k: SimplicialComplex) -> SimplicialComplex:
-    coords = window_coordinates(k)
-    return full_subcomplex(k, [v for v, (x, y) in coords.items() if x == 0],
-                           name="yaxis")
-
-
 # -- registry -----------------------------------------------------------------
 
 BASE_BUILDERS = {
@@ -168,12 +162,9 @@ BASE_BUILDERS = {
 }
 
 
-def corpus_names(include_derived: bool = True) -> tuple[str, ...]:
-    names = list(BASE_BUILDERS)
-    if include_derived:
-        names += [f"cone_{n}" for n in BASE_BUILDERS]
-        names += [f"susp_{n}" for n in BASE_BUILDERS]
-    return tuple(names)
+def corpus_names() -> tuple[str, ...]:
+    return (*BASE_BUILDERS, *(f"cone_{n}" for n in BASE_BUILDERS),
+            *(f"susp_{n}" for n in BASE_BUILDERS))
 
 
 def corpus_complex(name: str) -> SimplicialComplex:

@@ -149,23 +149,26 @@ def read_complex(path: str) -> SimplicialComplex:
     return parse_complex(text, name=stem)
 
 
-def _facet_rows(k: SimplicialComplex) -> list[list[str]]:
-    """The facets as label lists, in the canonical writers' order."""
-    for v in k.vertex_ids:
-        _check_label(k.label(v))
-    rows = [sorted((k.label(v) for v in f), key=_label_key) for f in k.facets()]
-    rows.sort(key=lambda ls: (len(ls), [_label_key(l) for l in ls]))
+def _label_rows(k: SimplicialComplex, simplices) -> list[tuple[list, Simplex]]:
+    """``(labels, simplex)`` for each simplex, its labels sorted, in the
+    canonical writers' order.  Every label is checked first, so the readers
+    accept what the writers write."""
+    names = {v: _check_label(k.label(v)) for v in k.vertex_ids}
+    rows = [(sorted((names[v] for v in s), key=_label_key), s)
+            for s in simplices]
+    rows.sort(key=lambda r: (len(r[0]), [_label_key(l) for l in r[0]]))
     return rows
 
 
 def write_complex(k: SimplicialComplex) -> str:
     lines = [f"complex v={k.n_vertices}"]
-    lines += [" ".join(ls) for ls in _facet_rows(k)]
+    lines += [" ".join(ls) for ls, _ in _label_rows(k, k.facets())]
     return "\n".join(lines) + "\n"
 
 
 def write_complex_json(k: SimplicialComplex) -> str:
-    obj = {"name": k.name or "complex", "facets": _facet_rows(k)}
+    obj = {"name": k.name or "complex",
+           "facets": [ls for ls, _ in _label_rows(k, k.facets())]}
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
@@ -178,30 +181,40 @@ def save_complex(k: SimplicialComplex, path: str) -> None:
 # -- functions -------------------------------------------------------------------
 
 
-def _simplex_by_labels(k: SimplicialComplex, labels, line=None) -> Simplex:
+def _function_from_entries(k: SimplicialComplex, entries,
+                           default: Dyadic) -> ConstructibleFunction:
+    """The function with the given ``(labels, value text, line)`` entries
+    and ``default`` elsewhere."""
     ids = {k.label(v): v for v in k.vertex_ids}
-    verts = []
-    for l in labels:
-        if l not in ids:
-            raise ParseError(f"unknown vertex label {l!r}", line)
-        verts.append(ids[l])
-    if len(set(verts)) != len(verts):
-        raise ParseError(f"repeated vertex in simplex {' '.join(labels)}", line)
-    s = Simplex(sorted(verts))
-    if s not in k:
-        raise ParseError(f"({' '.join(labels)}) is not a simplex of the complex",
-                         line)
-    return s
+    table: dict[Simplex, Dyadic] = {}
+    for labels, value, line in entries:
+        named = " ".join(labels)
+        bad = [l for l in labels if l not in ids]
+        if bad:
+            raise ParseError(f"unknown vertex label {bad[0]!r}", line)
+        verts = {ids[l] for l in labels}
+        if len(verts) != len(labels):
+            raise ParseError(f"repeated vertex in simplex {named}", line)
+        s = Simplex(sorted(verts))
+        if s not in k:
+            raise ParseError(f"({named}) is not a simplex of the complex",
+                             line)
+        if s in table:
+            raise ParseError(f"duplicate assignment for ({named})", line)
+        table[s] = _parse_value(value, line)
+    return ConstructibleFunction.from_dict(k, table, default=default)
 
 
 def parse_function(text: str, k: SimplicialComplex) -> ConstructibleFunction:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return _function_from_obj(_load_json(text), k)
-    lines = text.splitlines()
+    return _function_from_entries(k, _text_entries(text, k), ZERO)
+
+
+def _text_entries(text: str, k: SimplicialComplex):
     over = None
-    table: dict[Simplex, Dyadic] = {}
-    for i, raw in enumerate(lines, start=1):
+    for i, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -221,13 +234,9 @@ def parse_function(text: str, k: SimplicialComplex) -> ConstructibleFunction:
         labels = left.split()
         if not labels:
             raise ParseError("missing simplex before ':'", i)
-        s = _simplex_by_labels(k, labels, i)
-        if s in table:
-            raise ParseError(f"duplicate assignment for ({' '.join(labels)})", i)
-        table[s] = _parse_value(right, i)
+        yield labels, right, i
     if over is None:
         raise ParseError("empty input: missing 'function over=<name>' header")
-    return ConstructibleFunction.from_dict(k, table, default=ZERO)
 
 
 def _function_from_obj(obj, k: SimplicialComplex) -> ConstructibleFunction:
@@ -241,20 +250,18 @@ def _function_from_obj(obj, k: SimplicialComplex) -> ConstructibleFunction:
     if over is not None and k.name is not None and over != k.name:
         raise ParseError(f"function is over {over!r}, complex is {k.name!r}")
     default = _parse_value(str(obj.get("default", "0")))
-    table: dict[Simplex, Dyadic] = {}
-    for entry in obj["values"]:
+    return _function_from_entries(k, _json_entries(obj["values"]), default)
+
+
+def _json_entries(values):
+    for entry in values:
         if not isinstance(entry, dict) or "simplex" not in entry \
                 or "value" not in entry:
             raise ParseError("each entry of 'values' must be an object with"
                              " 'simplex' and 'value' fields")
         if not isinstance(entry["simplex"], list) or not entry["simplex"]:
             raise ParseError("'simplex' must be a nonempty array of labels")
-        labels = [str(l) for l in entry["simplex"]]
-        s = _simplex_by_labels(k, labels)
-        if s in table:
-            raise ParseError(f"duplicate assignment for ({' '.join(labels)})")
-        table[s] = _parse_value(str(entry["value"]))
-    return ConstructibleFunction.from_dict(k, table, default=default)
+        yield [str(l) for l in entry["simplex"]], str(entry["value"]), None
 
 
 def read_function(path: str, k: SimplicialComplex) -> ConstructibleFunction:
@@ -264,12 +271,8 @@ def read_function(path: str, k: SimplicialComplex) -> ConstructibleFunction:
 
 def write_function(phi: ConstructibleFunction) -> str:
     k = phi.complex
-    rows = []
-    for s, v in phi.as_dict().items():
-        labels = sorted((k.label(u) for u in s), key=_label_key)
-        rows.append((len(labels), [_label_key(l) for l in labels],
-                     " ".join(labels) + " : " + str(v)))
-    rows.sort(key=lambda r: (r[0], r[1]))
+    values = phi.as_dict()
     lines = [f"function over={k.name or 'complex'}"]
-    lines += [r[2] for r in rows]
+    lines += [" ".join(ls) + " : " + str(values[s])
+              for ls, s in _label_rows(k, values)]
     return "\n".join(lines) + "\n"

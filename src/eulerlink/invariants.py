@@ -19,10 +19,11 @@ homeomorphic to a real algebraic set:
 
 Both link-based checks (``dim3_check`` and ``search_check``) run their local
 test once per link shape and reuse the result on every other simplex whose
-link has that shape (see ``_per_link_shape``).  A simplex's star key, read
-from the coface table, decides its link's shape without building the link:
-a geometric link is built once per star key, and again only for a row whose
-witness names a simplex of its own link.
+link has that shape (see ``_per_link_shape``).  A simplex's link key, read
+from its star in the coface table, decides its link's shape without building
+the link, so a geometric link is built once per link key.  A row whose
+witness names a simplex of the link gets that link under the labels of its
+own geometric link, and no link is built for it.
 
 Sullivan's parities and the b-vector are computed on int lists, with the
 link operator of the functions module's ``_int_link``, the same halving
@@ -35,11 +36,11 @@ A pass is never a realizability proof; reports carry that caveat.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import mul, sub
 
-from .complexes import (Simplex, SimplicialComplex, euler_characteristic,
-                        geometric_link)
+from .complexes import (Simplex, SimplicialComplex, _link_key, _named_link,
+                        euler_characteristic, geometric_link)
 from .functions import ConstructibleFunction, _int_link
 from .search import (DEFAULT_BUDGET, ExpressionWitness, ONE_EXPR,
                      SearchBudget, SearchResult, closure_search,
@@ -184,48 +185,11 @@ def _located(res) -> bool:
     return isinstance(res, ExpressionWitness) and res.location is not None
 
 
-def _moved(res, first: SimplicialComplex, link: SimplicialComplex):
-    """Carry a local test's result from ``first`` to ``link``, a link of
-    the same shape: a witness location moves to the simplex at its index."""
-    if isinstance(res, SearchResult):
-        return replace(res, link=link,
-                       witness=_moved(res.witness, first, link))
-    if isinstance(res, ExpressionWitness) and res.location is not None:
-        return replace(res, location=link.simplices[first.index(res.location)])
-    return res
-
-
 def _dense_shape(link: SimplicialComplex) -> tuple:
     """The link's simplex tuple with its vertex ids relabelled densely in
     increasing order."""
     dense = {v: i for i, v in enumerate(link.vertex_ids)}
     return tuple(tuple(dense[v] for v in s) for s in link.simplices)
-
-
-def _star_key(k: SimplicialComplex, i: int) -> tuple:
-    """``(dim tau, rows)`` for simplex ``i``, read from the coface table:
-    each row is a strict coface of ``tau`` with ``tau``'s vertices removed,
-    renumbered densely in increasing order.
-
-    The rows are the simplicial link in canonical order (removing the same
-    vertices from every coface keeps their order), and the geometric
-    link's boundary sits on fresh ids above every link vertex, so equal
-    keys give geometric links of equal dense shape.
-    """
-    simplices = k.simplices
-    tau = simplices[i]
-    rows = [simplices[j] for j in k.coface_table()[i]]
-    # The cofaces one dimension up come first: one per link vertex, in
-    # ascending order of that vertex.
-    dense = {}
-    for s in rows:
-        if len(s) > len(tau) + 1:
-            break
-        for v in s:
-            if v not in tau:
-                dense[v] = len(dense)
-    return (len(tau) - 1,
-            tuple(tuple(dense[v] for v in s if v in dense) for s in rows))
 
 
 def _per_link_shape(k: SimplicialComplex, test):
@@ -238,35 +202,32 @@ def _per_link_shape(k: SimplicialComplex, test):
     (value vectors, first violations, search counts) is the same on all
     links of one shape.
 
-    The memo has two levels.  The star key (``_star_key``) is read from the
-    coface table, and ``geometric_link`` is built only for the first
-    simplex of each star key; that link's dense shape keys the results of
-    ``test``.  Two star keys can share a dense shape (a vertex link and an
-    edge link, say), so ``test`` still runs once per dense shape.
+    The memo has two levels.  The link key (``complexes._link_key``) is
+    read from the coface table, and ``geometric_link`` is built only for
+    the first simplex of each link key; that link's dense shape keys the
+    results of ``test``.  Two link keys can share a dense shape (a vertex
+    link and an edge link, say), so ``test`` still runs once per dense
+    shape.
 
-    The yielded link has the dense shape of ``tau``'s geometric link.  It
-    is ``tau``'s own link only where the result names a link simplex (a
-    witness location); that link is built on demand and the location moved
-    to it by index.
+    The yielded link is the one ``test`` ran on, of the dense shape of
+    ``tau``'s geometric link.  Where the result names a link simplex (a
+    witness location), it is yielded under the labels of ``tau``'s own
+    geometric link, so the location reads as it would there.
     """
     shapes: dict[tuple, tuple[SimplicialComplex, object]] = {}
-    stars: dict[tuple, tuple[SimplicialComplex, object]] = {}
+    keys: dict[tuple, tuple[SimplicialComplex, object]] = {}
     for i, tau in enumerate(k.simplices):
-        key = _star_key(k, i)
-        own = None
-        if key not in stars:
-            own = geometric_link(k, tau)
-            shape = _dense_shape(own)
+        key, verts = _link_key(k, i)
+        if key not in keys:
+            link = geometric_link(k, tau)
+            shape = _dense_shape(link)
             if shape not in shapes:
-                shapes[shape] = (own, test(own))
-            stars[key] = shapes[shape]
-        first, res = stars[key]
+                shapes[shape] = (link, test(link))
+            keys[key] = shapes[shape]
+        link, res = keys[key]
         if _located(res):
-            if own is None:
-                own = geometric_link(k, tau)
-            yield tau, own, _moved(res, first, own)
-        else:
-            yield tau, first, res
+            link = _named_link(link, k, tau.dim, verts)
+        yield tau, link, res
 
 
 def dim3_check(k: SimplicialComplex) -> ObstructionReport:
@@ -307,7 +268,7 @@ def search_check(k: SimplicialComplex,
     rows = []
     weakest = None
     guard_hits = 0
-    for tau, _, res in _per_link_shape(
+    for tau, link, res in _per_link_shape(
             k, lambda link: closure_search(link, budget)):
         guard_hits += res.guard_hits
         if res.verdict == "witness":
@@ -315,8 +276,8 @@ def search_check(k: SimplicialComplex,
             rows.append(TestRow(
                 test="search", simplex=tau, where=k.simplex_name(tau),
                 verdict="fail",
-                value=w.describe(res.link),
-                data={"witness": w.as_dict(res.link),
+                value=w.describe(link),
+                data={"witness": w.as_dict(link),
                       "explored": res.explored, "stop": res.stop}))
         else:
             rows.append(TestRow(
@@ -394,8 +355,10 @@ def divisibility_certificate(phi: ConstructibleFunction) -> DivisibilityCertific
 
 
 # The bounds grow as 2^(d-1): a cap keeps ``bonnard_bounds`` from building
-# an int of d bits for any d given on the command line.
+# an int of d bits for any d given on the command line.  With k and |delta|
+# capped too, N' stays below 10^2300, so it prints as a decimal.
 MAX_BOUND_DIMENSION = 4096
+MAX_BOUND_RANGE = 10 ** 1000
 
 
 @dataclass(frozen=True)
@@ -414,6 +377,12 @@ class BoundQuery:
                              f" maximum {MAX_BOUND_DIMENSION}")
         if self.k < 0:
             raise ValueError("range radius must be nonnegative")
+        if self.k > MAX_BOUND_RANGE:
+            raise ValueError("range radius is above the supported maximum"
+                             " 10^1000")
+        if abs(self.delta) > MAX_BOUND_RANGE:
+            raise ValueError("offset is above the supported maximum 10^1000"
+                             " in absolute value")
 
 
 @dataclass(frozen=True)

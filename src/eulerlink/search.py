@@ -204,14 +204,6 @@ class SearchResult:
         return (f"{head}; depth {d} is the depth limit; a pass is a bounded"
                 " necessary-condition check, not a realizability proof")
 
-    def notes(self) -> tuple[str, ...]:
-        out = []
-        if self.verdict == "pass":
-            out.append("search " + self.completeness())
-        if self.guard_hits:
-            out.append(f"value-growth guard pruned {self.guard_hits} branches")
-        return tuple(out)
-
 
 def _pop(x: int) -> int:
     sq = x * x
@@ -307,7 +299,4 @@ def closure_search(link: SimplicialComplex,
 def dim4_local_search(k: SimplicialComplex, tau,
                       budget: SearchBudget = DEFAULT_BUDGET) -> SearchResult:
     """Run the closure search over the geometric link of ``tau`` in ``k``."""
-    tau = tau if isinstance(tau, Simplex) else Simplex(tau)
-    if tau not in k:
-        raise ValueError(f"simplex {tuple(tau)} is not in the complex")
     return closure_search(geometric_link(k, tau), budget)

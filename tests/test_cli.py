@@ -195,3 +195,16 @@ def test_bounds_rejects_a_dimension_above_the_cap(capsys):
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:")
     assert "4096" in err
+
+
+@pytest.mark.parametrize("k, delta, what", [
+    ("9" * 4000, "0", "range radius"),
+    ("1", "9" * 4000, "offset"),
+    ("1", "-" + "9" * 4000, "offset"),
+], ids=["radius", "offset", "negative-offset"])
+def test_bounds_rejects_a_range_too_large_to_print(capsys, k, delta, what):
+    assert run(["bounds", "4096", k, delta]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert what in err and "10^1000" in err

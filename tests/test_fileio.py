@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulerlink import cli, corpus, fileio
+from eulerlink.complexes import SimplicialComplex, barycentric_subdivision
 from eulerlink.dyadic import Dyadic
 from eulerlink.fileio import (MAX_FACET_VERTICES, ParseError, parse_complex,
                               parse_function,
@@ -136,6 +137,39 @@ def test_hash_labels_are_rejected_so_files_round_trip():
     hashed = build_complex([(0, 1)], labels={0: "a", 1: "#b"})
     with pytest.raises(ParseError):
         write_complex(hashed)
+
+
+def test_function_writer_rejects_labels_its_reader_rejects():
+    # Subdivision names a barycenter "(s0 s1)", which no reader accepts.
+    sd = barycentric_subdivision(corpus.segment()).complex
+    with pytest.raises(ParseError, match="bad vertex label"):
+        write_complex(sd)
+    with pytest.raises(ParseError, match=r"bad vertex label '\(s0 s1\)'"):
+        write_function(ConstructibleFunction.one(sd))
+
+
+def test_function_readers_map_labels_once_per_read(monkeypatch):
+    sd = barycentric_subdivision(corpus.torus()).complex
+    k = SimplicialComplex(sd.simplices, name="sd_torus",
+                          labels={v: f"v{v}" for v in sd.vertex_ids})
+    phi = ConstructibleFunction(k, [Dyadic(i % 5 - 2, i % 3)
+                                    for i in range(len(k))])
+    obj = {"complex": k.name,
+           "values": [{"simplex": [k.label(v) for v in s], "value": str(x)}
+                      for s, x in phi.as_dict().items()]}
+    texts = (write_function(phi), json.dumps(obj))
+    calls = []
+    label = SimplicialComplex.label
+
+    def counting_label(self, v):
+        calls.append(v)
+        return label(self, v)
+
+    monkeypatch.setattr(SimplicialComplex, "label", counting_label)
+    for text in texts:
+        calls.clear()
+        assert parse_function(text, k) == phi
+        assert len(calls) == k.n_vertices
 
 
 def test_function_values_above_the_exponent_cap_are_parse_errors():

@@ -1,22 +1,25 @@
 """Invariant vectors, the three obstruction checks, certificates, bounds."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eulerlink import corpus, invariants
-from eulerlink.complexes import (barycentric_subdivision, build_complex, cone,
-                                 disjoint_union, euler_characteristic,
-                                 geometric_link, join, point_complex,
-                                 suspension)
+from eulerlink.complexes import (_link_key, barycentric_subdivision,
+                                 build_complex, cone, disjoint_union,
+                                 euler_characteristic, geometric_link, join,
+                                 point_complex, simplicial_link, suspension)
 from eulerlink.dyadic import Dyadic
 from eulerlink.functions import (ConstructibleFunction, indicator_of_subcomplex,
                                  is_euler)
 from eulerlink.fileio import write_complex
-from eulerlink.invariants import (MAX_BOUND_DIMENSION, NECESSARY_ONLY,
+from eulerlink.invariants import (MAX_BOUND_DIMENSION, MAX_BOUND_RANGE,
+                                  NECESSARY_ONLY,
                                   BoundQuery, InvariantVector, ZERO_VECTOR,
                                   _dense_shape, _located, _per_link_shape,
-                                  _star_key, b_vector,
+                                  b_vector,
                                   bonnard_bounds, dim3_check,
                                   divisibility_certificate, merge_reports,
                                   search_check, sullivan_check)
@@ -258,7 +261,8 @@ def test_located_witness_rows_get_their_own_link():
         if _located(res):
             located += 1
             assert write_complex(link) == write_complex(own)
-            assert res.location in own
+            assert link.simplex_name(res.location) == \
+                own.simplex_name(own.simplices[link.index(res.location)])
     assert located > 1
 
 
@@ -270,11 +274,17 @@ def _star_key_cases():
 
 
 def _assert_star_keys_exact(k):
-    """Simplices with equal star keys have links of equal dense shape."""
+    """Simplices with equal link keys have links of equal dense shape, and
+    the key's link vertices are the first vertices of the link."""
     shapes = {}
     for i, tau in enumerate(k.simplices):
-        shape = _dense_shape(geometric_link(k, tau))
-        assert shapes.setdefault(_star_key(k, i), shape) == shape, tau
+        own = geometric_link(k, tau)
+        shape = _dense_shape(own)
+        key, verts = _link_key(k, i)
+        assert shapes.setdefault(key, shape) == shape, tau
+        assert own.vertex_ids[:len(verts)] == tuple(verts)
+        assert len(own.vertex_ids) == len(verts) + (tau.dim + 1 if tau.dim
+                                                    else 0)
 
 
 @pytest.mark.parametrize("k", _star_key_cases(),
@@ -321,6 +331,25 @@ def test_search_check_builds_one_link_per_star_key(monkeypatch):
     assert len(searched) == 6
 
 
+def test_dim3_check_builds_one_link_per_link_key(monkeypatch):
+    # Rows with a located witness are named from the key's link, so they
+    # build no link of their own.
+    built = []
+
+    def counting_link(k, tau):
+        built.append(tau)
+        return geometric_link(k, tau)
+
+    monkeypatch.setattr(invariants, "geometric_link", counting_link)
+    cw = corpus.corpus_complex("cone_window")
+    report = dim3_check(cw)
+    assert any("half-link obstruction" in r.value and " at (" in r.value
+               for r in report.rows)
+    keys = {(tau.dim, _dense_shape(simplicial_link(cw, tau)))
+            for tau in cw.simplices}
+    assert len(built) == len(keys)
+
+
 def test_reused_witnesses_replay_on_their_own_links():
     # search witnesses on the 4-ball are all odd integrals
     ball = corpus.corpus_complex("cone_sphere3")
@@ -340,10 +369,11 @@ def test_reused_witnesses_replay_on_their_own_links():
         rows = {r.simplex: r for r in report.rows}
         for tau, w in found:
             own = geometric_link(k, tau)
-            assert replay_witness(w, own) == w.value
-            where = "integral" if w.location is None \
-                else own.simplex_name(w.location)
-            assert rows[tau].data["witness"]["location"] == where
+            where = rows[tau].data["witness"]["location"]
+            at = None if where == "integral" else next(
+                s for s in own.simplices if own.simplex_name(s) == where)
+            assert (at is None) == (w.location is None)
+            assert replay_witness(replace(w, location=at), own) == w.value
 
 
 # -- search check and report plumbing ---------------------------------------------
@@ -412,6 +442,17 @@ def test_bound_query_validation():
         BoundQuery(MAX_BOUND_DIMENSION + 1, 1, 0)
     with pytest.raises(ValueError, match="above the supported maximum"):
         BoundQuery(10**12, 1, 0)
+    # At every cap at once, N and N' still print as decimals.
+    for delta in (MAX_BOUND_RANGE, -MAX_BOUND_RANGE):
+        b = bonnard_bounds(BoundQuery(MAX_BOUND_DIMENSION, MAX_BOUND_RANGE,
+                                      delta))
+        assert len(str(b.n)) < len(str(b.n_prime)) < 2300
+    with pytest.raises(ValueError, match="range radius is above"):
+        BoundQuery(2, MAX_BOUND_RANGE + 1, 0)
+    with pytest.raises(ValueError, match="offset is above"):
+        BoundQuery(2, 1, MAX_BOUND_RANGE + 1)
+    with pytest.raises(ValueError, match="offset is above"):
+        BoundQuery(2, 1, -MAX_BOUND_RANGE - 1)
 
 
 def test_bounds_monotone_in_range_radius():

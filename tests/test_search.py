@@ -57,10 +57,11 @@ def test_an_empty_level_ends_the_search():
                          SearchBudget(max_depth=10 ** 6))
     assert (res.explored, res.stop, res.levels) == (1, "depth-limit", (1,))
     assert res.depth_complete == 10 ** 6
-    assert res.notes() == (
-        "search depth <= 1000000 exhausted (1 functions); depth 1000000 is"
+    assert res.completeness() == (
+        "depth <= 1000000 exhausted (1 functions); depth 1000000 is"
         " the depth limit; a pass is a bounded necessary-condition check,"
-        " not a realizability proof",)
+        " not a realizability proof")
+    assert res.guard_hits == 0
 
 
 def test_odd_link_integral_is_a_depth_zero_witness():
@@ -108,13 +109,13 @@ def test_budget_exhaustion_is_reported_never_silent():
     assert res.passed
     assert res.stop == "max-functions"
     assert res.explored <= 8
-    notes = res.notes()
-    assert any("8-function budget" in n for n in notes)
-    assert any("within-budget only" in n for n in notes)
+    notes = res.completeness()
+    assert "8-function budget" in notes
+    assert "within-budget only" in notes
 
     shallow = closure_search(s2, SearchBudget(max_depth=2, max_functions=40))
     assert shallow.passed and shallow.stop == "depth-limit"
-    assert any("depth 2" in n for n in shallow.notes())
+    assert "depth 2" in shallow.completeness()
 
 
 def test_witness_serialization():
@@ -300,14 +301,14 @@ def test_depth_three_is_exhausted_on_a_four_sphere_vertex_link():
     shallow = closure_search(link, SearchBudget(max_depth=3))
     assert (shallow.explored, shallow.stop) == (27, "depth-limit")
     assert shallow.levels == (1, 2, 5, 19)
-    assert "depth <= 3 exhausted (27 functions)" in shallow.notes()[0]
+    assert "depth <= 3 exhausted (27 functions)" in shallow.completeness()
     deep = closure_search(link, SearchBudget(max_depth=4))
     assert (deep.explored, deep.stop) == (316, "depth-limit")
     cut = closure_search(link, SearchBudget(max_functions=2000))
     assert (cut.explored, cut.stop, cut.depth_complete) == \
         (2000, "max-functions", 4)
-    assert cut.notes()[0] == (
-        "search depth <= 4 exhausted (316 functions); depth 5 stopped at"
+    assert cut.completeness() == (
+        "depth <= 4 exhausted (316 functions); depth 5 stopped at"
         " the 2000-function budget; a pass is within-budget only")
 
 
