@@ -173,19 +173,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"error: {self.prog}: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = _Parser(
-        prog="eulerlink",
-        description="Exact Euler-calculus engine and local obstruction"
-                    " checker for finite simplicial complexes.")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    v = sub.add_parser("validate", help="parse a complex file and report its"
-                                        " face counts")
+def _validate_arguments(v: argparse.ArgumentParser) -> None:
     v.add_argument("path")
-    v.set_defaults(fn=cmd_validate)
 
-    c = sub.add_parser("check", help="run the local obstruction tests")
+
+def _check_arguments(c: argparse.ArgumentParser) -> None:
     c.add_argument("path")
     c.add_argument("--json", action="store_true",
                    help="structured report instead of text")
@@ -203,48 +195,77 @@ def build_parser() -> argparse.ArgumentParser:
                         " dimension 4")
     c.add_argument("-o", "--output", default=None,
                    help="write the report here instead of stdout")
-    c.set_defaults(fn=cmd_check)
 
-    i = sub.add_parser("invariants", help="b-vector of a complex of"
-                                          " dimension <= 2")
+
+def _invariants_arguments(i: argparse.ArgumentParser) -> None:
     i.add_argument("path")
     i.add_argument("--json", action="store_true")
-    i.set_defaults(fn=cmd_invariants)
 
-    g = sub.add_parser("integrate", help="Euler integral of a function file")
+
+def _integrate_arguments(g: argparse.ArgumentParser) -> None:
     g.add_argument("complex_path")
     g.add_argument("function_path")
-    g.set_defaults(fn=cmd_integrate)
 
-    l = sub.add_parser("link", help="write the geometric link of a simplex"
-                                    " as a complex file")
+
+def _link_arguments(l: argparse.ArgumentParser) -> None:
     l.add_argument("path")
     l.add_argument("simplex", nargs="+",
                    help="vertex labels of the simplex")
     l.add_argument("-o", "--output", default=None)
-    l.set_defaults(fn=cmd_link)
 
-    b = sub.add_parser("bounds", help="presentation bounds N, N' for value"
-                                      " range [delta-k, delta+k] in"
-                                      " dimension d")
+
+def _bounds_arguments(b: argparse.ArgumentParser) -> None:
     b.add_argument("d", type=int)
     b.add_argument("k", type=int)
     b.add_argument("delta", type=int)
     b.add_argument("--json", action="store_true")
-    b.set_defaults(fn=cmd_bounds)
 
-    s = sub.add_parser("corpus", help="built-in example complexes")
+
+def _corpus_arguments(s: argparse.ArgumentParser) -> None:
     s.add_argument("name", nargs="?")
     s.add_argument("--list", action="store_true")
     s.add_argument("--write", metavar="DIR")
-    s.set_defaults(fn=cmd_corpus)
 
+
+# Subcommand -> (help, the function adding its arguments, the command).
+_COMMANDS = {
+    "validate": ("parse a complex file and report its face counts",
+                 _validate_arguments, cmd_validate),
+    "check": ("run the local obstruction tests", _check_arguments, cmd_check),
+    "invariants": ("b-vector of a complex of dimension <= 2",
+                   _invariants_arguments, cmd_invariants),
+    "integrate": ("Euler integral of a function file", _integrate_arguments,
+                  cmd_integrate),
+    "link": ("write the geometric link of a simplex as a complex file",
+             _link_arguments, cmd_link),
+    "bounds": ("presentation bounds N, N' for value range [delta-k, delta+k]"
+               " in dimension d", _bounds_arguments, cmd_bounds),
+    "corpus": ("built-in example complexes", _corpus_arguments, cmd_corpus),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or, given ``command``, of that one
+    alone: parsing a command line that starts with it needs no other."""
+    p = _Parser(
+        prog="eulerlink",
+        description="Exact Euler-calculus engine and local obstruction"
+                    " checker for finite simplicial complexes.")
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, fn) in _COMMANDS.items():
+        if command is None or name == command:
+            s = sub.add_parser(name, help=help_text)
+            add_arguments(s)
+            s.set_defaults(fn=fn)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The top-level parser has no option but --help, so an argv that starts
+    # with a subcommand is parsed by that subcommand's parser alone.
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.fn(args)
     except (ParseError, ValueError, OSError) as e:

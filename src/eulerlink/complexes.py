@@ -251,8 +251,8 @@ def geometric_link(k: SimplicialComplex, tau) -> SimplicialComplex:
         # The boundary ids are above every link id, so link + boundary
         # ascends.
         rows = bfaces + rows + [l + b for b in bfaces for l in rows]
-    return _named_link(SimplicialComplex(map(_trusted, rows)), k, tau.dim,
-                       verts)
+    return _named_link(SimplicialComplex(map(_trusted, rows)), k, verts,
+                       _boundary_labels(k, tau.dim))
 
 
 def _link_key(k: SimplicialComplex, i: int) -> tuple[tuple, list[int]]:
@@ -267,15 +267,21 @@ def _link_key(k: SimplicialComplex, i: int) -> tuple[tuple, list[int]]:
              tuple([tuple(map(dense, r)) for r in rows])), verts)
 
 
-def _named_link(link: SimplicialComplex, k: SimplicialComplex, d: int,
-                verts) -> SimplicialComplex:
-    """``link`` under the labels of the geometric link of a ``d``-simplex of
-    ``k`` with link vertices ``verts``, whose dense shape it has: vertex j
-    is named like vertex j there (``verts`` as in ``k``, then the boundary's
-    fresh labels).  A view that shares ``link``'s simplices and tables."""
-    names = [k.label(v) for v in verts]
-    if d:
-        names += _fresh_labels(k, [f"b{i}" for i in range(d + 1)])
+def _boundary_labels(k: SimplicialComplex, d: int) -> list[str]:
+    """The labels of the boundary vertices of a ``d``-simplex's geometric
+    link in ``k``: ``b0 .. bd``, each primed until it is fresh in ``k``
+    (none for a vertex).  They depend on ``k`` and ``d`` alone."""
+    return _fresh_labels(k, [f"b{i}" for i in range(d + 1)]) if d else []
+
+
+def _named_link(link: SimplicialComplex, k: SimplicialComplex, verts,
+                boundary: list[str]) -> SimplicialComplex:
+    """``link`` under the labels of the geometric link of a simplex of ``k``
+    with link vertices ``verts`` and boundary labels ``boundary``
+    (``_boundary_labels``), whose dense shape it has: vertex j is named like
+    vertex j there (``verts`` as in ``k``, then the boundary).  A view that
+    shares ``link``'s simplices and tables."""
+    names = [k.label(v) for v in verts] + boundary
     view = copy.copy(link)
     view._labels = dict(zip(link.vertex_ids, names))
     return view

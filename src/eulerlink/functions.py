@@ -22,14 +22,19 @@ Dyadic once, at the end.  Halving is the same ints over 2**(e + 1), and
 parity is read from their low bits.
 
 Lambda on ints is written once, in ``_int_link``, which also returns the
-index of its first odd value.  Every local test halves through it: the
-closure search's HALFLINK, ``b_vector`` and ``sullivan_check`` work on
-int lists alone and never build a Dyadic for a passing value.
+index of its first odd value.  It reads a value list, the simplex of each
+value (only the parity of its size) and a coface table, so it runs on a
+complex (its simplices and ``coface_table()``) and on the closure search's
+quotient of a link alike, where value c is the value on a whole cell of
+simplices and row c holds the cells of the cofaces of the cell's first
+simplex, repeats kept.  Every local test halves through it: the closure
+search's HALFLINK, ``b_vector`` and ``sullivan_check`` work on int lists
+alone and never build a Dyadic for a passing value.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from operator import add, mul, sub
 
@@ -181,26 +186,31 @@ def _ints(values) -> tuple[list[int], int]:
     return [v.num << (e - v.exp) for v in values], e
 
 
-def _signed(k: SimplicialComplex, xs: list[int]) -> list[int]:
+def _signed(simplices: Sequence[Simplex], xs: Sequence[int]) -> list[int]:
     """``(-1)^(dim sigma + 1) * x_sigma`` for every simplex sigma."""
-    return [-x if len(s) % 2 else x for s, x in zip(k.simplices, xs)]
+    return [-x if len(s) % 2 else x for s, x in zip(simplices, xs)]
 
 
-def _closed_star_sums(k: SimplicialComplex, xs: list[int]) -> list[int]:
+def _closed_star_sums(simplices: Sequence[Simplex],
+                      table: Sequence[Sequence[int]],
+                      xs: Sequence[int]) -> list[int]:
     """Sum over sigma >= tau of ``(-1)^(dim sigma + 1) * x_sigma``, for every tau.
 
-    Lambda x = x + this, since the term of tau itself is ``-x_tau`` on even
-    and ``+x_tau`` on odd dimensions, and dual x = x - Lambda x = -this.
+    ``table[i]`` lists the entries of the strict cofaces of ``simplices[i]``
+    (see the module docstring).  Lambda x = x + this, since the term of tau
+    itself is ``-x_tau`` on even and ``+x_tau`` on odd dimensions, and
+    dual x = x - Lambda x = -this.
     """
-    signed = _signed(k, xs)
+    signed = _signed(simplices, xs)
     term = signed.__getitem__
-    return [sum(map(term, row), y) for y, row in zip(signed, k.coface_table())]
+    return [sum(map(term, row), y) for y, row in zip(signed, table)]
 
 
-def _int_link(k: SimplicialComplex, xs: list[int]) -> tuple[list[int], int]:
+def _int_link(simplices: Sequence[Simplex], table: Sequence[Sequence[int]],
+              xs: Sequence[int]) -> tuple[list[int], int]:
     """Lambda of the ints ``xs``, and the index of its first odd value (-1
     when every value is even, i.e. when the link halves to ints)."""
-    lam = list(map(add, xs, _closed_star_sums(k, xs)))
+    lam = list(map(add, xs, _closed_star_sums(simplices, table, xs)))
     return lam, next((i for i, a in enumerate(lam) if a & 1), -1)
 
 
@@ -212,20 +222,23 @@ def _function(k: SimplicialComplex, xs, e: int) -> ConstructibleFunction:
 def euler_integral(phi: ConstructibleFunction) -> Dyadic:
     """Integral against the Euler characteristic of open cells."""
     xs, e = _ints(phi.values)
-    return Dyadic(-sum(_signed(phi.complex, xs)), e)
+    return Dyadic(-sum(_signed(phi.complex.simplices, xs)), e)
 
 
 def link_operator(phi: ConstructibleFunction) -> ConstructibleFunction:
     """Apply the combinatorial link operator (see module docstring)."""
+    k = phi.complex
     xs, e = _ints(phi.values)
-    return _function(phi.complex, _int_link(phi.complex, xs)[0], e)
+    return _function(k, _int_link(k.simplices, k.coface_table(), xs)[0], e)
 
 
 def dual(phi: ConstructibleFunction) -> ConstructibleFunction:
     """Verdier-style duality: phi minus its link."""
+    k = phi.complex
     xs, e = _ints(phi.values)
-    return _function(phi.complex,
-                     [-c for c in _closed_star_sums(phi.complex, xs)], e)
+    return _function(
+        k, [-c for c in _closed_star_sums(k.simplices, k.coface_table(), xs)],
+        e)
 
 
 def _halved(phi: ConstructibleFunction
@@ -236,14 +249,15 @@ def _halved(phi: ConstructibleFunction
     and ``obstructions`` lazily yields a ParityObstruction, in canonical
     order, for every link value that is not an even integer.
     """
+    k = phi.complex
     xs, e = _ints(phi.values)
-    lam, _ = _int_link(phi.complex, xs)
+    lam, _ = _int_link(k.simplices, k.coface_table(), xs)
     even = (1 << (e + 1)) - 1  # a / 2**e is an even integer iff a & even == 0
     whole = (1 << e) - 1       # a / 2**e is an integer iff a & whole == 0
     obstructions = (
         ParityObstruction(simplex=s, value=Dyadic(a, e),
                           kind="non-integer" if a & whole else "odd-integer")
-        for s, a in zip(phi.complex.simplices, lam) if a & even)
+        for s, a in zip(k.simplices, lam) if a & even)
     return lam, e + 1, obstructions
 
 

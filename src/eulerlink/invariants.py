@@ -39,8 +39,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul, sub
 
-from .complexes import (Simplex, SimplicialComplex, _link_key, _named_link,
-                        euler_characteristic, geometric_link)
+from .complexes import (Simplex, SimplicialComplex, _boundary_labels,
+                        _link_key, _named_link, euler_characteristic,
+                        geometric_link)
 from .functions import ConstructibleFunction, _int_link
 from .search import (DEFAULT_BUDGET, ExpressionWitness, ONE_EXPR,
                      SearchBudget, SearchResult, closure_search,
@@ -87,7 +88,7 @@ def _half_link_ints(k: SimplicialComplex, xs: list[int],
                     expr) -> list[int] | ExpressionWitness:
     """Half the link of the ints ``xs``, the value of ``expr``, or the
     witness of its first odd link value."""
-    lam, odd = _int_link(k, xs)
+    lam, odd = _int_link(k.simplices, k.coface_table(), xs)
     if odd >= 0:
         return halving_witness(("HALFLINK", expr), k.simplices[odd],
                                lam[odd], 0)
@@ -160,7 +161,8 @@ class ObstructionReport:
 
 def sullivan_check(k: SimplicialComplex) -> ObstructionReport:
     """Per-simplex parity of the link's Euler characteristic."""
-    lam, _ = _int_link(k, [1] * len(k.simplices))
+    lam, _ = _int_link(k.simplices, k.coface_table(),
+                       [1] * len(k.simplices))
     rows = []
     for s, chi in zip(k.simplices, lam):
         rows.append(TestRow(
@@ -212,10 +214,12 @@ def _per_link_shape(k: SimplicialComplex, test):
     The yielded link is the one ``test`` ran on, of the dense shape of
     ``tau``'s geometric link.  Where the result names a link simplex (a
     witness location), it is yielded under the labels of ``tau``'s own
-    geometric link, so the location reads as it would there.
+    geometric link, so the location reads as it would there; its boundary
+    labels are worked out once per dimension.
     """
     shapes: dict[tuple, tuple[SimplicialComplex, object]] = {}
     keys: dict[tuple, tuple[SimplicialComplex, object]] = {}
+    boundary: dict[int, list[str]] = {}
     for i, tau in enumerate(k.simplices):
         key, verts = _link_key(k, i)
         if key not in keys:
@@ -226,7 +230,9 @@ def _per_link_shape(k: SimplicialComplex, test):
             keys[key] = shapes[shape]
         link, res = keys[key]
         if _located(res):
-            link = _named_link(link, k, tau.dim, verts)
+            if tau.dim not in boundary:
+                boundary[tau.dim] = _boundary_labels(k, tau.dim)
+            link = _named_link(link, k, verts, boundary[tau.dim])
         yield tau, link, res
 
 

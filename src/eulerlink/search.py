@@ -22,13 +22,33 @@ minimal depth, and a pass that stops at the function budget has explored
 every level below the one it stopped in.  An empty level has no deeper
 one, so it ends the search as if at the depth limit.
 
+The search runs on the link's quotient, one value per cell.  The cells are
+the coarsest partition of the link's simplices, refined from dimension,
+in which every simplex of a cell has as many strict cofaces in each cell
+as any other simplex of that cell (colour refinement along cofaces).  The
+constant 1 is constant on cells, ADD, SUB, MUL and POP act value by value,
+and the link operator reads only a simplex's own value and those of its
+cofaces, so every function of the closure is constant on cells and is
+kept as one value per cell: on cell a, with ``s = (-1)^(dim + 1)``,
+
+    (lam y)_a = y_a + s_a * y_a + sum over sigma > (first simplex of a)
+                of s_(cell of sigma) * y_(cell of sigma).
+
+Two functions are equal exactly when their cell values are, and a value
+is reached on some simplex exactly when it is some cell's value, so the
+levels, counts, guard hits and stop are those of a search on one value per
+simplex.  Cells are numbered in the order of their first simplex, so a
+halving witness is located at the first simplex of its first odd cell,
+which is the link's first simplex with an odd link value.
+
 Every kept value is integer-valued with an even integral, since anything
 else is a witness and ends the search.  So values are plain int tuples:
 ADD, SUB and MUL map over two tuples, POP is ``(x^4 - x^2) >> 1``, the
-integral's parity is the parity of the sum of the values, and HALFLINK
-halves the link operator's ints (``functions._int_link``, the halving
-``b_vector`` uses too), its first odd value being a non-integer witness.
-A Dyadic is built only for a witness.
+integral's parity is that of the sum of the values weighted by the cell
+sizes, and HALFLINK halves the link operator's ints
+(``functions._int_link``, the halving ``b_vector`` uses on one value per
+simplex), its first odd value being a non-integer witness.  A Dyadic is
+built only for a witness.
 
 The value-growth guard drops a candidate with a value whose canonical
 numerator exceeds 2**guard_bits in absolute value, and counts it as a guard
@@ -43,11 +63,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import add, mul, sub
+from typing import NamedTuple
 
 from .complexes import Simplex, SimplicialComplex, geometric_link
 from .dyadic import Dyadic
-from .functions import (ConstructibleFunction, _int_link, euler_integral,
-                        half_link_total, p_operator)
+from .functions import (ConstructibleFunction, _int_link, _signed,
+                        euler_integral, half_link_total, p_operator)
 
 Expression = tuple  # ("ONE",) | (op, child...) nested tuples
 
@@ -210,18 +231,56 @@ def _pop(x: int) -> int:
     return (sq * sq - sq) >> 1
 
 
-def _candidates(link: SimplicialComplex, values: list[tuple[int, ...]],
+class _Quotient(NamedTuple):
+    """A link's cells (see the module docstring), numbered in the order of
+    their first simplex."""
+
+    cells: tuple[int, ...]  # the cell of each link simplex
+    simplices: tuple[Simplex, ...]  # the first simplex of each cell
+    # The cells of the strict cofaces of each cell's first simplex, repeats
+    # kept: the coface table of ``functions._int_link`` on cell values.
+    table: tuple[tuple[int, ...], ...]
+    sizes: tuple[int, ...]  # simplices per cell
+
+
+def _quotient(link: SimplicialComplex) -> _Quotient:
+    """Refine the partition by dimension until each cell's simplices agree
+    on the cells of their cofaces, counted with multiplicity."""
+    table = link.coface_table()
+    cells = [len(s) for s in link.simplices]
+    n = len(set(cells))
+    while True:
+        old = cells.__getitem__
+        ids: dict[tuple, int] = {}
+        cells = [ids.setdefault((c, tuple(sorted(map(old, row)))), len(ids))
+                 for c, row in zip(cells, table)]
+        if len(ids) == n:
+            break  # no cell split: the partition is stable
+        n = len(ids)
+    first: dict[int, int] = {}
+    sizes = [0] * n
+    for i, c in enumerate(cells):
+        first.setdefault(c, i)
+        sizes[c] += 1
+    return _Quotient(
+        cells=tuple(cells),
+        simplices=tuple(link.simplices[i] for i in first.values()),
+        table=tuple(tuple(cells[j] for j in table[i]) for i in first.values()),
+        sizes=tuple(sizes))
+
+
+def _candidates(q: _Quotient, values: list[tuple[int, ...]],
                 budget: SearchBudget):
     """Yield ``(depth, op, args, nums, odd)`` for every candidate expression,
     in search order.
 
     ``args`` indexes the operands in ``values``, the table of admitted
     functions, which the caller extends while the level is being built.
-    ``nums`` are the canonical numerators of the value; ``odd`` is -1, or,
-    for a half link with a non-integer value, the index of the first one
-    (whose value is then ``nums[odd] / 2``).
+    ``nums`` are the canonical numerators of the value, one per cell of
+    ``q``; ``odd`` is -1, or, for a half link with a non-integer value, the
+    first such cell (whose value is then ``nums[odd] / 2``).
     """
-    yield 0, "ONE", (), (1,) * len(link.simplices), -1
+    yield 0, "ONE", (), (1,) * len(q.sizes), -1
     lo = 0
     for depth in range(1, budget.max_depth + 1):
         hi = len(values)  # level depth - 1 is values[lo:hi]
@@ -236,7 +295,7 @@ def _candidates(link: SimplicialComplex, values: list[tuple[int, ...]],
                     if f is sub and i != j:
                         yield depth, op, (j, i), tuple(map(sub, b, a)), -1
         for j in range(lo, hi):
-            lam, odd = _int_link(link, values[j])
+            lam, odd = _int_link(q.simplices, q.table, values[j])
             if odd < 0:
                 yield depth, "HALFLINK", (j,), tuple(a >> 1 for a in lam), -1
             else:
@@ -251,6 +310,7 @@ def _candidates(link: SimplicialComplex, values: list[tuple[int, ...]],
 def closure_search(link: SimplicialComplex,
                    budget: SearchBudget = DEFAULT_BUDGET) -> SearchResult:
     """Search the operator closure of the link's indicator for a violation."""
+    q = _quotient(link)
     guard = 1 << budget.guard_bits
     values: list[tuple[int, ...]] = []
     exprs: list[Expression] = []
@@ -259,7 +319,7 @@ def closure_search(link: SimplicialComplex,
     candidates = guard_hits = 0
     witness = None
     stop, complete = "depth-limit", budget.max_depth
-    found = _candidates(link, values, budget)
+    found = _candidates(q, values, budget)
     for depth, op, args, nums, odd in found:
         candidates += 1
         if odd < 0 and nums in seen:
@@ -269,12 +329,13 @@ def closure_search(link: SimplicialComplex,
             continue
         expr = (op, *(exprs[i] for i in args))
         if odd >= 0:
-            witness = halving_witness(expr, link.simplices[odd], nums[odd], 0)
-        elif sum(nums) & 1:
+            witness = halving_witness(expr, q.simplices[odd], nums[odd], 0)
+        elif sum(map(mul, q.sizes, nums)) & 1:
+            integral = -sum(map(mul, q.sizes, _signed(q.simplices, nums)))
             witness = ExpressionWitness(
                 expr=expr, kind=KIND_ODD_INTEGRAL, location=None,
-                value=euler_integral(ConstructibleFunction(link, nums)),
-                depth=depth, size=expression_size(expr))
+                value=Dyadic(integral), depth=depth,
+                size=expression_size(expr))
         if witness is not None:
             stop, complete = "witness", depth - 1
             break

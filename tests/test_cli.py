@@ -182,6 +182,12 @@ def test_usage_errors_exit_one(argv, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error: eulerlink")
 
 
+def test_a_subcommand_parser_alone_parses_its_command_line():
+    argv = ["check", "x.cplx", "--json", "--max-funcs", "50", "--no-P"]
+    alone = cli.build_parser("check").parse_args(argv)
+    assert vars(alone) == vars(cli.build_parser().parse_args(argv))
+
+
 def test_help_still_exits_zero(capsys):
     with pytest.raises(SystemExit) as e:
         run(["check", "--help"])

@@ -206,21 +206,23 @@ def _brute_force(k, max_depth=3):
 
 
 def _search_levels(link, budget):
-    """closure_search, with its table of kept values split into levels."""
+    """closure_search, with its table of kept values split into levels and
+    each value expanded from one per cell to one per link simplex."""
     tables = []
     real = search._candidates
 
-    def spy(link, values, budget):
-        tables.append(values)
-        return real(link, values, budget)
+    def spy(q, values, budget):
+        tables.append((q.cells, values))
+        return real(q, values, budget)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(search, "_candidates", spy)
         res = closure_search(link, budget)
-    (table,) = tables
+    ((cells, table),) = tables
     out, start = [], 0
     for n in res.levels:
-        out.append(set(table[start:start + n]))
+        out.append({tuple(v[c] for c in cells)
+                    for v in table[start:start + n]})
         start += n
     return res, out
 
