@@ -17,10 +17,8 @@ from .functions import euler_integral, indicator_of_subcomplex
 from .invariants import (BoundQuery, InvariantVector, b_vector, bonnard_bounds,
                          dim3_check, merge_reports, search_check,
                          sullivan_check)
-from .reports import RunConfig, exit_code_for, render, report_payload
+from .reports import RunConfig, exit_code_for, json_text, render
 from .search import SearchBudget
-
-import json
 
 
 def _dim_word(d: int, count: int) -> str:
@@ -90,14 +88,14 @@ def cmd_invariants(args) -> int:
         if args.json:
             payload = {"complex": k.name, "b": list(res.as_tuple()),
                        "exit_code": 0}
-            print(json.dumps(payload, indent=2, sort_keys=True))
+            sys.stdout.write(json_text(payload))
         else:
             print(str(res))
         return 0
     if args.json:
         payload = {"complex": k.name, "witness": res.as_dict(k),
                    "exit_code": 2}
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        sys.stdout.write(json_text(payload))
     else:
         print(f"obstruction: {res.describe(k)}")
     return 2
@@ -130,7 +128,7 @@ def cmd_bounds(args) -> int:
     if args.json:
         payload = {"d": q.d, "k": q.k, "delta": q.delta, "N": b.n,
                    "N'": b.n_prime, "note": b.note}
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        sys.stdout.write(json_text(payload))
     else:
         print(f"N={b.n} N'={b.n_prime}")
         print(f"note: {b.note}")

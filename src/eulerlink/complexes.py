@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import copy
 import itertools
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class Simplex(tuple):
@@ -350,8 +350,7 @@ def full_subcomplex(k: SimplicialComplex, vertices,
 # -- barycentric subdivision -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Subdivision:
+class Subdivision(NamedTuple):
     """First barycentric subdivision together with its carrier data.
 
     Vertex ``i`` of the subdivided complex is the barycenter of
@@ -362,7 +361,7 @@ class Subdivision:
 
     base: SimplicialComplex
     complex: SimplicialComplex
-    vertex_simplex: dict[int, Simplex] = field(repr=False)
+    vertex_simplex: dict[int, Simplex]
 
     def carrier(self, chain: Simplex) -> Simplex:
         return max((self.vertex_simplex[v] for v in chain), key=len)
@@ -395,8 +394,7 @@ def barycentric_subdivision(k: SimplicialComplex) -> Subdivision:
 # -- simplicial maps ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MapViolation:
+class MapViolation(NamedTuple):
     """A reason a vertex assignment fails to be simplicial."""
 
     kind: str  # "unmapped-vertex" | "missing-target" | "non-simplex-image"
@@ -404,8 +402,7 @@ class MapViolation:
     detail: str
 
 
-@dataclass(frozen=True)
-class SimplicialMap:
+class SimplicialMap(NamedTuple):
     """A map of complexes given by its action on vertex ids."""
 
     source: SimplicialComplex

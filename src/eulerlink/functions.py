@@ -35,16 +35,15 @@ alone and never build a Dyadic for a passing value.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from operator import add, mul, sub
+from typing import NamedTuple
 
 from .complexes import (Simplex, SimplicialComplex, SimplicialMap,
                         geometric_link, Subdivision)
 from .dyadic import Dyadic, ZERO, ONE
 
 
-@dataclass(frozen=True)
-class ParityObstruction:
+class ParityObstruction(NamedTuple):
     """A simplex where a value fails the parity needed for halving.
 
     ``kind`` is "non-integer" when the offending value is not an integer at

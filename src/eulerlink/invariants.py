@@ -36,8 +36,8 @@ A pass is never a realizability proof; reports carry that caveat.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul, sub
+from typing import NamedTuple
 
 from .complexes import (Simplex, SimplicialComplex, _boundary_labels,
                         _link_key, _named_link, euler_characteristic,
@@ -51,34 +51,39 @@ NECESSARY_ONLY = ("all checks are necessary conditions for homeomorphism to"
                   " a real algebraic set; passing is not a realizability proof")
 
 
-@dataclass(frozen=True)
-class InvariantVector:
-    """Element of (Z/2)^5: (chi2, b1, b2, b3, b4)."""
-
+class _InvariantVector(NamedTuple):
     chi2: int
     b1: int
     b2: int
     b3: int
     b4: int
 
-    def __post_init__(self):
-        for c in self.as_tuple():
-            if c not in (0, 1):
-                raise ValueError("invariant components are mod-2 bits")
-
     def as_tuple(self) -> tuple[int, int, int, int, int]:
-        return (self.chi2, self.b1, self.b2, self.b3, self.b4)
+        return tuple(self)
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.as_tuple())
+        return not any(self)
 
     def __add__(self, other: "InvariantVector") -> "InvariantVector":
-        return InvariantVector(*[(a + b) % 2 for a, b in
-                                 zip(self.as_tuple(), other.as_tuple())])
+        """Mod-2 addition, not tuple concatenation."""
+        return InvariantVector(*[(a + b) % 2 for a, b in zip(self, other)])
 
     def __str__(self) -> str:
-        return "(" + ",".join(map(str, self.as_tuple())) + ")"
+        return "(" + ",".join(map(str, self)) + ")"
+
+
+class InvariantVector(_InvariantVector):
+    """Element of (Z/2)^5: (chi2, b1, b2, b3, b4)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for c in self:
+            if c not in (0, 1):
+                raise ValueError("invariant components are mod-2 bits")
+        return self
 
 
 ZERO_VECTOR = InvariantVector(0, 0, 0, 0, 0)
@@ -131,8 +136,7 @@ def b_vector(k: SimplicialComplex) -> InvariantVector | ExpressionWitness:
 # -- reports -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TestRow:
+class TestRow(NamedTuple):
     """One per-simplex verdict inside an obstruction report."""
 
     test: str  # "sullivan" | "dim3" | "search"
@@ -143,8 +147,7 @@ class TestRow:
     data: dict | None = None
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(NamedTuple):
     complex_name: str
     dimension: int
     rows: tuple[TestRow, ...]
@@ -333,8 +336,7 @@ def merge_reports(*reports: ObstructionReport) -> ObstructionReport:
 # -- certificates and bounds ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DivisibilityCertificate:
+class DivisibilityCertificate(NamedTuple):
     certified: bool
     dimension: int
     min_valuation: int | None  # None when the function is identically zero
@@ -367,15 +369,19 @@ MAX_BOUND_DIMENSION = 4096
 MAX_BOUND_RANGE = 10 ** 1000
 
 
-@dataclass(frozen=True)
-class BoundQuery:
-    """Range data for the presentation bounds: values lie in [delta-k, delta+k]."""
-
+class _BoundQuery(NamedTuple):
     d: int
     k: int
     delta: int
 
-    def __post_init__(self):
+
+class BoundQuery(_BoundQuery):
+    """Range data for the presentation bounds: values lie in [delta-k, delta+k]."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.d <= 0:
             raise ValueError("dimension must be positive")
         if self.d > MAX_BOUND_DIMENSION:
@@ -389,10 +395,10 @@ class BoundQuery:
         if abs(self.delta) > MAX_BOUND_RANGE:
             raise ValueError("offset is above the supported maximum 10^1000"
                              " in absolute value")
+        return self
 
 
-@dataclass(frozen=True)
-class BonnardBounds:
+class BonnardBounds(NamedTuple):
     n: int  # generic presentation (irreducible domain)
     n_prime: int  # complete presentation
     note: str = ("generic bound N additionally assumes the domain is"

@@ -7,8 +7,8 @@ with the same inputs and configuration must produce identical bytes.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from .invariants import ObstructionReport
 from .search import DEFAULT_BUDGET, SearchBudget
@@ -16,8 +16,7 @@ from .search import DEFAULT_BUDGET, SearchBudget
 TOOL_VERSION = "0.1.0"
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Resolved invocation settings, echoed into every report."""
 
     command: str
@@ -62,9 +61,52 @@ def report_payload(report: ObstructionReport, config: RunConfig) -> dict:
     }
 
 
+def _json(v, indent: str) -> str:
+    """``v`` as ``json.dumps(v, indent=2, sort_keys=True)`` writes it, with
+    its nested lines indented by ``indent`` further.
+
+    Only the types of a report payload are accepted: str, int, bool, None,
+    list, and dict with str keys (the C string encoder rejects any other
+    key).  ``type(v) is int`` keeps bools out of the int branch; anything
+    else, tuples and floats included, is a TypeError.
+    """
+    t = type(v)
+    if t is str:
+        return encode_basestring_ascii(v)
+    if t is int:
+        return int.__repr__(v)
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    inner = indent + "  "
+    if t is list:
+        if not v:
+            return "[]"
+        items = [_json(x, inner) for x in v]
+        open_, close = "[", "]"
+    elif t is dict:
+        if not v:
+            return "{}"
+        items = [encode_basestring_ascii(key) + ": " + _json(v[key], inner)
+                 for key in sorted(v)]
+        open_, close = "{", "}"
+    else:
+        raise TypeError(f"{t.__name__} is not a report value")
+    return (open_ + "\n" + inner + (",\n" + inner).join(items) + "\n"
+            + indent + close)
+
+
+def json_text(payload) -> str:
+    """The bytes of ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``,
+    for the payload types that ``_json`` accepts."""
+    return _json(payload, "") + "\n"
+
+
 def render_json(report: ObstructionReport, config: RunConfig) -> str:
-    return json.dumps(report_payload(report, config), indent=2,
-                      sort_keys=True) + "\n"
+    return json_text(report_payload(report, config))
 
 
 def render_text(report: ObstructionReport, config: RunConfig) -> str:

@@ -61,7 +61,6 @@ numerators are those of a kept function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import add, mul, sub
 from typing import NamedTuple
 
@@ -113,8 +112,7 @@ def evaluate_expression(expr: Expression,
     raise ValueError(f"unknown operator {op!r}")
 
 
-@dataclass(frozen=True)
-class ExpressionWitness:
+class ExpressionWitness(NamedTuple):
     """A violation certificate: an expression over the link indicator whose
     value breaks integrality or integral parity."""
 
@@ -166,33 +164,38 @@ def replay_witness(witness: ExpressionWitness, link: SimplicialComplex) -> Dyadi
     return cf[witness.location]
 
 
-@dataclass(frozen=True)
-class SearchBudget:
+class _SearchBudget(NamedTuple):
     max_depth: int = 6
     max_functions: int = 20000
     use_p: bool = True
     guard_bits: int = 128
 
-    def __post_init__(self):
+    def as_dict(self) -> dict:
+        return self._asdict()
+
+
+class SearchBudget(_SearchBudget):
+    """The bounds of one closure search, checked on construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.max_depth < 0 or self.max_functions < 1:
             raise ValueError(
                 "search budget out of range: depth must be >= 0 and max"
                 f" functions >= 1 (got depth {self.max_depth}, max functions"
                 f" {self.max_functions})")
-
-    def as_dict(self) -> dict:
-        return {"max_depth": self.max_depth, "max_functions": self.max_functions,
-                "use_p": self.use_p, "guard_bits": self.guard_bits}
+        return self
 
 
 DEFAULT_BUDGET = SearchBudget()
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     verdict: str  # "pass" | "witness"
     witness: ExpressionWitness | None
-    link: SimplicialComplex = field(repr=False)
+    link: SimplicialComplex
     explored: int = 0  # distinct functions admitted to the table
     candidates: int = 0  # expression evaluations attempted
     guard_hits: int = 0

@@ -1,13 +1,11 @@
 """Invariant vectors, the three obstruction checks, certificates, bounds."""
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eulerlink import corpus, invariants
-from eulerlink.complexes import (_link_key, barycentric_subdivision,
+from eulerlink.complexes import (Simplex, _link_key, barycentric_subdivision,
                                  build_complex, cone, disjoint_union,
                                  euler_characteristic, geometric_link, join,
                                  point_complex, simplicial_link, suspension)
@@ -23,8 +21,9 @@ from eulerlink.invariants import (MAX_BOUND_DIMENSION, MAX_BOUND_RANGE,
                                   bonnard_bounds, dim3_check,
                                   divisibility_certificate, merge_reports,
                                   search_check, sullivan_check)
-from eulerlink.search import (ExpressionWitness, SearchBudget, closure_search,
-                              dim4_local_search, replay_witness)
+from eulerlink.search import (ONE_EXPR, ExpressionWitness, SearchBudget,
+                              SearchResult, closure_search, dim4_local_search,
+                              halving_witness, replay_witness)
 
 DIM2_CORPUS = ["theta", "segment", "circle", "sphere2", "torus", "klein",
                "rp2", "window"]
@@ -36,9 +35,40 @@ DIM2_CORPUS = ["theta", "segment", "circle", "sphere2", "torus", "klein",
 def test_vector_arithmetic_is_mod_two():
     a = InvariantVector(1, 0, 1, 0, 1)
     assert a + a == ZERO_VECTOR
+    # a 5-bit vector, not a tuple concatenation
+    total = a + InvariantVector(0, 1, 1, 0, 0)
+    assert type(total) is InvariantVector
+    assert total == InvariantVector(1, 1, 0, 0, 1)
     assert str(a) == "(1,0,1,0,1)"
     with pytest.raises(ValueError):
         InvariantVector(2, 0, 0, 0, 0)
+
+
+def test_keyword_construction_is_validated_too():
+    with pytest.raises(ValueError, match="mod-2 bits"):
+        InvariantVector(chi2=0, b1=0, b2=3, b3=0, b4=0)
+    with pytest.raises(ValueError, match="search budget out of range"):
+        SearchBudget(max_depth=-1)
+    with pytest.raises(ValueError, match="search budget out of range"):
+        SearchBudget(max_functions=0)
+    with pytest.raises(ValueError, match="dimension must be positive"):
+        BoundQuery(d=0, k=1, delta=0)
+    assert SearchBudget(max_functions=50) == SearchBudget(6, 50, True, 128)
+
+
+@pytest.mark.parametrize("record", [
+    invariants.TestRow("dim3", None, "(a)", "pass", "b = (0,0,0,0,0)"),
+    SearchResult("pass", None, corpus.theta()),
+    halving_witness(("HALFLINK", ONE_EXPR), Simplex((0,)), 1, 0),
+    SearchBudget(),
+    InvariantVector(0, 1, 0, 1, 0),
+], ids=lambda r: type(r).__name__)
+def test_records_are_immutable(record):
+    first = record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, first, getattr(record, first))
+    with pytest.raises(AttributeError):
+        record.extra = 1
 
 
 def test_b_vector_examples():
@@ -373,7 +403,7 @@ def test_reused_witnesses_replay_on_their_own_links():
             at = None if where == "integral" else next(
                 s for s in own.simplices if own.simplex_name(s) == where)
             assert (at is None) == (w.location is None)
-            assert replay_witness(replace(w, location=at), own) == w.value
+            assert replay_witness(w._replace(location=at), own) == w.value
 
 
 # -- search check and report plumbing ---------------------------------------------

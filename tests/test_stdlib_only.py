@@ -1,7 +1,10 @@
 """The runtime is standard library only: every import in the package is
-either a standard-library module or relative to the package."""
+either a standard-library module or relative to the package.  Start-up
+stays lean: no module imports ``dataclasses``, and importing the command
+line loads neither it nor ``inspect``."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -31,3 +34,18 @@ def test_imports_are_standard_library_or_relative(path):
     outside = [(line, name) for line, name in absolute_imports(path)
                if name.partition(".")[0] not in sys.stdlib_module_names]
     assert outside == [], path.name
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_module_imports_dataclasses(path):
+    assert [(line, name) for line, name in absolute_imports(path)
+            if name.partition(".")[0] == "dataclasses"] == [], path.name
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import eulerlink.cli;"
+            " print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code,
+                          str(PACKAGE.parent)],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
