@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import corpus as corpus_mod
 from .complexes import Simplex, geometric_link
 from .fileio import (ParseError, read_complex, read_function, save_complex,
                      write_complex, write_function)
@@ -70,7 +69,7 @@ def cmd_check(args) -> int:
     budget = _budget_from(args)
     config = RunConfig(command="check", inputs=(args.path,),
                        output_format="json" if args.json else "text",
-                       seed=args.seed, budget=budget, search_forced=args.search)
+                       budget=budget, search_forced=args.search)
     parts = [sullivan_check(k)]
     if k.dim <= 3:
         parts.append(dim3_check(k))
@@ -136,6 +135,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_corpus(args) -> int:
+    from . import corpus as corpus_mod
     if args.list:
         for name in corpus_mod.corpus_names():
             print(name)
@@ -185,9 +185,6 @@ def _check_arguments(c: argparse.ArgumentParser) -> None:
                    help="search: distinct-function budget (default 20000)")
     c.add_argument("--no-P", dest="no_p", action="store_true",
                    help="search: drop the P operator from the closure")
-    c.add_argument("--seed", type=int, default=0,
-                   help="seed echoed into the report (reserved for"
-                        " randomized suites)")
     c.add_argument("--search", action="store_true",
                    help="force the per-simplex closure search below"
                         " dimension 4")

@@ -299,13 +299,18 @@ def relabeled(k: SimplicialComplex, offset: int) -> SimplicialComplex:
     return SimplicialComplex(simplices, labels=labels, name=k.name)
 
 
+def _beside(k: SimplicialComplex, l: SimplicialComplex):
+    """``l`` on fresh ids above ``k``'s, and the labels of both, each of
+    ``l``'s primed until it is fresh in ``k``."""
+    l2 = relabeled(l, k.max_vertex_id() + 1)
+    fixed = _fresh_labels(k, [l2.label(v) for v in l2.vertex_ids])
+    return l2, {**k._labels, **dict(zip(l2.vertex_ids, fixed))}
+
+
 def join(k: SimplicialComplex, l: SimplicialComplex,
          name: str | None = None) -> SimplicialComplex:
     """Simplicial join.  Keeps ``k``'s ids; ``l`` moves to fresh ids."""
-    l2 = relabeled(l, k.max_vertex_id() + 1)
-    fixed = _fresh_labels(k, [l2.label(v) for v in l2.vertex_ids])
-    labels = dict(k._labels)
-    labels.update(dict(zip(l2.vertex_ids, fixed)))
+    l2, labels = _beside(k, l)
     simplices = list(k.simplices) + list(l2.simplices)
     # l2 is on ids above k's, so a + b ascends.
     simplices += [_trusted(a + b)
@@ -315,10 +320,7 @@ def join(k: SimplicialComplex, l: SimplicialComplex,
 
 def disjoint_union(k: SimplicialComplex, l: SimplicialComplex,
                    name: str | None = None) -> SimplicialComplex:
-    l2 = relabeled(l, k.max_vertex_id() + 1)
-    fixed = _fresh_labels(k, [l2.label(v) for v in l2.vertex_ids])
-    labels = dict(k._labels)
-    labels.update(dict(zip(l2.vertex_ids, fixed)))
+    l2, labels = _beside(k, l)
     return SimplicialComplex(list(k.simplices) + list(l2.simplices),
                              labels=labels, name=name)
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import os
+from json.encoder import encode_basestring_ascii
 
 from .complexes import Simplex, SimplicialComplex, build_complex
 from .dyadic import Dyadic, ZERO
@@ -80,6 +81,50 @@ def _parse_value(text: str, line: int | None = None) -> Dyadic:
         return Dyadic.parse(text)
     except ValueError as e:
         raise ParseError(str(e), line) from None
+
+
+def _json(v, indent: str) -> str:
+    """``v`` as ``json.dumps(v, indent=2, sort_keys=True)`` writes it, with
+    its nested lines indented by ``indent`` further.
+
+    Only the types of a report or a complex file are accepted: str, int,
+    bool, None, list, and dict with str keys (the C string encoder rejects
+    any other key).  ``type(v) is int`` keeps bools out of the int branch;
+    anything else, tuples and floats included, is a TypeError.
+    """
+    t = type(v)
+    if t is str:
+        return encode_basestring_ascii(v)
+    if t is int:
+        return int.__repr__(v)
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    inner = indent + "  "
+    if t is list:
+        if not v:
+            return "[]"
+        items = [_json(x, inner) for x in v]
+        open_, close = "[", "]"
+    elif t is dict:
+        if not v:
+            return "{}"
+        items = [encode_basestring_ascii(key) + ": " + _json(v[key], inner)
+                 for key in sorted(v)]
+        open_, close = "{", "}"
+    else:
+        raise TypeError(f"json_text does not write a {t.__name__}")
+    return (open_ + "\n" + inner + (",\n" + inner).join(items) + "\n"
+            + indent + close)
+
+
+def json_text(payload) -> str:
+    """The bytes of ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``,
+    for the payload types that ``_json`` accepts."""
+    return _json(payload, "") + "\n"
 
 
 # -- complexes ------------------------------------------------------------------
@@ -169,7 +214,7 @@ def write_complex(k: SimplicialComplex) -> str:
 def write_complex_json(k: SimplicialComplex) -> str:
     obj = {"name": k.name or "complex",
            "facets": [ls for ls, _ in _label_rows(k, k.facets())]}
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json_text(obj)
 
 
 def save_complex(k: SimplicialComplex, path: str) -> None:

@@ -7,9 +7,9 @@ with the same inputs and configuration must produce identical bytes.
 
 from __future__ import annotations
 
-from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
+from .fileio import json_text
 from .invariants import ObstructionReport
 from .search import DEFAULT_BUDGET, SearchBudget
 
@@ -22,7 +22,6 @@ class RunConfig(NamedTuple):
     command: str
     inputs: tuple[str, ...] = ()
     output_format: str = "text"  # "text" | "json"
-    seed: int = 0
     budget: SearchBudget = DEFAULT_BUDGET
     search_forced: bool = False
 
@@ -31,7 +30,6 @@ class RunConfig(NamedTuple):
             "command": self.command,
             "inputs": list(self.inputs),
             "format": self.output_format,
-            "seed": self.seed,
             "budget": self.budget.as_dict(),
             "search_forced": self.search_forced,
         }
@@ -61,50 +59,6 @@ def report_payload(report: ObstructionReport, config: RunConfig) -> dict:
     }
 
 
-def _json(v, indent: str) -> str:
-    """``v`` as ``json.dumps(v, indent=2, sort_keys=True)`` writes it, with
-    its nested lines indented by ``indent`` further.
-
-    Only the types of a report payload are accepted: str, int, bool, None,
-    list, and dict with str keys (the C string encoder rejects any other
-    key).  ``type(v) is int`` keeps bools out of the int branch; anything
-    else, tuples and floats included, is a TypeError.
-    """
-    t = type(v)
-    if t is str:
-        return encode_basestring_ascii(v)
-    if t is int:
-        return int.__repr__(v)
-    if v is None:
-        return "null"
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
-    inner = indent + "  "
-    if t is list:
-        if not v:
-            return "[]"
-        items = [_json(x, inner) for x in v]
-        open_, close = "[", "]"
-    elif t is dict:
-        if not v:
-            return "{}"
-        items = [encode_basestring_ascii(key) + ": " + _json(v[key], inner)
-                 for key in sorted(v)]
-        open_, close = "{", "}"
-    else:
-        raise TypeError(f"{t.__name__} is not a report value")
-    return (open_ + "\n" + inner + (",\n" + inner).join(items) + "\n"
-            + indent + close)
-
-
-def json_text(payload) -> str:
-    """The bytes of ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``,
-    for the payload types that ``_json`` accepts."""
-    return _json(payload, "") + "\n"
-
-
 def render_json(report: ObstructionReport, config: RunConfig) -> str:
     return json_text(report_payload(report, config))
 
@@ -114,7 +68,7 @@ def render_text(report: ObstructionReport, config: RunConfig) -> str:
         f"eulerlink {TOOL_VERSION}: {config.command} on"
         f" {report.complex_name} (dimension {report.dimension})",
         "config: " + " ".join(
-            [f"format={config.output_format}", f"seed={config.seed}",
+            [f"format={config.output_format}",
              f"search_forced={config.search_forced}"]
             + [f"budget.{k}={v}" for k, v in config.budget.as_dict().items()]),
         "",

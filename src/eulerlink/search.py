@@ -51,7 +51,7 @@ simplex), its first odd value being a non-integer witness.  A Dyadic is
 built only for a witness.
 
 The value-growth guard drops a candidate with a value whose canonical
-numerator exceeds 2**guard_bits in absolute value, and counts it as a guard
+numerator exceeds 2**GUARD_BITS in absolute value, and counts it as a guard
 hit; such a value is neither kept nor a witness, so levels are complete up
 to the guard.  A dropped value is never in the table, so testing for a
 duplicate before the guard changes neither outcome nor count.  A half link
@@ -168,7 +168,6 @@ class _SearchBudget(NamedTuple):
     max_depth: int = 6
     max_functions: int = 20000
     use_p: bool = True
-    guard_bits: int = 128
 
     def as_dict(self) -> dict:
         return self._asdict()
@@ -190,6 +189,8 @@ class SearchBudget(_SearchBudget):
 
 
 DEFAULT_BUDGET = SearchBudget()
+
+GUARD_BITS = 128  # the value-growth guard (see the module docstring)
 
 
 class SearchResult(NamedTuple):
@@ -314,7 +315,7 @@ def closure_search(link: SimplicialComplex,
                    budget: SearchBudget = DEFAULT_BUDGET) -> SearchResult:
     """Search the operator closure of the link's indicator for a violation."""
     q = _quotient(link)
-    guard = 1 << budget.guard_bits
+    guard = 1 << GUARD_BITS
     values: list[tuple[int, ...]] = []
     exprs: list[Expression] = []
     seen: set[tuple[int, ...]] = set()

@@ -207,8 +207,7 @@ def test_criterion_10_reporting_stability(tmp_path, capsys):
         runs = []
         for tag in ("a", "b"):
             out = tmp_path / f"{tag}.json"
-            code = cli.main(["check", str(theta), "--json", "--seed", "0",
-                             "-o", str(out)])
+            code = cli.main(["check", str(theta), "--json", "-o", str(out)])
             runs.append((code, out.read_bytes()))
         assert runs[0] == runs[1]
         assert runs[0][0] == 2

@@ -73,7 +73,10 @@ def test_check_report_is_byte_identical_across_runs(tmp_path, theta_file):
     payload = json.loads(a.read_text())
     assert payload["exit_code"] == 2
     assert payload["config"]["budget"]["max_depth"] == 6
-    assert payload["config"]["seed"] == 0
+    assert set(payload["config"]) == {"budget", "command", "format", "inputs",
+                                      "search_forced"}
+    assert set(payload["config"]["budget"]) == {"max_depth", "max_functions",
+                                                "use_p"}
     assert any("necessary conditions" in n for n in payload["notes"])
 
 
@@ -170,8 +173,10 @@ def test_depth_zero_is_a_valid_budget(theta_file, capsys):
 
 
 @pytest.mark.parametrize("argv", [["check", "--depth", "abc", "corpus/circle.cplx"],
-                                  ["check"], ["frobnicate"]],
-                         ids=["bad-int", "no-path", "no-command"])
+                                  ["check"], ["frobnicate"],
+                                  ["check", "corpus/circle.cplx",
+                                   "--seed", "0"]],
+                         ids=["bad-int", "no-path", "no-command", "no-seed"])
 def test_usage_errors_exit_one(argv, capsys):
     # 2 is the obstruction code, so a usage error must not exit 2
     with pytest.raises(SystemExit) as e:

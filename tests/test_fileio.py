@@ -48,6 +48,16 @@ def test_json_complex_variant():
     assert anon.counts_by_dim() == (3, 2)
 
 
+@pytest.mark.parametrize("k", [
+    *(corpus.corpus_complex(name) for name in corpus.corpus_names()),
+    parse_complex("complex v=4\nα β\nβ γ\nγ 0\n", name="ünï"),
+], ids=lambda k: k.name)
+def test_json_complex_writer_matches_json_dumps(k):
+    text = write_complex_json(k)
+    obj = json.loads(text)
+    assert text == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def test_parse_complex_diagnostics():
     with pytest.raises(ParseError, match="header"):
         parse_complex("simplices v=3\na b\n")

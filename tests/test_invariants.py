@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from eulerlink import corpus, invariants
+from eulerlink import corpus, invariants, search
 from eulerlink.complexes import (Simplex, _link_key, barycentric_subdivision,
                                  build_complex, cone, disjoint_union,
                                  euler_characteristic, geometric_link, join,
@@ -53,7 +53,7 @@ def test_keyword_construction_is_validated_too():
         SearchBudget(max_functions=0)
     with pytest.raises(ValueError, match="dimension must be positive"):
         BoundQuery(d=0, k=1, delta=0)
-    assert SearchBudget(max_functions=50) == SearchBudget(6, 50, True, 128)
+    assert SearchBudget(max_functions=50) == SearchBudget(6, 50, True)
 
 
 @pytest.mark.parametrize("record", [
@@ -242,13 +242,14 @@ def test_search_check_equals_per_simplex_search(name):
     assert report.notes == _search_notes(k, results)
 
 
-def test_search_notes_hold_for_every_row():
+def test_search_notes_hold_for_every_row(monkeypatch):
     # The sphere's links come first and complete depth 3 at this budget;
     # the suspended figure eight has links with a richer closure that stop
     # inside depth 3.  At 8 guard bits only the sphere's rows hit the guard.
     fig8 = build_complex([(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)])
     k = disjoint_union(corpus.sphere2(), suspension(fig8))
-    budget = SearchBudget(max_functions=50, guard_bits=8)
+    monkeypatch.setattr(search, "GUARD_BITS", 8)
+    budget = SearchBudget(max_functions=50)
     results = [dim4_local_search(k, tau, budget) for tau in k.simplices]
     report = search_check(k, budget)
     passes = [(r, res) for r, res in zip(report.rows, results) if res.passed]

@@ -21,7 +21,7 @@ def _full_search(link, budget):
     """The closure search in the order of ``search``'s module docstring, on
     one value per link simplex and with no partition into cells."""
     simplices, table = link.simplices, link.coface_table()
-    guard = 1 << budget.guard_bits
+    guard = 1 << search.GUARD_BITS
     values, exprs, seen, levels = [], [], set(), []
 
     def found():
@@ -152,13 +152,13 @@ def test_quotient_search_equals_full_search_on_corpus_links(max_functions):
     assert verdicts["witness"] and verdicts["max-functions"]
 
 
-def test_quotient_search_counts_the_same_guard_hits():
+def test_quotient_search_counts_the_same_guard_hits(monkeypatch):
+    monkeypatch.setattr(search, "GUARD_BITS", 12)
     k = corpus.corpus_complex("cone_sphere3")
     hits = 0
     for tau in k.simplices[:8]:
         res = _assert_same_search(geometric_link(k, tau),
-                                  SearchBudget(max_functions=300,
-                                               guard_bits=12))
+                                  SearchBudget(max_functions=300))
         hits += res.guard_hits
     assert hits > 0
 

@@ -75,6 +75,15 @@ def test_report_bytes_are_pinned(argv, pinned, monkeypatch):
 if __name__ == "__main__":
     os.chdir(ROOT)
     table = {_key(argv): _digest(argv) for argv in _runs()}
+    try:
+        with open(DIGESTS, encoding="utf-8") as fh:
+            old = json.load(fh)
+    except FileNotFoundError:
+        old = {}
+    changed = [key for key in table if old.get(key) != table[key]]
+    print(f"{len(changed)} of {len(table)} digests changed"
+          + "".join(f"\n  {key}" for key in changed[:5])
+          + ("\n  ..." if len(changed) > 5 else ""), file=sys.stderr)
     os.makedirs(os.path.dirname(DIGESTS), exist_ok=True)
     with open(DIGESTS, "w", encoding="utf-8") as fh:
         json.dump(table, fh, indent=1, sort_keys=True)

@@ -29,10 +29,10 @@ def test_default_budget():
 
 
 def test_budget_validation():
-    with pytest.raises(ValueError):
-        SearchBudget(max_depth=-1).validate()
-    with pytest.raises(ValueError):
-        SearchBudget(max_functions=0).validate()
+    with pytest.raises(ValueError, match="got depth -1, max functions 20000"):
+        SearchBudget(max_depth=-1)
+    with pytest.raises(ValueError, match="got depth 6, max functions 0"):
+        SearchBudget(max_functions=0)
 
 
 def test_a_deep_budget_allocates_only_the_levels_reached():

@@ -1,7 +1,8 @@
 """The runtime is standard library only: every import in the package is
 either a standard-library module or relative to the package.  Start-up
 stays lean: no module imports ``dataclasses``, and importing the command
-line loads neither it nor ``inspect``."""
+line loads neither it nor ``inspect``, nor the corpus, which only the
+``corpus`` subcommand uses."""
 
 import ast
 import subprocess
@@ -44,7 +45,8 @@ def test_no_module_imports_dataclasses(path):
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import eulerlink.cli;"
-            " print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            " print(sorted({'dataclasses', 'inspect', 'eulerlink.corpus'}"
+            " & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-S", "-c", code,
                           str(PACKAGE.parent)],
                          capture_output=True, text=True, check=True).stdout
