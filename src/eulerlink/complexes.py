@@ -19,7 +19,9 @@ link key that decides a geometric link's shape without building it.
 from __future__ import annotations
 
 import copy
-import itertools
+from itertools import (chain, combinations, compress, product, repeat,
+                       starmap)
+from operator import add, not_
 from typing import NamedTuple
 
 
@@ -49,29 +51,36 @@ class Simplex(tuple):
         """Codimension-one faces (empty for a vertex)."""
         if len(self) == 1:
             return ()
-        return tuple(_trusted(self[:i] + self[i + 1:])
-                     for i in range(len(self)))
+        return tuple(_trusted(self[:i] + self[i + 1:]
+                              for i in range(len(self))))
 
     def subfaces(self) -> tuple["Simplex", ...]:
         """All nonempty faces, this simplex included."""
-        out = []
-        for k in range(1, len(self) + 1):
-            out.extend(map(_trusted, itertools.combinations(self, k)))
-        return tuple(out)
+        return tuple(_trusted(_faces(self)))
 
     def contains(self, other: "Simplex") -> bool:
         return set(other) <= set(self)
 
 
-def _trusted(vertices: tuple[int, ...]) -> Simplex:
-    """A simplex from a strictly increasing tuple of non-negative ints,
-    unchecked: only for internal paths that produce such tuples.  Outside
-    input goes through ``Simplex(...)``, which validates."""
-    return tuple.__new__(Simplex, vertices)
+def _trusted(tuples):
+    """Simplices from strictly increasing tuples of non-negative ints,
+    unchecked and lazily, one C call each: only for internal paths that
+    produce such tuples.  Outside input goes through ``Simplex(...)``, which
+    validates."""
+    return map(tuple.__new__, repeat(Simplex), tuples)
+
+
+def _faces(s: tuple[int, ...]):
+    """The nonempty faces of ``s`` as plain tuples, by size, then
+    lexicographically."""
+    return chain.from_iterable(map(combinations, repeat(s),
+                                   range(1, len(s) + 1)))
 
 
 def _canonical_order(simplices) -> tuple[Simplex, ...]:
-    return tuple(sorted(set(simplices), key=lambda s: (len(s), s)))
+    """Distinct simplices by size, then lexicographically: a lexicographic
+    sort, then a stable sort by size, both keyed in C."""
+    return tuple(sorted(sorted(set(simplices)), key=len))
 
 
 class SimplicialComplex:
@@ -79,12 +88,16 @@ class SimplicialComplex:
 
     def __init__(self, simplices, labels: dict[int, str] | None = None,
                  name: str | None = None):
-        self.simplices: tuple[Simplex, ...] = _canonical_order(
-            Simplex(s) if not isinstance(s, Simplex) else s for s in simplices)
+        simplices = list(simplices)
+        if not {Simplex}.issuperset(map(type, simplices)):
+            simplices = [s if type(s) is Simplex else Simplex(s)
+                         for s in simplices]
+        self.simplices: tuple[Simplex, ...] = _canonical_order(simplices)
         self.name = name
-        self._index = {s: i for i, s in enumerate(self.simplices)}
+        self._index = dict(zip(self.simplices, range(len(self.simplices))))
         self._labels = dict(labels) if labels else {}
         self._cofaces: tuple[tuple[int, ...], ...] | None = None
+        self._names: tuple[str, ...] | None = None
         # Vertices come first in canonical order.
         self._n_vertices = next((i for i, s in enumerate(self.simplices)
                                  if len(s) > 1), len(self.simplices))
@@ -126,14 +139,22 @@ class SimplicialComplex:
     def simplex_name(self, s: Simplex) -> str:
         return "(" + " ".join(self.label(v) for v in s) + ")"
 
+    def simplex_names(self) -> tuple[str, ...]:
+        """``simplex_name`` of every simplex, indexed like ``simplices``.
+        The first call builds the table."""
+        if self._names is None:
+            lab = self.labels.__getitem__
+            self._names = tuple(["(" + " ".join(map(lab, s)) + ")"
+                                 for s in self.simplices])
+        return self._names
+
     def max_vertex_id(self) -> int:
         """Id of the last vertex (vertex ids ascend); -1 without vertices."""
         return self.simplices[self._n_vertices - 1][0] if self._n_vertices else -1
 
     def facets(self) -> tuple[Simplex, ...]:
         """Maximal simplices, in canonical order."""
-        return tuple(s for i, s in enumerate(self.simplices)
-                     if not self.cofaces(i))
+        return tuple(compress(self.simplices, map(not_, self.coface_table())))
 
     def is_downward_closed(self) -> bool:
         return all(f in self._index for s in self.simplices for f in s.subfaces())
@@ -156,7 +177,7 @@ class SimplicialComplex:
             table = [[] for _ in self.simplices]
             for j, s in enumerate(self.simplices):
                 for r in range(1, len(s)):
-                    for face in itertools.combinations(s, r):
+                    for face in combinations(s, r):
                         table[index[face]].append(j)
             self._cofaces = tuple(tuple(row) for row in table)
         return self._cofaces[i]
@@ -174,13 +195,16 @@ class SimplicialComplex:
 
 def build_complex(facets, labels: dict[int, str] | None = None,
                   name: str | None = None) -> SimplicialComplex:
-    """Build the downward closure of the given generating simplices."""
-    closure: set[Simplex] = set()
+    """Build the downward closure of the given generating simplices.
+
+    Each generator is validated once, by ``Simplex``; its faces are then
+    strictly increasing by construction."""
+    closure: set[tuple[int, ...]] = set()
     for f in facets:
-        closure.update(Simplex(f).subfaces())
+        closure.update(_faces(Simplex(f)))
     if not closure:
         raise ValueError("empty complex")
-    return SimplicialComplex(closure, labels=labels, name=name)
+    return SimplicialComplex(_trusted(closure), labels=labels, name=name)
 
 
 def euler_characteristic(k: SimplicialComplex) -> int:
@@ -214,7 +238,7 @@ def simplicial_link(k: SimplicialComplex, tau) -> SimplicialComplex:
     """The classical link: simplices disjoint from ``tau`` whose join with
     it lies in the complex.  Vertex ids are inherited from ``k``."""
     rows = _link_rows(k, k.index(_member(k, tau)))
-    return SimplicialComplex(map(_trusted, rows), labels=k._labels)
+    return SimplicialComplex(_trusted(rows), labels=k._labels)
 
 
 def vertex_link(k: SimplicialComplex, v: int) -> SimplicialComplex:
@@ -247,11 +271,11 @@ def geometric_link(k: SimplicialComplex, tau) -> SimplicialComplex:
         base = k.max_vertex_id() + 1
         bverts = range(base, base + len(tau))
         bfaces = [c for r in range(1, len(tau))
-                  for c in itertools.combinations(bverts, r)]
+                  for c in combinations(bverts, r)]
         # The boundary ids are above every link id, so link + boundary
         # ascends.
         rows = bfaces + rows + [l + b for b in bfaces for l in rows]
-    return _named_link(SimplicialComplex(map(_trusted, rows)), k, verts,
+    return _named_link(SimplicialComplex(_trusted(rows)), k, verts,
                        _boundary_labels(k, tau.dim))
 
 
@@ -280,10 +304,12 @@ def _named_link(link: SimplicialComplex, k: SimplicialComplex, verts,
     with link vertices ``verts`` and boundary labels ``boundary``
     (``_boundary_labels``), whose dense shape it has: vertex j is named like
     vertex j there (``verts`` as in ``k``, then the boundary).  A view that
-    shares ``link``'s simplices and tables."""
+    shares ``link``'s simplices and coface table; its name table is its
+    own, as its labels are."""
     names = [k.label(v) for v in verts] + boundary
     view = copy.copy(link)
     view._labels = dict(zip(link.vertex_ids, names))
+    view._names = None
     return view
 
 
@@ -292,9 +318,10 @@ def _named_link(link: SimplicialComplex, k: SimplicialComplex, verts,
 
 def relabeled(k: SimplicialComplex, offset: int) -> SimplicialComplex:
     """Shift a complex onto dense fresh ids ``offset, offset+1, ...``."""
-    old = sorted(k.vertex_ids)
-    ren = {v: offset + i for i, v in enumerate(old)}
-    simplices = [Simplex(tuple(ren[v] for v in s)) for s in k.simplices]
+    old = k.vertex_ids  # ascending
+    ren = dict(zip(old, range(offset, offset + len(old))))
+    # The renumbering is increasing, so each renamed simplex ascends.
+    simplices = _trusted(tuple(map(ren.__getitem__, s)) for s in k.simplices)
     labels = {ren[v]: k.label(v) for v in old}
     return SimplicialComplex(simplices, labels=labels, name=k.name)
 
@@ -311,10 +338,10 @@ def join(k: SimplicialComplex, l: SimplicialComplex,
          name: str | None = None) -> SimplicialComplex:
     """Simplicial join.  Keeps ``k``'s ids; ``l`` moves to fresh ids."""
     l2, labels = _beside(k, l)
-    simplices = list(k.simplices) + list(l2.simplices)
     # l2 is on ids above k's, so a + b ascends.
-    simplices += [_trusted(a + b)
-                  for a in k.simplices for b in l2.simplices]
+    simplices = chain(k.simplices, l2.simplices,
+                      _trusted(starmap(add, product(k.simplices,
+                                                    l2.simplices))))
     return SimplicialComplex(simplices, labels=labels, name=name)
 
 
@@ -359,6 +386,10 @@ class Subdivision(NamedTuple):
     ``base.simplices[i]``; a simplex of the subdivision is a chain of
     base simplices ordered by strict inclusion, and its carrier is the
     largest element of that chain.
+
+    That is the chain's last vertex: a strict face is smaller, so it comes
+    before its cofaces in canonical order, and base indices ascend along
+    the chain as the simplex's vertex ids do.
     """
 
     base: SimplicialComplex
@@ -366,31 +397,29 @@ class Subdivision(NamedTuple):
     vertex_simplex: dict[int, Simplex]
 
     def carrier(self, chain: Simplex) -> Simplex:
-        return max((self.vertex_simplex[v] for v in chain), key=len)
+        return self.vertex_simplex[chain[-1]]
 
 
 def barycentric_subdivision(k: SimplicialComplex) -> Subdivision:
-    """Order complex of the face poset of ``k``."""
-    n = len(k.simplices)
-    vertex_simplex = dict(enumerate(k.simplices))
-    chains: list[tuple[int, ...]] = []
+    """Order complex of the face poset of ``k``.
 
-    def grow(chain: tuple[int, ...]) -> None:
-        chains.append(chain)
-        for j in k.cofaces(chain[-1]):
-            grow(chain + (j,))
-
-    for i in range(n):
-        grow((i,))
-    labels = {}
-    for i, s in enumerate(k.simplices):
-        if len(s) == 1:
-            labels[i] = k.label(s[0])
-        else:
-            labels[i] = "(" + " ".join(k.label(v) for v in s) + ")"
-    sd = SimplicialComplex(map(_trusted, chains), labels=labels,
+    The chains are grown a length at a time: each chain of one length
+    extends by every coface of its last simplex, whose index is larger."""
+    table = k.coface_table()
+    level = [(i,) for i in range(len(k.simplices))]
+    chains = []
+    while level:
+        chains += level
+        level = [c + (j,) for c in level for j in table[c[-1]]]
+    # A vertex is named by its label, any other simplex as simplex_name.
+    names = k.simplex_names()
+    labels = dict(enumerate(names))
+    for i in range(k.n_vertices):
+        labels[i] = names[i][1:-1]
+    sd = SimplicialComplex(_trusted(chains), labels=labels,
                            name=f"sd({k.name})" if k.name else None)
-    return Subdivision(base=k, complex=sd, vertex_simplex=vertex_simplex)
+    return Subdivision(base=k, complex=sd,
+                       vertex_simplex=dict(enumerate(k.simplices)))
 
 
 # -- simplicial maps ---------------------------------------------------------

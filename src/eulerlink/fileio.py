@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import os
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from .complexes import Simplex, SimplicialComplex, build_complex
 from .dyadic import Dyadic, ZERO
@@ -196,13 +197,20 @@ def read_complex(path: str) -> SimplicialComplex:
 
 def _label_rows(k: SimplicialComplex, simplices) -> list[tuple[list, Simplex]]:
     """``(labels, simplex)`` for each simplex, its labels sorted, in the
-    canonical writers' order.  Every label is checked first, so the readers
-    accept what the writers write."""
+    canonical writers' order: by size, then by the labels' ``_label_key``s.
+    Every label is checked first, so the readers accept what the writers
+    write.
+
+    The labels are ranked once, equal labels alike, so each row sorts on
+    its size and its list of ranks."""
     names = {v: _check_label(k.label(v)) for v in k.vertex_ids}
-    rows = [(sorted((names[v] for v in s), key=_label_key), s)
-            for s in simplices]
-    rows.sort(key=lambda r: (len(r[0]), [_label_key(l) for l in r[0]]))
-    return rows
+    order = sorted(set(names.values()), key=_label_key)
+    pos = dict(zip(order, range(len(order))))
+    rank = {v: pos[l] for v, l in names.items()}.__getitem__
+    keyed = [(len(s), sorted(map(rank, s)), s) for s in simplices]
+    keyed.sort(key=itemgetter(0, 1))
+    label = order.__getitem__
+    return [(list(map(label, ranks)), s) for _, ranks, s in keyed]
 
 
 def write_complex(k: SimplicialComplex) -> str:

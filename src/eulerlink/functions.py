@@ -35,7 +35,7 @@ alone and never build a Dyadic for a passing value.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from operator import add, mul, sub
+from operator import add, itemgetter, mul, sub
 from typing import NamedTuple
 
 from .complexes import (Simplex, SimplicialComplex, SimplicialMap,
@@ -361,8 +361,13 @@ def restrict_to_link(phi: ConstructibleFunction, tau) -> ConstructibleFunction:
 
 def subdivide_function(phi: ConstructibleFunction,
                        sd: Subdivision) -> ConstructibleFunction:
-    """Transport to the barycentric subdivision via carriers."""
+    """Transport to the barycentric subdivision via carriers.
+
+    The carrier of an sd simplex is the base simplex of its last vertex
+    (``Subdivision.carrier``), so the value there is the value at that
+    base index."""
     if sd.base.simplices != phi.complex.simplices:
         raise ValueError("subdivision does not refine the function's complex")
     return ConstructibleFunction(
-        sd.complex, tuple(phi[sd.carrier(c)] for c in sd.complex.simplices))
+        sd.complex, tuple(map(phi.values.__getitem__,
+                              map(itemgetter(-1), sd.complex.simplices))))

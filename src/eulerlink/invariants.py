@@ -164,22 +164,19 @@ class ObstructionReport(NamedTuple):
 
 def sullivan_check(k: SimplicialComplex) -> ObstructionReport:
     """Per-simplex parity of the link's Euler characteristic."""
-    lam, _ = _int_link(k.simplices, k.coface_table(),
-                       [1] * len(k.simplices))
-    rows = []
-    for s, chi in zip(k.simplices, lam):
-        rows.append(TestRow(
-            test="sullivan", simplex=s, where=k.simplex_name(s),
-            verdict="pass" if chi % 2 == 0 else "fail",
-            value=f"link chi = {chi}",
-            data={"link_chi": chi}))
-    passed = all(r.verdict == "pass" for r in rows)
+    lam, odd = _int_link(k.simplices, k.coface_table(),
+                         [1] * len(k.simplices))
+    rows = tuple([TestRow("sullivan", s, where, "fail" if chi & 1 else "pass",
+                          f"link chi = {chi}", {"link_chi": chi})
+                  for s, where, chi in zip(k.simplices, k.simplex_names(),
+                                           lam)])
+    passed = odd < 0
     notes = [NECESSARY_ONLY]
     if passed and k.dim <= 2:
         notes.append("realizable (dim <= 2 criterion): even link parity is"
                      " sufficient in dimension <= 2")
     return ObstructionReport(
-        complex_name=k.name or "complex", dimension=k.dim, rows=tuple(rows),
+        complex_name=k.name or "complex", dimension=k.dim, rows=rows,
         summary={"sullivan": "pass" if passed else "fail"}, notes=tuple(notes))
 
 
@@ -239,27 +236,36 @@ def _per_link_shape(k: SimplicialComplex, test):
         yield tau, link, res
 
 
+def _b_text(b: InvariantVector) -> tuple[str, str]:
+    """The verdict and value of a dim3 row whose link has b-vector ``b``."""
+    bad = [name for name, c in zip(("chi2", "b1", "b2", "b3", "b4"), b) if c]
+    return ("pass" if b.is_zero else "fail",
+            f"b = {b}" + (f", nonzero: {' '.join(bad)}" if bad else ""))
+
+
 def dim3_check(k: SimplicialComplex) -> ObstructionReport:
-    """Vanishing of the b-vector of every simplex's geometric link."""
+    """Vanishing of the b-vector of every simplex's geometric link.
+
+    A row's text is worked out once per b-vector, not once per simplex;
+    each row still gets a ``data`` dict of its own.  A half-link witness
+    names a simplex of the link, so its row is read under that link's
+    labels."""
     if k.dim > 3:
         raise ValueError("dim3 check requires dimension <= 3")
     rows = []
-    for tau, link, res in _per_link_shape(k, b_vector):
+    texts: dict[InvariantVector, tuple[str, str]] = {}
+    names = k.simplex_names()
+    for i, (tau, link, res) in enumerate(_per_link_shape(k, b_vector)):
         if isinstance(res, InvariantVector):
-            ok = res.is_zero
-            bad = [name for name, c in zip(("chi2", "b1", "b2", "b3", "b4"),
-                                           res.as_tuple()) if c]
-            rows.append(TestRow(
-                test="dim3", simplex=tau, where=k.simplex_name(tau),
-                verdict="pass" if ok else "fail",
-                value=f"b = {res}" + (f", nonzero: {' '.join(bad)}" if bad else ""),
-                data={"b": list(res.as_tuple())}))
+            if res not in texts:
+                texts[res] = _b_text(res)
+            verdict, value = texts[res]
+            data = {"b": list(res)}
         else:
-            rows.append(TestRow(
-                test="dim3", simplex=tau, where=k.simplex_name(tau),
-                verdict="fail",
-                value=f"half-link obstruction: {res.describe(link)}",
-                data={"witness": res.as_dict(link)}))
+            verdict = "fail"
+            value = f"half-link obstruction: {res.describe(link)}"
+            data = {"witness": res.as_dict(link)}
+        rows.append(TestRow("dim3", tau, names[i], verdict, value, data))
     passed = all(r.verdict == "pass" for r in rows)
     return ObstructionReport(
         complex_name=k.name or "complex", dimension=k.dim, rows=tuple(rows),
@@ -277,20 +283,21 @@ def search_check(k: SimplicialComplex,
     rows = []
     weakest = None
     guard_hits = 0
-    for tau, link, res in _per_link_shape(
-            k, lambda link: closure_search(link, budget)):
+    names = k.simplex_names()
+    for i, (tau, link, res) in enumerate(_per_link_shape(
+            k, lambda link: closure_search(link, budget))):
         guard_hits += res.guard_hits
         if res.verdict == "witness":
             w = res.witness
             rows.append(TestRow(
-                test="search", simplex=tau, where=k.simplex_name(tau),
+                test="search", simplex=tau, where=names[i],
                 verdict="fail",
                 value=w.describe(link),
                 data={"witness": w.as_dict(link),
                       "explored": res.explored, "stop": res.stop}))
         else:
             rows.append(TestRow(
-                test="search", simplex=tau, where=k.simplex_name(tau),
+                test="search", simplex=tau, where=names[i],
                 verdict="pass",
                 value=f"no witness within budget ({res.explored} functions,"
                       f" stop: {res.stop})",

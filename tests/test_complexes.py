@@ -3,14 +3,19 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eulerlink import corpus
 from eulerlink.complexes import (Simplex, SimplicialComplex, SimplicialMap,
-                                 build_complex, barycentric_subdivision, cone,
+                                 _boundary_labels, _canonical_order,
+                                 _link_key, _named_link, build_complex,
+                                 barycentric_subdivision, cone,
                                  disjoint_union, euler_characteristic,
                                  geometric_link, join, point_complex,
                                  simplicial_link, suspension, validate_map,
                                  vertex_link)
+from eulerlink.fileio import read_complex, save_complex
 
 ALL_CORPUS = [corpus.corpus_complex(n) for n in corpus.corpus_names()]
 
@@ -31,6 +36,88 @@ def test_simplex_rejects_duplicate_vertices():
 def test_build_complex_rejects_empty():
     with pytest.raises(ValueError):
         build_complex([])
+
+
+@pytest.mark.parametrize("facets, message", [
+    ([], "empty complex"),
+    ([[0, 1], []], "a simplex needs at least one vertex"),
+    ([[0, -1]], "vertex ids must be non-negative ints, got -1"),
+    ([[0, 1.0]], "vertex ids must be non-negative ints, got 1.0"),
+    ([[0, "1"]], "vertex ids must be non-negative ints, got '1'"),
+    ([[0, 1], [2, 1, 2]], r"repeated vertex in simplex \(2, 1, 2\)"),
+])
+def test_build_complex_validates_every_generator(facets, message):
+    with pytest.raises(ValueError, match=message):
+        build_complex(facets)
+
+
+@given(st.lists(st.lists(st.integers(0, 12), min_size=1, max_size=5,
+                         unique=True).map(lambda vs: tuple(sorted(vs))),
+                max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_canonical_order_sorts_by_size_then_lexicographically(tuples):
+    assert _canonical_order(tuples) == tuple(
+        sorted(set(tuples), key=lambda s: (len(s), s)))
+
+
+def _counting_simplex_new():
+    """Replace ``Simplex.__new__``, the validating constructor, by one that
+    counts its calls; returns the call list and a function that restores
+    it."""
+    original = Simplex.__dict__["__new__"]
+    validate = Simplex.__new__
+    calls = []
+
+    def counting(cls, vertices):
+        calls.append(vertices)
+        return validate(cls, vertices)
+
+    Simplex.__new__ = staticmethod(counting)
+
+    def restore():
+        Simplex.__new__ = original
+
+    return calls, restore
+
+
+def _trusted_cases(tmp_path):
+    """``(construction, complex it built, validations it needs)``: only the
+    generators given from outside, and the vertices of the point and poles
+    that a cone or a suspension joins on, are validated."""
+    facets = [[0, 1, 2], [1, 2, 3], [3, 4]]
+    yield "build_complex", lambda: build_complex(facets), len(facets)
+    path = tmp_path / "sample.cplx"
+    save_complex(corpus.torus(), str(path))
+    yield "read_complex", lambda: read_complex(str(path)), 14
+    rp2, theta = corpus.rp2(), corpus.theta()
+    yield "join", lambda: join(rp2, theta), 0
+    yield "cone", lambda: cone(theta), 1
+    yield "suspension", lambda: suspension(rp2), 2
+    yield "barycentric_subdivision", \
+        lambda: barycentric_subdivision(rp2).complex, 0
+    edge = rp2.simplices[rp2.n_vertices]
+    yield "simplicial_link", lambda: simplicial_link(rp2, edge), 0
+    yield "geometric_link", lambda: geometric_link(rp2, edge), 0
+
+
+def test_internal_constructions_skip_validation(tmp_path):
+    for what, make, expected in _trusted_cases(tmp_path):
+        calls, restore = _counting_simplex_new()
+        try:
+            k = make()
+        finally:
+            restore()
+        assert len(calls) == expected, what
+        assert all(type(s) is Simplex for s in k.simplices), what
+        _assert_valid_simplices(k)
+
+
+def test_plain_tuples_are_validated():
+    k = SimplicialComplex([(1, 0), Simplex((0,)), (1,), (0, 1)])
+    assert k.simplices == ((0,), (1,), (0, 1))
+    assert all(type(s) is Simplex for s in k.simplices)
+    with pytest.raises(ValueError):
+        SimplicialComplex([(0,), (0, 0)])
 
 
 def test_downward_closure_exhaustive_on_small_complexes():
@@ -268,6 +355,38 @@ def test_vertex_queries_match_a_scan(k):
     assert k.labels == {v: k.label(v) for v in vertices}
 
 
+# -- names ---------------------------------------------------------------------
+
+
+def _name_cases():
+    yield from ALL_CORPUS
+    # labels such as "(a b)"
+    yield barycentric_subdivision(corpus.theta()).complex
+    # no labels: every vertex is named by its id
+    yield build_complex([[0, 1, 2], [2, 3]])
+
+
+@pytest.mark.parametrize("k", _name_cases(),
+                         ids=lambda k: k.name or "complex")
+def test_name_table_matches_simplex_name(k):
+    assert k.simplex_names() == tuple(k.simplex_name(s) for s in k.simplices)
+    assert k.simplex_names() is k.simplex_names()
+
+
+def test_named_link_view_has_its_own_name_table():
+    k = corpus.corpus_complex("susp_torus")
+    i = k.n_vertices  # an edge
+    tau = k.simplices[i]
+    link = geometric_link(k, tau)
+    before = link.simplex_names()
+    _, verts = _link_key(k, i)
+    view = _named_link(link, k, verts[::-1], _boundary_labels(k, tau.dim))
+    assert view.simplex_names() == tuple(view.simplex_name(s)
+                                         for s in view.simplices)
+    assert view.simplex_names() != before
+    assert link.simplex_names() is before
+
+
 # -- join, cone, suspension, union ----------------------------------------------
 
 
@@ -318,6 +437,17 @@ def test_subdivision_preserves_chi_and_dim():
         assert sd.complex.dim == k.dim
         carried = {sd.carrier(s) for s in sd.complex.simplices}
         assert carried == set(k.simplices)   # carrier is onto
+
+
+def test_carrier_is_the_largest_simplex_of_the_chain():
+    chains = 0
+    for k in ALL_CORPUS:
+        sd = barycentric_subdivision(k)
+        for c in sd.complex.simplices:
+            assert sd.carrier(c) == max((sd.vertex_simplex[v] for v in c),
+                                        key=len)
+        chains += len(sd.complex.simplices)
+    assert chains == 45039
 
 
 # -- simplicial maps --------------------------------------------------------------

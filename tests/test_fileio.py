@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulerlink import cli, corpus, fileio
-from eulerlink.complexes import SimplicialComplex, barycentric_subdivision
+from eulerlink.complexes import (SimplicialComplex, barycentric_subdivision,
+                                 build_complex, join)
 from eulerlink.dyadic import Dyadic
-from eulerlink.fileio import (MAX_FACET_VERTICES, ParseError, parse_complex,
+from eulerlink.fileio import (MAX_FACET_VERTICES, ParseError, _label_key,
+                              parse_complex,
                               parse_function,
                               read_complex, read_function, save_complex,
                               write_complex, write_complex_json,
@@ -26,6 +28,35 @@ def test_write_read_is_identity_on_canonical_form():
         again = parse_complex(text, name=name)
         assert write_complex(again) == text, name
         assert again.counts_by_dim() == k.counts_by_dim()
+
+
+def _reference_write_complex(k):
+    """The canonical writer with the rows sorted on their lists of label
+    keys, one key tuple per label."""
+    rows = [sorted((k.label(v) for v in s), key=_label_key)
+            for s in k.facets()]
+    rows.sort(key=lambda r: (len(r), [_label_key(l) for l in r]))
+    return "\n".join([f"complex v={k.n_vertices}"]
+                     + [" ".join(r) for r in rows]) + "\n"
+
+
+def _writer_cases():
+    for name in corpus.corpus_names():
+        yield corpus.corpus_complex(name)
+    for a, b in (("rp2", "rp2"), ("torus", "torus"), ("klein", "theta")):
+        yield join(corpus.corpus_complex(a), corpus.corpus_complex(b),
+                   name=f"{a}_{b}")
+    # numbers in numeric order, before the other labels
+    yield build_complex([[0, 1, 2], [1, 3], [2, 3], [0, 3], [3, 4]],
+                        labels={0: "b'", 1: "10", 2: "2", 3: "a", 4: "9"},
+                        name="mixed")
+
+
+@pytest.mark.parametrize("k", _writer_cases(), ids=lambda k: k.name)
+def test_writer_matches_the_label_key_sort(k):
+    text = write_complex(k)
+    assert text == _reference_write_complex(k)
+    assert write_complex(parse_complex(text, name=k.name)) == text
 
 
 def test_read_complex_names_after_file_stem(tmp_path):
