@@ -109,8 +109,14 @@ def cmd_integrate(args) -> int:
 
 def cmd_link(args) -> int:
     k = read_complex(args.path)
-    verts = [_vertex_by_label(k, l) for l in args.simplex]
-    link = geometric_link(k, Simplex(sorted(verts)))
+    named = " ".join(args.simplex)
+    verts = {_vertex_by_label(k, l) for l in args.simplex}
+    if len(verts) != len(args.simplex):
+        raise ValueError(f"repeated vertex in simplex ({named})")
+    tau = Simplex(sorted(verts))
+    if tau not in k:
+        raise ValueError(f"({named}) is not a simplex of the complex")
+    link = geometric_link(k, tau)
     if not link.simplices:
         raise ValueError("the link is empty (isolated maximal vertex);"
                          " nothing to write")
@@ -239,28 +245,39 @@ _COMMANDS = {
 }
 
 
+def _add_command(p: argparse.ArgumentParser, name: str) -> None:
+    _, add_arguments, fn = _COMMANDS[name]
+    add_arguments(p)
+    p.set_defaults(command=name, fn=fn)
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or, given ``command``, of that one
-    alone: parsing a command line that starts with it needs no other."""
+    """The whole program's parser, or, given ``command``, the parser of that
+    subcommand alone, for the arguments after its name: its usage and
+    errors name it as ``eulerlink <command>``, as the whole program's
+    do."""
+    if command is not None:
+        p = _Parser(prog=f"eulerlink {command}")
+        _add_command(p, command)
+        return p
     p = _Parser(
         prog="eulerlink",
         description="Exact Euler-calculus engine and local obstruction"
                     " checker for finite simplicial complexes.")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments, fn) in _COMMANDS.items():
-        if command is None or name == command:
-            s = sub.add_parser(name, help=help_text)
-            add_arguments(s)
-            s.set_defaults(fn=fn)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_text), name)
     return p
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # The top-level parser has no option but --help, so an argv that starts
-    # with a subcommand is parsed by that subcommand's parser alone.
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    # The whole program's parser has no option but --help, so an argv that
+    # starts with a subcommand is parsed by that subcommand's parser alone.
+    if argv and argv[0] in _COMMANDS:
+        args = build_parser(argv[0]).parse_args(argv[1:])
+    else:
+        args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ParseError, ValueError, OSError) as e:

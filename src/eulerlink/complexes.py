@@ -11,14 +11,16 @@ spheres of geometric links) to ids above the current maximum.  That makes
 decompositions such as "boundary part / link part of a join" recoverable
 from the ids alone, which the function calculus relies on.
 
-The link of a simplex is read from its star, in the coface table, in one
-place (``_link_rows``): the simplicial link, the geometric link and the
-link key that decides a geometric link's shape without building it.
+The link of a simplex is read from its star, in the coface table: by
+``_link_rows`` on ``k``'s ids, for the simplicial and the geometric link,
+and by ``_link_key`` on dense ids, for the link key that decides a
+geometric link's shape.  One row builder, ``_geometric_rows``, joins a link
+with the boundary of a simplex, both for ``geometric_link`` and for the
+dense link built from a link key alone (``_dense_link``).
 """
 
 from __future__ import annotations
 
-import copy
 from itertools import (chain, combinations, compress, product, repeat,
                        starmap)
 from operator import add, not_
@@ -256,6 +258,18 @@ def _fresh_labels(k: SimplicialComplex, wanted: list[str]) -> list[str]:
     return out
 
 
+def _geometric_rows(rows, base: int, d: int) -> list[tuple[int, ...]]:
+    """The rows of the geometric link of a ``d``-simplex with link ``rows``:
+    the boundary of a ``d``-simplex on the ids ``base .. base + d``, the
+    link, and their join (the link alone for a vertex).  Every link id is
+    below ``base``, so each joined row ascends."""
+    if not d:
+        return list(rows)
+    bverts = range(base, base + d + 1)
+    bfaces = [c for r in range(1, d + 1) for c in combinations(bverts, r)]
+    return [*bfaces, *rows, *starmap(add, product(rows, bfaces))]
+
+
 def geometric_link(k: SimplicialComplex, tau) -> SimplicialComplex:
     """Boundary of a small neighborhood sphere around an interior point of
     ``tau``: the join of the boundary of a ``dim tau``-simplex (on fresh
@@ -267,28 +281,45 @@ def geometric_link(k: SimplicialComplex, tau) -> SimplicialComplex:
     tau = _member(k, tau)
     rows = _link_rows(k, k.index(tau))
     verts = [r[0] for r in rows if len(r) == 1]
-    if tau.dim:
-        base = k.max_vertex_id() + 1
-        bverts = range(base, base + len(tau))
-        bfaces = [c for r in range(1, len(tau))
-                  for c in combinations(bverts, r)]
-        # The boundary ids are above every link id, so link + boundary
-        # ascends.
-        rows = bfaces + rows + [l + b for b in bfaces for l in rows]
-    return _named_link(SimplicialComplex(_trusted(rows)), k, verts,
-                       _boundary_labels(k, tau.dim))
+    base = k.max_vertex_id() + 1
+    # The boundary's labels are those of its ids, in order (none for a
+    # vertex).
+    labels = dict(zip([*verts, *range(base, base + len(tau))],
+                      [*map(k.label, verts),
+                       *_boundary_labels(k, tau.dim)]))
+    return SimplicialComplex(_trusted(_geometric_rows(rows, base, tau.dim)),
+                             labels=labels)
 
 
 def _link_key(k: SimplicialComplex, i: int) -> tuple[tuple, list[int]]:
     """The link key ``(dim tau, rows)`` of simplex ``i``, its link rows
-    renumbered densely in ascending order, and its link vertices.  The
-    geometric link's boundary sits on fresh ids above every link vertex, so
-    equal keys give geometric links of equal dense shape."""
-    rows = _link_rows(k, i)
-    verts = [r[0] for r in rows if len(r) == 1]
-    dense = {v: j for j, v in enumerate(verts)}.__getitem__
-    return ((len(k.simplices[i]) - 1,
-             tuple([tuple(map(dense, r)) for r in rows])), verts)
+    renumbered densely in ascending order, and its link vertices.
+
+    The rows are those ``_link_rows`` reads, from tau's row of the coface
+    table, with tau's vertices dropped and the rest renumbered by one
+    ``filter`` and one ``map`` per row.  The geometric link's boundary sits
+    on fresh ids above every link vertex, so equal keys give geometric
+    links of equal dense shape, which ``_dense_link`` builds from the key
+    alone."""
+    simplices = k.simplices
+    tau = simplices[i]
+    star = list(map(simplices.__getitem__, k.coface_table()[i]))
+    verts = sorted(set(chain.from_iterable(star)).difference(tau))
+    dense = dict(zip(verts, range(len(verts))))
+    get, has = dense.__getitem__, dense.__contains__
+    return ((len(tau) - 1, tuple([tuple(map(get, filter(has, s)))
+                                  for s in star])), verts)
+
+
+def _dense_link(key: tuple) -> SimplicialComplex:
+    """The geometric link of link key ``key`` (``_link_key``) on dense ids:
+    the link vertices on ``0 .. n-1``, as in the key, and the boundary on
+    ``n .. n+d``, without labels.  That is the dense shape of the geometric
+    link of every simplex with this key, so its ``simplices`` are that
+    shape."""
+    d, rows = key
+    n = [*map(len, rows)].count(1)
+    return SimplicialComplex(_trusted(_geometric_rows(rows, n, d)))
 
 
 def _boundary_labels(k: SimplicialComplex, d: int) -> list[str]:
@@ -300,16 +331,16 @@ def _boundary_labels(k: SimplicialComplex, d: int) -> list[str]:
 
 def _named_link(link: SimplicialComplex, k: SimplicialComplex, verts,
                 boundary: list[str]) -> SimplicialComplex:
-    """``link`` under the labels of the geometric link of a simplex of ``k``
-    with link vertices ``verts`` and boundary labels ``boundary``
-    (``_boundary_labels``), whose dense shape it has: vertex j is named like
-    vertex j there (``verts`` as in ``k``, then the boundary).  A view that
-    shares ``link``'s simplices and coface table; its name table is its
-    own, as its labels are."""
-    names = [k.label(v) for v in verts] + boundary
-    view = copy.copy(link)
-    view._labels = dict(zip(link.vertex_ids, names))
-    view._names = None
+    """The dense link ``link`` (``_dense_link``) under the labels of the
+    geometric link of a simplex of ``k`` with link vertices ``verts`` and
+    boundary labels ``boundary`` (``_boundary_labels``): vertex j is named
+    like vertex j there (``verts`` as in ``k``, then the boundary).  A view
+    that shares ``link``'s simplices and coface table; its name table is
+    its own, as its labels are."""
+    view = object.__new__(SimplicialComplex)
+    view.__dict__ = {**link.__dict__, "_names": None,
+                     "_labels": dict(enumerate([*map(k.label, verts),
+                                                *boundary]))}
     return view
 
 

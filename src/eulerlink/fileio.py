@@ -92,6 +92,10 @@ def _json(v, indent: str) -> str:
     bool, None, list, and dict with str keys (the C string encoder rejects
     any other key).  ``type(v) is int`` keeps bools out of the int branch;
     anything else, tuples and floats included, is a TypeError.
+
+    A container's str and int members are written in place, the rest by a
+    call of their own, and its fragments are joined once it is written, so
+    a report's fragments are never all alive at once.
     """
     t = type(v)
     if t is str:
@@ -104,22 +108,35 @@ def _json(v, indent: str) -> str:
         return "true"
     if v is False:
         return "false"
-    inner = indent + "  "
     if t is list:
         if not v:
             return "[]"
-        items = [_json(x, inner) for x in v]
-        open_, close = "[", "]"
+        items, open_, close = v, "[\n", "]"
     elif t is dict:
         if not v:
             return "{}"
-        items = [encode_basestring_ascii(key) + ": " + _json(v[key], inner)
-                 for key in sorted(v)]
-        open_, close = "{", "}"
+        items, open_, close = sorted(v), "{\n", "}"
     else:
         raise TypeError(f"json_text does not write a {t.__name__}")
-    return (open_ + "\n" + inner + (",\n" + inner).join(items) + "\n"
-            + indent + close)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    out = [open_, inner]
+    append = out.append
+    for x in items:
+        if t is dict:
+            append(encode_basestring_ascii(x))
+            append(": ")
+            x = v[x]
+        tx = type(x)
+        if tx is str:
+            append(encode_basestring_ascii(x))
+        elif tx is int:
+            append(int.__repr__(x))
+        else:
+            append(_json(x, inner))
+        append(sep)
+    out[-1] = "\n" + indent + close
+    return "".join(out)
 
 
 def json_text(payload) -> str:

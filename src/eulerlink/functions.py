@@ -65,7 +65,10 @@ class ConstructibleFunction:
     __slots__ = ("complex", "values")
 
     def __init__(self, complex: SimplicialComplex, values):
-        vals = tuple(v if isinstance(v, Dyadic) else Dyadic(v) for v in values)
+        vals = tuple(values)
+        if not {Dyadic}.issuperset(map(type, vals)):
+            vals = tuple(v if isinstance(v, Dyadic) else Dyadic(v)
+                         for v in vals)
         if len(vals) != len(complex.simplices):
             raise ValueError("one value per simplex required")
         self.complex = complex

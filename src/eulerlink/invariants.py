@@ -21,7 +21,8 @@ Both link-based checks (``dim3_check`` and ``search_check``) run their local
 test once per link shape and reuse the result on every other simplex whose
 link has that shape (see ``_per_link_shape``).  A simplex's link key, read
 from its star in the coface table, decides its link's shape without building
-the link, so a geometric link is built once per link key.  A row whose
+the link.  A link is built once per link key, straight from the key, on
+dense ids and without labels: its simplex tuple is its shape.  A row whose
 witness names a simplex of the link gets that link under the labels of its
 own geometric link, and no link is built for it.
 
@@ -40,8 +41,8 @@ from operator import mul, sub
 from typing import NamedTuple
 
 from .complexes import (Simplex, SimplicialComplex, _boundary_labels,
-                        _link_key, _named_link, euler_characteristic,
-                        geometric_link)
+                        _dense_link, _link_key, _named_link,
+                        euler_characteristic)
 from .functions import ConstructibleFunction, _int_link
 from .search import (DEFAULT_BUDGET, ExpressionWitness, ONE_EXPR,
                      SearchBudget, SearchResult, closure_search,
@@ -187,13 +188,6 @@ def _located(res) -> bool:
     return isinstance(res, ExpressionWitness) and res.location is not None
 
 
-def _dense_shape(link: SimplicialComplex) -> tuple:
-    """The link's simplex tuple with its vertex ids relabelled densely in
-    increasing order."""
-    dense = {v: i for i, v in enumerate(link.vertex_ids)}
-    return tuple(tuple(dense[v] for v in s) for s in link.simplices)
-
-
 def _per_link_shape(k: SimplicialComplex, test):
     """Yield ``(tau, link, test(link))`` for every simplex ``tau`` of ``k``,
     running ``test`` once per link shape.
@@ -205,17 +199,18 @@ def _per_link_shape(k: SimplicialComplex, test):
     links of one shape.
 
     The memo has two levels.  The link key (``complexes._link_key``) is
-    read from the coface table, and ``geometric_link`` is built only for
-    the first simplex of each link key; that link's dense shape keys the
-    results of ``test``.  Two link keys can share a dense shape (a vertex
-    link and an edge link, say), so ``test`` still runs once per dense
-    shape.
+    read from the coface table, and the first simplex of each link key
+    builds the key's dense link (``complexes._dense_link``), the geometric
+    link on dense ids; its ``simplices`` are its dense shape, which keys
+    the results of ``test``.  Two link keys can share a dense shape (a
+    vertex link and an edge link, say), so ``test`` still runs once per
+    dense shape.
 
-    The yielded link is the one ``test`` ran on, of the dense shape of
-    ``tau``'s geometric link.  Where the result names a link simplex (a
-    witness location), it is yielded under the labels of ``tau``'s own
-    geometric link, so the location reads as it would there; its boundary
-    labels are worked out once per dimension.
+    The yielded link is the dense link ``test`` ran on, which has no
+    labels.  Where the result names a link simplex (a witness location), it
+    is yielded under the labels of ``tau``'s own geometric link, so the
+    location reads as it would there; its boundary labels are worked out
+    once per dimension.
     """
     shapes: dict[tuple, tuple[SimplicialComplex, object]] = {}
     keys: dict[tuple, tuple[SimplicialComplex, object]] = {}
@@ -223,11 +218,10 @@ def _per_link_shape(k: SimplicialComplex, test):
     for i, tau in enumerate(k.simplices):
         key, verts = _link_key(k, i)
         if key not in keys:
-            link = geometric_link(k, tau)
-            shape = _dense_shape(link)
-            if shape not in shapes:
-                shapes[shape] = (link, test(link))
-            keys[key] = shapes[shape]
+            link = _dense_link(key)
+            if link.simplices not in shapes:
+                shapes[link.simplices] = (link, test(link))
+            keys[key] = shapes[link.simplices]
         link, res = keys[key]
         if _located(res):
             if tau.dim not in boundary:

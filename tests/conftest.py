@@ -1,6 +1,7 @@
-"""Shared generators for the randomized suites.
+"""Shared generators for the randomized suites, and the dense-shape
+reference.
 
-Everything takes an explicit random.Random so a failing case can be
+Every generator takes an explicit random.Random so a failing case can be
 reproduced from the seed alone.
 """
 
@@ -41,6 +42,13 @@ def random_simplicial_map(rng: random.Random, k: SimplicialComplex,
             return f
     w = l.vertex_ids[0]
     return SimplicialMap(k, l, {v: w for v in k.vertex_ids})
+
+
+def dense_shape(link: SimplicialComplex) -> tuple:
+    """The link's simplex tuple with its vertex ids relabelled densely in
+    increasing order: what the link-shape memo keys its results by."""
+    dense = {v: i for i, v in enumerate(link.vertex_ids)}
+    return tuple(tuple(dense[v] for v in s) for s in link.simplices)
 
 
 @pytest.fixture

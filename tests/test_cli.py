@@ -127,6 +127,18 @@ def test_link_command_round_trips(tmp_path, theta_file, capsys):
     assert "no vertex labeled" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("labels, message", [
+    (["a", "a"], "repeated vertex in simplex (a a)"),
+    (["a", "b"], "(a b) is not a simplex of the complex"),
+], ids=["repeated", "not-a-simplex"])
+def test_link_errors_name_the_simplex_by_its_labels(theta_file, capsys,
+                                                    labels, message):
+    assert run(["link", theta_file, *labels]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_bounds_command(capsys):
     assert run(["bounds", "2", "2", "1"]) == 0
     out = capsys.readouterr().out
@@ -172,32 +184,34 @@ def test_depth_zero_is_a_valid_budget(theta_file, capsys):
     assert capsys.readouterr().err == ""
 
 
-@pytest.mark.parametrize("argv", [["check", "--depth", "abc", "corpus/circle.cplx"],
-                                  ["check"], ["frobnicate"],
-                                  ["check", "corpus/circle.cplx",
-                                   "--seed", "0"]],
-                         ids=["bad-int", "no-path", "no-command", "no-seed"])
-def test_usage_errors_exit_one(argv, capsys):
+@pytest.mark.parametrize("argv, prog", [
+    (["check", "--depth", "abc", "corpus/circle.cplx"], "eulerlink check"),
+    (["check"], "eulerlink check"),
+    (["frobnicate"], "eulerlink"),
+    (["check", "corpus/circle.cplx", "--seed", "0"], "eulerlink check"),
+], ids=["bad-int", "no-path", "no-command", "no-seed"])
+def test_usage_errors_exit_one(argv, prog, capsys):
     # 2 is the obstruction code, so a usage error must not exit 2
     with pytest.raises(SystemExit) as e:
         run(argv)
     assert e.value.code == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("error: eulerlink")
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {prog}: ")
 
 
 def test_a_subcommand_parser_alone_parses_its_command_line():
     argv = ["check", "x.cplx", "--json", "--max-funcs", "50", "--no-P"]
-    alone = cli.build_parser("check").parse_args(argv)
+    alone = cli.build_parser("check").parse_args(argv[1:])
     assert vars(alone) == vars(cli.build_parser().parse_args(argv))
+    assert alone.command == "check" and alone.fn is cli.cmd_check
 
 
 def test_help_still_exits_zero(capsys):
     with pytest.raises(SystemExit) as e:
         run(["check", "--help"])
     assert e.value.code == 0
-    assert "usage:" in capsys.readouterr().out
+    assert capsys.readouterr().out.startswith("usage: eulerlink check ")
 
 
 def test_bounds_rejects_a_dimension_above_the_cap(capsys):

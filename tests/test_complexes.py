@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from eulerlink import corpus
 from eulerlink.complexes import (Simplex, SimplicialComplex, SimplicialMap,
                                  _boundary_labels, _canonical_order,
-                                 _link_key, _named_link, build_complex,
+                                 _dense_link, _link_key, _named_link,
+                                 build_complex,
                                  barycentric_subdivision, cone,
                                  disjoint_union, euler_characteristic,
                                  geometric_link, join, point_complex,
@@ -377,14 +378,21 @@ def test_named_link_view_has_its_own_name_table():
     k = corpus.corpus_complex("susp_torus")
     i = k.n_vertices  # an edge
     tau = k.simplices[i]
-    link = geometric_link(k, tau)
+    key, verts = _link_key(k, i)
+    link = _dense_link(key)
     before = link.simplex_names()
-    _, verts = _link_key(k, i)
+    table = link.coface_table()  # a local test has run on the link
     view = _named_link(link, k, verts[::-1], _boundary_labels(k, tau.dim))
     assert view.simplex_names() == tuple(view.simplex_name(s)
                                          for s in view.simplices)
     assert view.simplex_names() != before
     assert link.simplex_names() is before
+    assert view.simplices is link.simplices
+    assert view.coface_table() is table
+    # in key order, the view is named as the geometric link is
+    own = geometric_link(k, tau)
+    view = _named_link(link, k, verts, _boundary_labels(k, tau.dim))
+    assert view.simplex_names() == own.simplex_names()
 
 
 # -- join, cone, suspension, union ----------------------------------------------

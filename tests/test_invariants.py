@@ -4,8 +4,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import dense_shape
 from eulerlink import corpus, invariants, search
-from eulerlink.complexes import (Simplex, _link_key, barycentric_subdivision,
+from eulerlink.complexes import (Simplex, _dense_link, _link_key,
+                                 barycentric_subdivision,
                                  build_complex, cone, disjoint_union,
                                  euler_characteristic, geometric_link, join,
                                  point_complex, simplicial_link, suspension)
@@ -16,7 +18,7 @@ from eulerlink.fileio import write_complex
 from eulerlink.invariants import (MAX_BOUND_DIMENSION, MAX_BOUND_RANGE,
                                   NECESSARY_ONLY,
                                   BoundQuery, InvariantVector, ZERO_VECTOR,
-                                  _dense_shape, _located, _per_link_shape,
+                                  _located, _per_link_shape,
                                   b_vector,
                                   bonnard_bounds, dim3_check,
                                   divisibility_certificate, merge_reports,
@@ -278,7 +280,7 @@ def test_search_runs_once_per_link_shape():
     for tau, link, res in results:
         assert res.link is link
         own = geometric_link(k, tau)
-        assert _dense_shape(link) == _dense_shape(own)
+        assert dense_shape(link) == dense_shape(own)
         if _located(res):
             assert write_complex(link) == write_complex(own)
 
@@ -288,7 +290,7 @@ def test_located_witness_rows_get_their_own_link():
     located = 0
     for tau, link, res in _per_link_shape(cw, b_vector):
         own = geometric_link(cw, tau)
-        assert _dense_shape(link) == _dense_shape(own)
+        assert dense_shape(link) == dense_shape(own)
         if _located(res):
             located += 1
             assert write_complex(link) == write_complex(own)
@@ -305,14 +307,16 @@ def _star_key_cases():
 
 
 def _assert_star_keys_exact(k):
-    """Simplices with equal link keys have links of equal dense shape, and
-    the key's link vertices are the first vertices of the link."""
+    """Simplices with equal link keys have links of equal dense shape, the
+    dense link built from the key has exactly that shape, and the key's
+    link vertices are the first vertices of the link."""
     shapes = {}
     for i, tau in enumerate(k.simplices):
         own = geometric_link(k, tau)
-        shape = _dense_shape(own)
+        shape = dense_shape(own)
         key, verts = _link_key(k, i)
         assert shapes.setdefault(key, shape) == shape, tau
+        assert _dense_link(key).simplices == shape, tau
         assert own.vertex_ids[:len(verts)] == tuple(verts)
         assert len(own.vertex_ids) == len(verts) + (tau.dim + 1 if tau.dim
                                                     else 0)
@@ -345,15 +349,15 @@ def test_star_keys_are_exact_on_drawn_complexes(k):
 def test_search_check_builds_one_link_per_star_key(monkeypatch):
     built, searched = [], []
 
-    def counting_link(k, tau):
-        built.append(tau)
-        return geometric_link(k, tau)
+    def counting_link(key):
+        built.append(key)
+        return _dense_link(key)
 
     def counting_search(link, budget):
         searched.append(link)
         return closure_search(link, budget)
 
-    monkeypatch.setattr(invariants, "geometric_link", counting_link)
+    monkeypatch.setattr(invariants, "_dense_link", counting_link)
     monkeypatch.setattr(invariants, "closure_search", counting_search)
     k = corpus.corpus_complex("susp_sphere3")
     report = search_check(k, SearchBudget(max_functions=50))
@@ -367,16 +371,16 @@ def test_dim3_check_builds_one_link_per_link_key(monkeypatch):
     # build no link of their own.
     built = []
 
-    def counting_link(k, tau):
-        built.append(tau)
-        return geometric_link(k, tau)
+    def counting_link(key):
+        built.append(key)
+        return _dense_link(key)
 
-    monkeypatch.setattr(invariants, "geometric_link", counting_link)
+    monkeypatch.setattr(invariants, "_dense_link", counting_link)
     cw = corpus.corpus_complex("cone_window")
     report = dim3_check(cw)
     assert any("half-link obstruction" in r.value and " at (" in r.value
                for r in report.rows)
-    keys = {(tau.dim, _dense_shape(simplicial_link(cw, tau)))
+    keys = {(tau.dim, dense_shape(simplicial_link(cw, tau)))
             for tau in cw.simplices}
     assert len(built) == len(keys)
 

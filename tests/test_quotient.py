@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dense_shape
 from eulerlink import corpus, search
 from eulerlink.complexes import build_complex, geometric_link
 from eulerlink.functions import ConstructibleFunction, _int_link, euler_integral
-from eulerlink.invariants import _dense_shape
 from eulerlink.search import (KIND_ODD_INTEGRAL, ExpressionWitness,
                               SearchBudget, SearchResult, closure_search,
                               expression_size, halving_witness, replay_witness)
@@ -95,7 +95,7 @@ def _corpus_links():
         k = corpus.corpus_complex(name)
         for tau in k.simplices:
             link = geometric_link(k, tau)
-            shapes.setdefault(_dense_shape(link), link)
+            shapes.setdefault(dense_shape(link), link)
     return list(shapes.values())
 
 
