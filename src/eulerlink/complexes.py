@@ -17,10 +17,17 @@ and by ``_link_key`` on dense ids, for the link key that decides a
 geometric link's shape.  One row builder, ``_geometric_rows``, joins a link
 with the boundary of a simplex, both for ``geometric_link`` and for the
 dense link built from a link key alone (``_dense_link``).
+
+Two incidence tables are built on first use.  The coface table lists every
+strict coface of every simplex, and only stars read it: the links above,
+the order complex of a subdivision and the closure search's quotient.
+``face_pairs`` lists the codimension-one incidences alone, which is all
+that ``facets`` and the link operator of the functions module need.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import (chain, combinations, compress, product, repeat,
                        starmap)
 from operator import add, not_
@@ -99,6 +106,7 @@ class SimplicialComplex:
         self._index = dict(zip(self.simplices, range(len(self.simplices))))
         self._labels = dict(labels) if labels else {}
         self._cofaces: tuple[tuple[int, ...], ...] | None = None
+        self._pairs: tuple[tuple[tuple[int, ...], range], ...] | None = None
         self._names: tuple[str, ...] | None = None
         # Vertices come first in canonical order.
         self._n_vertices = next((i for i, s in enumerate(self.simplices)
@@ -155,8 +163,11 @@ class SimplicialComplex:
         return self.simplices[self._n_vertices - 1][0] if self._n_vertices else -1
 
     def facets(self) -> tuple[Simplex, ...]:
-        """Maximal simplices, in canonical order."""
-        return tuple(compress(self.simplices, map(not_, self.coface_table())))
+        """Maximal simplices, in canonical order: those that are the face
+        of no pair in ``face_pairs()``."""
+        faces = set(chain.from_iterable(f for f, _ in self.face_pairs()))
+        return tuple(compress(self.simplices, map(
+            not_, map(faces.__contains__, range(len(self.simplices))))))
 
     def is_downward_closed(self) -> bool:
         return all(f in self._index for s in self.simplices for f in s.subfaces())
@@ -190,6 +201,41 @@ class SimplicialComplex:
             self.cofaces(0)  # the first call builds the table
         return self._cofaces or ()
 
+    def face_pairs(self) -> tuple[tuple[tuple[int, ...], range], ...]:
+        """The codimension-one incidences: a pair ``(index of sigma - v,
+        index of sigma)`` for every simplex sigma of size >= 2 and every
+        vertex v of sigma, once each.
+
+        They come as segments ``(faces, cofaces)``, the pairs
+        ``zip(faces, cofaces)``, in the order the zeta transform of the
+        functions module runs them.  Phase j holds the pairs whose v has j
+        vertices of sigma above it; its segments run by decreasing size of
+        sigma, one segment per size, with ``cofaces`` ascending.
+
+        The first call builds the table by one ``combinations(sigma,
+        |sigma| - 1)`` walk per simplex through the index: the walk's j-th
+        face drops the vertex with j vertices above it, so a phase takes
+        every |sigma|-th face of each size, from the j-th on.  That is
+        sum of |sigma| lookups, against sum of 2^|sigma| - 2 for
+        ``coface_table``."""
+        if self._pairs is None:
+            simplices, index = self.simplices, self._index
+            top = len(simplices[-1]) if simplices else 0
+            blocks = []  # (size, faces, cofaces), by decreasing size
+            hi = len(simplices)
+            for size in range(top, 1, -1):
+                lo = bisect_left(simplices, size, 0, hi, key=len)
+                walks = map(combinations, simplices[lo:hi], repeat(size - 1))
+                faces = tuple(map(index.__getitem__,
+                                  chain.from_iterable(walks)))
+                blocks.append((size, faces, range(lo, hi)))
+                hi = lo
+            self._pairs = tuple((faces[j::size], cofaces)
+                                for j in range(top)
+                                for size, faces, cofaces in blocks
+                                if j < size)
+        return self._pairs
+
     def __repr__(self) -> str:
         tag = self.name or "complex"
         return f"<{tag}: {self.n_vertices} vertices, dim {self.dim}>"
@@ -210,8 +256,10 @@ def build_complex(facets, labels: dict[int, str] | None = None,
 
 
 def euler_characteristic(k: SimplicialComplex) -> int:
-    """Alternating sum of face counts (0 for the empty complex)."""
-    return sum(-1 if s.dim % 2 else 1 for s in k.simplices)
+    """Alternating sum of face counts (0 for the empty complex): the
+    simplices of odd size less those of even size."""
+    odd = sum(map((1).__and__, map(len, k.simplices)))
+    return 2 * odd - len(k.simplices)
 
 
 # -- links -----------------------------------------------------------------

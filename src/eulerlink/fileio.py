@@ -54,8 +54,10 @@ def _label_key(label: str):
 
 
 def _check_label(label: str, line: int | None = None) -> str:
+    # A nonempty label holds whitespace exactly when splitting on it does
+    # not give the label back.
     if (not label or label.startswith("#") or ":" in label
-            or any(c.isspace() for c in label)):
+            or label.split() != [label]):
         raise ParseError(f"bad vertex label {label!r}", line)
     return label
 

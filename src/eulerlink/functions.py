@@ -17,19 +17,50 @@ Values are Dyadic at the API boundary and plain ints inside these
 operators.  A function's values become one list of ints over a shared
 exponent e, the largest exponent among them (value i is xs[i] / 2**e).  The
 sign (-1)^(dim sigma + 1) is applied once to the whole list, lam is sums of
-ints along the complex's coface table, and each output value becomes a
-Dyadic once, at the end.  Halving is the same ints over 2**(e + 1), and
-parity is read from their low bits.
+those ints over closed stars, and each output value becomes a Dyadic once,
+at the end.  Halving is the same ints over 2**(e + 1), and parity is read
+from their low bits.
 
-Lambda on ints is written once, in ``_int_link``, which also returns the
-index of its first odd value.  It reads a value list, the simplex of each
-value (only the parity of its size) and a coface table, so it runs on a
-complex (its simplices and ``coface_table()``) and on the closure search's
-quotient of a link alike, where value c is the value on a whole cell of
-simplices and row c holds the cells of the cofaces of the cell's first
-simplex, repeats kept.  Every local test halves through it: the closure
-search's HALFLINK, ``b_vector`` and ``sullivan_check`` work on int lists
-alone and never build a Dyadic for a passing value.
+On a complex, the closed-star sums S(tau) = sum over sigma >= tau of
+f(sigma) are a zeta transform over the codimension-one incidences (Yates's
+method; Bjorklund, Husfeldt, Kaski and Koivisto, "Fourier meets Moebius",
+STOC 2007), run in place over ``SimplicialComplex.face_pairs()``: for each
+pair (sigma - v, sigma), ``f[sigma - v] += f[sigma]``.  That is sum of
+|sigma| additions, where the coface table has sum of 2^|sigma| - 2 entries.
+A pair is in phase j when v has j vertices of sigma above it; the phases
+run in order, and within a phase the pairs run by decreasing size of sigma.
+Why that sums every sigma >= tau into tau exactly once:
+
+* A pair adds into tau what sigma holds when it runs, so f(sigma) reaches
+  tau along every path sigma = T_0 > T_1 > ... > T_m = tau that drops one
+  vertex a step and whose pairs run in path order, and along no other.
+  Every set on a path is a face of sigma, hence in the complex, which is
+  downward closed.
+* Along a path, the sizes fall, so two steps of one phase run in path
+  order.  So a path counts exactly when its phases never decrease.
+* Dropping the vertices of sigma - tau from the largest down gives phases
+  that never decrease: when u is dropped, the next vertex u' < u has every
+  vertex above u still above it, and those between u' and u besides.
+* Dropping some u before a larger u'' gives a decrease.  When u is
+  dropped, u'' and every vertex above u'' are above u.  When u'' is
+  dropped later, only some of those are above it, and u'' itself is not,
+  so its phase is lower.  So the path from the largest down is the only
+  one that counts, and tau collects f(sigma) exactly once.
+
+The pairs of one phase and one size read sets of that size and write sets
+one smaller, so none reads what another writes, and updating in place is
+safe.  The phases are those of Yates's transform with one phase per vertex
+rank instead of per vertex, which makes them few (the dimension plus one)
+and lets ``face_pairs`` build each as a slice.
+
+Lambda on ints is written once, in ``_int_link``: from the values and their
+closed-star sums, it returns lam and the index of its first odd value.  A
+complex feeds it the zeta sums (``_star_sums``); the closure search's
+quotient of a link feeds it sums along the rows of its cell table, whose
+rows are multisets of cells, which the zeta form does not fit.  Every local
+test halves through it: the closure search's HALFLINK, ``b_vector`` and
+``sullivan_check`` work on int lists alone and never build a Dyadic for a
+passing value.
 """
 
 from __future__ import annotations
@@ -193,26 +224,25 @@ def _signed(simplices: Sequence[Simplex], xs: Sequence[int]) -> list[int]:
     return [-x if len(s) % 2 else x for s, x in zip(simplices, xs)]
 
 
-def _closed_star_sums(simplices: Sequence[Simplex],
-                      table: Sequence[Sequence[int]],
-                      xs: Sequence[int]) -> list[int]:
-    """Sum over sigma >= tau of ``(-1)^(dim sigma + 1) * x_sigma``, for every tau.
-
-    ``table[i]`` lists the entries of the strict cofaces of ``simplices[i]``
+def _star_sums(k: SimplicialComplex, xs: Sequence[int]) -> list[int]:
+    """Sum over sigma >= tau of ``(-1)^(dim sigma + 1) * x_sigma``, for every
+    tau: the zeta transform of the signed values over ``k.face_pairs()``
     (see the module docstring).  Lambda x = x + this, since the term of tau
     itself is ``-x_tau`` on even and ``+x_tau`` on odd dimensions, and
-    dual x = x - Lambda x = -this.
-    """
-    signed = _signed(simplices, xs)
-    term = signed.__getitem__
-    return [sum(map(term, row), y) for y, row in zip(signed, table)]
+    dual x = x - Lambda x = -this."""
+    f = _signed(k.simplices, xs)
+    for faces, cofaces in k.face_pairs():
+        for a, b in zip(faces, cofaces):
+            f[a] += f[b]
+    return f
 
 
-def _int_link(simplices: Sequence[Simplex], table: Sequence[Sequence[int]],
-              xs: Sequence[int]) -> tuple[list[int], int]:
-    """Lambda of the ints ``xs``, and the index of its first odd value (-1
-    when every value is even, i.e. when the link halves to ints)."""
-    lam = list(map(add, xs, _closed_star_sums(simplices, table, xs)))
+def _int_link(xs: Sequence[int],
+              sums: Sequence[int]) -> tuple[list[int], int]:
+    """Lambda of the ints ``xs``, given their closed-star sums ``sums``
+    (``_star_sums``), and the index of its first odd value (-1 when every
+    value is even, i.e. when the link halves to ints)."""
+    lam = list(map(add, xs, sums))
     return lam, next((i for i, a in enumerate(lam) if a & 1), -1)
 
 
@@ -231,16 +261,14 @@ def link_operator(phi: ConstructibleFunction) -> ConstructibleFunction:
     """Apply the combinatorial link operator (see module docstring)."""
     k = phi.complex
     xs, e = _ints(phi.values)
-    return _function(k, _int_link(k.simplices, k.coface_table(), xs)[0], e)
+    return _function(k, _int_link(xs, _star_sums(k, xs))[0], e)
 
 
 def dual(phi: ConstructibleFunction) -> ConstructibleFunction:
     """Verdier-style duality: phi minus its link."""
     k = phi.complex
     xs, e = _ints(phi.values)
-    return _function(
-        k, [-c for c in _closed_star_sums(k.simplices, k.coface_table(), xs)],
-        e)
+    return _function(k, [-c for c in _star_sums(k, xs)], e)
 
 
 def _halved(phi: ConstructibleFunction
@@ -253,7 +281,7 @@ def _halved(phi: ConstructibleFunction
     """
     k = phi.complex
     xs, e = _ints(phi.values)
-    lam, _ = _int_link(k.simplices, k.coface_table(), xs)
+    lam, _ = _int_link(xs, _star_sums(k, xs))
     even = (1 << (e + 1)) - 1  # a / 2**e is an even integer iff a & even == 0
     whole = (1 << e) - 1       # a / 2**e is an integer iff a & whole == 0
     obstructions = (

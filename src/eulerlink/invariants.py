@@ -27,10 +27,11 @@ witness names a simplex of the link gets that link under the labels of its
 own geometric link, and no link is built for it.
 
 Sullivan's parities and the b-vector are computed on int lists, with the
-link operator of the functions module's ``_int_link``, the same halving
-the closure search uses; a failed halving becomes the same witness.  Every
-value they handle is an integer, so an integral's parity is the parity of
-the sum of the values.
+link operator of the functions module: the zeta sums over the complex's
+codimension-one incidences (``_star_sums``), turned into the link and its
+first odd value by ``_int_link``, the same halving the closure search uses;
+a failed halving becomes the same witness.  Every value they handle is an
+integer, so an integral's parity is the parity of the sum of the values.
 
 A pass is never a realizability proof; reports carry that caveat.
 """
@@ -41,9 +42,8 @@ from operator import mul, sub
 from typing import NamedTuple
 
 from .complexes import (Simplex, SimplicialComplex, _boundary_labels,
-                        _dense_link, _link_key, _named_link,
-                        euler_characteristic)
-from .functions import ConstructibleFunction, _int_link
+                        _dense_link, _link_key, _named_link)
+from .functions import ConstructibleFunction, _int_link, _star_sums
 from .search import (DEFAULT_BUDGET, ExpressionWitness, ONE_EXPR,
                      SearchBudget, SearchResult, closure_search,
                      dim4_local_search, halving_witness)
@@ -94,7 +94,7 @@ def _half_link_ints(k: SimplicialComplex, xs: list[int],
                     expr) -> list[int] | ExpressionWitness:
     """Half the link of the ints ``xs``, the value of ``expr``, or the
     witness of its first odd link value."""
-    lam, odd = _int_link(k.simplices, k.coface_table(), xs)
+    lam, odd = _int_link(xs, _star_sums(k, xs))
     if odd >= 0:
         return halving_witness(("HALFLINK", expr), k.simplices[odd],
                                lam[odd], 0)
@@ -126,7 +126,7 @@ def b_vector(k: SimplicialComplex) -> InvariantVector | ExpressionWitness:
     beta, gamma = corrections
     ab = list(map(mul, alpha, beta))
     return InvariantVector(
-        euler_characteristic(k) % 2,
+        len(k.simplices) & 1,  # chi mod 2: every simplex adds +-1
         sum(ab) & 1,
         sum(map(mul, alpha, gamma)) & 1,
         sum(map(mul, beta, gamma)) & 1,
@@ -164,11 +164,18 @@ class ObstructionReport(NamedTuple):
 
 
 def sullivan_check(k: SimplicialComplex) -> ObstructionReport:
-    """Per-simplex parity of the link's Euler characteristic."""
-    lam, odd = _int_link(k.simplices, k.coface_table(),
-                         [1] * len(k.simplices))
-    rows = tuple([TestRow("sullivan", s, where, "fail" if chi & 1 else "pass",
-                          f"link chi = {chi}", {"link_chi": chi})
+    """Per-simplex parity of the link's Euler characteristic.
+
+    A row's verdict and text are worked out once per link Euler
+    characteristic, not once per simplex; each row still gets a ``data``
+    dict of its own."""
+    ones = [1] * len(k.simplices)
+    lam, odd = _int_link(ones, _star_sums(k, ones))
+    texts = {chi: ("fail" if chi & 1 else "pass", f"link chi = {chi}")
+             for chi in set(lam)}
+    new = tuple.__new__  # the fields are in place: skip TestRow's __new__
+    rows = tuple([new(TestRow, ("sullivan", s, where, *texts[chi],
+                                {"link_chi": chi}))
                   for s, where, chi in zip(k.simplices, k.simplex_names(),
                                            lam)])
     passed = odd < 0

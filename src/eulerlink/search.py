@@ -46,9 +46,10 @@ else is a witness and ends the search.  So values are plain int tuples:
 ADD, SUB and MUL map over two tuples, POP is ``(x^4 - x^2) >> 1``, the
 integral's parity is that of the sum of the values weighted by the cell
 sizes, and HALFLINK halves the link operator's ints
-(``functions._int_link``, the halving ``b_vector`` uses on one value per
-simplex), its first odd value being a non-integer witness.  A Dyadic is
-built only for a witness.
+(``functions._int_link`` on the sums along the cell table's rows, the
+halving ``b_vector`` uses on the zeta sums of one value per simplex), its
+first odd value being a non-integer witness.  A Dyadic is built only for a
+witness.
 
 The value-growth guard drops a candidate with a value whose canonical
 numerator exceeds 2**GUARD_BITS in absolute value, and counts it as a guard
@@ -242,7 +243,7 @@ class _Quotient(NamedTuple):
     cells: tuple[int, ...]  # the cell of each link simplex
     simplices: tuple[Simplex, ...]  # the first simplex of each cell
     # The cells of the strict cofaces of each cell's first simplex, repeats
-    # kept: the coface table of ``functions._int_link`` on cell values.
+    # kept: the rows that ``_cell_star_sums`` sums along.
     table: tuple[tuple[int, ...], ...]
     sizes: tuple[int, ...]  # simplices per cell
 
@@ -273,6 +274,15 @@ def _quotient(link: SimplicialComplex) -> _Quotient:
         sizes=tuple(sizes))
 
 
+def _cell_star_sums(q: _Quotient, xs: tuple[int, ...]) -> list[int]:
+    """For every cell a, the sum over sigma >= (first simplex of a) of
+    ``s_(cell of sigma) * x_(cell of sigma)``: the closed-star sums that
+    ``functions._int_link`` turns into the link operator on cell values."""
+    signed = _signed(q.simplices, xs)
+    term = signed.__getitem__
+    return [sum(map(term, row), y) for y, row in zip(signed, q.table)]
+
+
 def _candidates(q: _Quotient, values: list[tuple[int, ...]],
                 budget: SearchBudget):
     """Yield ``(depth, op, args, nums, odd)`` for every candidate expression,
@@ -299,7 +309,7 @@ def _candidates(q: _Quotient, values: list[tuple[int, ...]],
                     if f is sub and i != j:
                         yield depth, op, (j, i), tuple(map(sub, b, a)), -1
         for j in range(lo, hi):
-            lam, odd = _int_link(q.simplices, q.table, values[j])
+            lam, odd = _int_link(values[j], _cell_star_sums(q, values[j]))
             if odd < 0:
                 yield depth, "HALFLINK", (j,), tuple(a >> 1 for a in lam), -1
             else:

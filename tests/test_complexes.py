@@ -317,6 +317,43 @@ def test_incidence_matches_the_frozenset_definitions(k):
     assert k.coface_table() == tuple(k.cofaces(i) for i in range(len(k)))
 
 
+def _face_pair_cases():
+    yield from _incidence_cases()
+    yield SimplicialComplex([], name="empty")
+    yield build_complex([(3, 40), (7,), (3, 9, 200)], name="sparse")
+
+
+@pytest.mark.parametrize("k", _face_pair_cases(),
+                         ids=lambda k: k.name or "complex")
+def test_face_pairs_are_the_codimension_one_incidences(k):
+    sets = [frozenset(s) for s in k.simplices]
+    where = dict(zip(sets, range(len(sets))))
+    want = {(where[big - {v}], j) for j, big in enumerate(sets)
+            if len(big) > 1 for v in big}
+    got = [pair for faces, cofaces in k.face_pairs()
+           for pair in zip(faces, cofaces)]
+    assert len(got) == len(want) == sum(len(s) for s in sets if len(s) > 1)
+    assert set(got) == want
+    assert k.face_pairs() is k.face_pairs()
+
+
+def test_face_pairs_run_by_phase_then_decreasing_size():
+    # A segment is one phase and one size: phase j drops the vertex with j
+    # vertices above it.  Phases ascend, and sizes descend within a phase.
+    k = corpus.corpus_complex("cone_sphere3")
+    order = []
+    for faces, cofaces in k.face_pairs():
+        keys = set()
+        for a, b in zip(faces, cofaces):
+            sigma = k.simplices[b]
+            (v,) = set(sigma) - set(k.simplices[a])
+            keys.add((len(sigma) - 1 - sigma.index(v), -len(sigma)))
+        assert len(keys) == 1
+        assert list(cofaces) == sorted(cofaces)
+        order += keys
+    assert order == sorted(set(order))
+
+
 def _assert_valid_simplices(k):
     for s in k.simplices:
         assert type(s) is Simplex
@@ -382,6 +419,7 @@ def test_named_link_view_has_its_own_name_table():
     link = _dense_link(key)
     before = link.simplex_names()
     table = link.coface_table()  # a local test has run on the link
+    pairs = link.face_pairs()
     view = _named_link(link, k, verts[::-1], _boundary_labels(k, tau.dim))
     assert view.simplex_names() == tuple(view.simplex_name(s)
                                          for s in view.simplices)
@@ -389,6 +427,7 @@ def test_named_link_view_has_its_own_name_table():
     assert link.simplex_names() is before
     assert view.simplices is link.simplices
     assert view.coface_table() is table
+    assert view.face_pairs() is pairs
     # in key order, the view is named as the geometric link is
     own = geometric_link(k, tau)
     view = _named_link(link, k, verts, _boundary_labels(k, tau.dim))

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -178,6 +179,25 @@ def test_hash_labels_are_rejected_so_files_round_trip():
     hashed = build_complex([(0, 1)], labels={0: "a", 1: "#b"})
     with pytest.raises(ParseError):
         write_complex(hashed)
+
+
+@pytest.mark.parametrize("label", ["", " a", "a\tb", "a\xa0b", "#a", "a:b"])
+def test_bad_label_messages(label):
+    # JSON facets keep every label as given, whitespace and all.
+    with pytest.raises(ParseError) as err:
+        parse_complex(json.dumps({"facets": [[label, "z"]]}))
+    assert str(err.value) == f"bad vertex label {label!r}"
+    with pytest.raises(ParseError) as err:
+        write_complex(build_complex([(0, 1)], labels={0: "z", 1: label}))
+    assert str(err.value) == f"bad vertex label {label!r}"
+
+
+def test_labels_with_any_unicode_space_are_rejected():
+    spaces = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
+    assert "\x1c" in spaces and "\u3000" in spaces
+    for c in spaces:
+        with pytest.raises(ParseError, match="bad vertex label"):
+            parse_complex(json.dumps({"facets": [["a" + c + "b"]]}))
 
 
 def test_function_writer_rejects_labels_its_reader_rejects():

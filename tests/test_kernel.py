@@ -19,6 +19,7 @@ from eulerlink.complexes import (SimplicialComplex, barycentric_subdivision,
                                  build_complex, euler_characteristic,
                                  geometric_link, join, point_complex)
 from eulerlink.dyadic import ZERO, Dyadic
+from eulerlink.fileio import write_complex
 from eulerlink.functions import (ConstructibleFunction, ParityObstruction,
                                  dual, euler_integral, half_link,
                                  half_link_total, is_euler, link_operator,
@@ -185,6 +186,48 @@ def test_identities_on_non_integer_values(name, k):
     phi = mixed(k, seed=len(k) + 1)
     assert dual(dual(phi)) == phi, name
     assert euler_integral(link_operator(phi)) == Dyadic(0), name
+
+
+@st.composite
+def sparse_complexes(draw, max_vertices: int = 6):
+    """Complexes on sparse vertex ids, every id a vertex (some of them
+    isolated), the empty complex among them."""
+    ids = draw(st.lists(st.integers(0, 50), max_size=max_vertices,
+                        unique=True))
+    if not ids:
+        return SimplicialComplex([])
+    facets = draw(st.lists(st.lists(st.sampled_from(ids), min_size=1,
+                                    max_size=3, unique=True), max_size=5))
+    return build_complex([*facets, *([v] for v in ids)])
+
+
+@st.composite
+def calculus_complexes(draw):
+    """A sparse complex, or the join of two, of dimension up to 5."""
+    k = draw(sparse_complexes())
+    if k.simplices and draw(st.booleans()):
+        l = draw(sparse_complexes(max_vertices=4))
+        if l.simplices:
+            k = join(k, l)
+    return k
+
+
+@settings(max_examples=80, deadline=None)
+@given(calculus_complexes(), st.integers(0, 1 << 16))
+def test_zeta_transform_matches_the_coface_reference(k, seed):
+    for phi in inputs(k, seed):
+        assert link_operator(phi) == ref_link_operator(phi)
+        assert dual(phi) == ref_dual(phi)
+        assert half_link_total(phi) == ref_half_link_total(phi)
+
+
+def test_the_calculus_on_a_join_leaves_the_coface_table_unbuilt():
+    k = join(corpus.torus(), corpus.torus())
+    assert len(sullivan_check(k).rows) == len(k) == 1848
+    phi = mixed(k, seed=3)
+    assert dual(dual(phi)) == phi
+    assert write_complex(k).startswith("complex v=14\n")
+    assert k._cofaces is None
 
 
 def test_link_operator_and_dual_build_one_dyadic_per_value(monkeypatch):

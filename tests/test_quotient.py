@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from conftest import dense_shape
 from eulerlink import corpus, search
 from eulerlink.complexes import build_complex, geometric_link
-from eulerlink.functions import ConstructibleFunction, _int_link, euler_integral
+from eulerlink.functions import (ConstructibleFunction, _int_link, _star_sums,
+                                 euler_integral)
 from eulerlink.search import (KIND_ODD_INTEGRAL, ExpressionWitness,
                               SearchBudget, SearchResult, closure_search,
                               expression_size, halving_witness, replay_witness)
@@ -20,7 +21,7 @@ from eulerlink.search import (KIND_ODD_INTEGRAL, ExpressionWitness,
 def _full_search(link, budget):
     """The closure search in the order of ``search``'s module docstring, on
     one value per link simplex and with no partition into cells."""
-    simplices, table = link.simplices, link.coface_table()
+    simplices = link.simplices
     guard = 1 << search.GUARD_BITS
     values, exprs, seen, levels = [], [], set(), []
 
@@ -40,7 +41,7 @@ def _full_search(link, budget):
                             yield depth, op, (j, i), tuple(
                                 map(sub, values[j], values[i])), -1
             for j in range(lo, hi):
-                lam, odd = _int_link(simplices, table, values[j])
+                lam, odd = _int_link(values[j], _star_sums(link, values[j]))
                 yield depth, "HALFLINK", (j,), tuple(
                     a if odd >= 0 and a & 1 else a >> 1 for a in lam), odd
             if budget.use_p:
