@@ -13,10 +13,11 @@ from the ids alone, which the function calculus relies on.
 
 The link of a simplex is read from its star, in the coface table: by
 ``_link_rows`` on ``k``'s ids, for the simplicial and the geometric link,
-and by ``_link_key`` on dense ids, for the link key that decides a
-geometric link's shape.  One row builder, ``_geometric_rows``, joins a link
-with the boundary of a simplex, both for ``geometric_link`` and for the
-dense link built from a link key alone (``_dense_link``).
+and by ``_link_keys`` on dense ids, for the link key that decides a
+geometric link's shape; a link that is only points has its key read from
+the length of its coface row alone.  One row builder, ``_geometric_rows``,
+joins a link with the boundary of a simplex, both for ``geometric_link``
+and for the dense link built from a link key alone (``_dense_link``).
 
 Two incidence tables are built on first use.  The coface table lists every
 strict coface of every simplex, and only stars read it: the links above,
@@ -339,28 +340,47 @@ def geometric_link(k: SimplicialComplex, tau) -> SimplicialComplex:
                              labels=labels)
 
 
-def _link_key(k: SimplicialComplex, i: int) -> tuple[tuple, list[int]]:
-    """The link key ``(dim tau, rows)`` of simplex ``i``, its link rows
-    renumbered densely in ascending order, and its link vertices.
+def _link_keys(k: SimplicialComplex):
+    """Yield the link key ``(dim tau, rows)`` of every simplex tau of
+    ``k``, in canonical order: tau's link rows, renumbered densely in
+    ascending order.
 
-    The rows are those ``_link_rows`` reads, from tau's row of the coface
-    table, with tau's vertices dropped and the rest renumbered by one
-    ``filter`` and one ``map`` per row.  The geometric link's boundary sits
-    on fresh ids above every link vertex, so equal keys give geometric
-    links of equal dense shape, which ``_dense_link`` builds from the key
-    alone."""
+    The link is only points when tau's coface row is empty or its last
+    coface has size |tau| + 1.  Then its m cofaces add the link vertices in
+    ascending order (tau | {v} is lexicographic in v), so the key is
+    ``(dim tau, ((0,), ..., (m - 1,)))``, built once per ``(dim tau, m)``
+    without reading the star.  Any other key is read from the star: the
+    rows ``_link_rows`` reads, with tau's vertices dropped and the rest
+    renumbered.  The geometric link's boundary sits on fresh ids above
+    every link vertex, so equal keys give geometric links of equal dense
+    shape, which ``_dense_link`` builds from the key alone."""
     simplices = k.simplices
-    tau = simplices[i]
-    star = list(map(simplices.__getitem__, k.coface_table()[i]))
-    verts = sorted(set(chain.from_iterable(star)).difference(tau))
-    dense = dict(zip(verts, range(len(verts))))
-    get, has = dense.__getitem__, dense.__contains__
-    return ((len(tau) - 1, tuple([tuple(map(get, filter(has, s)))
-                                  for s in star])), verts)
+    points: dict[tuple[int, int], tuple] = {}
+    for tau, row in zip(simplices, k.coface_table()):
+        if not row or len(simplices[row[-1]]) == len(tau) + 1:
+            size = (len(tau), len(row))
+            if size not in points:
+                points[size] = (len(tau) - 1, tuple(zip(range(len(row)))))
+            yield points[size]
+            continue
+        star = list(map(simplices.__getitem__, row))
+        verts = sorted(set(chain.from_iterable(star)).difference(tau))
+        dense = dict(zip(verts, range(len(verts))))
+        get, has = dense.__getitem__, dense.__contains__
+        yield (len(tau) - 1, tuple([tuple(map(get, filter(has, s)))
+                                    for s in star]))
+
+
+def _link_vertices(k: SimplicialComplex, i: int) -> list[int]:
+    """The link vertices of simplex ``i``, ascending: the vertices of its
+    star outside it.  Vertex j of its link key's rows is the j-th."""
+    simplices = k.simplices
+    star = map(simplices.__getitem__, k.cofaces(i))
+    return sorted(set(chain.from_iterable(star)).difference(simplices[i]))
 
 
 def _dense_link(key: tuple) -> SimplicialComplex:
-    """The geometric link of link key ``key`` (``_link_key``) on dense ids:
+    """The geometric link of link key ``key`` (``_link_keys``) on dense ids:
     the link vertices on ``0 .. n-1``, as in the key, and the boundary on
     ``n .. n+d``, without labels.  That is the dense shape of the geometric
     link of every simplex with this key, so its ``simplices`` are that

@@ -17,7 +17,7 @@ all 2^n - 1 faces of an n-label facet.  Simplices omitted from a function
 file default to zero.  A JSON variant of
 each is also accepted: ``{"name": ..., "facets": [[labels]]}`` and
 ``{"complex": ..., "values": [{"simplex": [labels], "value": "p/2^k"}],
-"default": "0"}``.
+"default": "0"}``, where a label is a string or an integer.
 
 The canonical writer orders everything by label (numbers first, in numeric
 order, then remaining labels lexicographically), never by internal vertex
@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import os
 from json.encoder import encode_basestring_ascii
+from itertools import repeat
 from operator import itemgetter
 
 from .complexes import Simplex, SimplicialComplex, build_complex
@@ -62,11 +63,22 @@ def _check_label(label: str, line: int | None = None) -> str:
     return label
 
 
+def _label_text(token) -> str:
+    """A label as read: a string, or a JSON integer (not a bool) in
+    decimal.  Any other JSON value is a bad label."""
+    t = type(token)
+    if t is str:
+        return token
+    if t is int:
+        return int.__repr__(token)
+    raise ParseError(f"bad vertex label {json.dumps(token)}")
+
+
 def _parse_facet(tokens, line: int | None = None) -> tuple[str, ...]:
     if len(tokens) > MAX_FACET_VERTICES:
         raise ParseError(f"facet has {len(tokens)} vertices, more than the"
                          f" {MAX_FACET_VERTICES} allowed", line)
-    labels = tuple(_check_label(str(t), line) for t in tokens)
+    labels = tuple(_check_label(_label_text(t), line) for t in tokens)
     if len(set(labels)) != len(labels):
         raise ParseError(f"repeated vertex in facet {' '.join(labels)}", line)
     return labels
@@ -95,10 +107,7 @@ def _json(v, indent: str) -> str:
     any other key).  ``type(v) is int`` keeps bools out of the int branch;
     anything else, tuples and floats included, is a TypeError.
 
-    A container's str and int members are written in place, the rest by a
-    call of their own, and its fragments are joined once it is written, so
-    a report's fragments are never all alive at once.
-    """
+    A dict is written from its ``_template``, a list by ``_members``."""
     t = type(v)
     if t is str:
         return encode_basestring_ascii(v)
@@ -113,32 +122,65 @@ def _json(v, indent: str) -> str:
     if t is list:
         if not v:
             return "[]"
-        items, open_, close = v, "[\n", "]"
-    elif t is dict:
+        inner = indent + "  "
+        return ("[\n" + inner + (",\n" + inner).join(_members(v, inner))
+                + "\n" + indent + "]")
+    if t is dict:
         if not v:
             return "{}"
-        items, open_, close = sorted(v), "{\n", "}"
-    else:
-        raise TypeError(f"json_text does not write a {t.__name__}")
-    inner = indent + "  "
-    sep = ",\n" + inner
-    out = [open_, inner]
-    append = out.append
-    for x in items:
-        if t is dict:
-            append(encode_basestring_ascii(x))
-            append(": ")
-            x = v[x]
-        tx = type(x)
-        if tx is str:
-            append(encode_basestring_ascii(x))
-        elif tx is int:
-            append(int.__repr__(x))
-        else:
-            append(_json(x, inner))
-        append(sep)
-    out[-1] = "\n" + indent + close
-    return "".join(out)
+        fmt, order = _template(v, indent)
+        return fmt % tuple(map(_json, map(v.__getitem__, order),
+                               repeat(indent + "  ")))
+    raise TypeError(f"json_text does not write a {t.__name__}")
+
+
+def _template(keys, indent: str) -> tuple[str, list]:
+    """The format string of a nonempty dict with ``keys`` at ``indent``,
+    one ``%s`` per value (a ``%`` in a key is doubled), and the keys in
+    the order of the slots, sorted."""
+    order = sorted(keys)
+    sep = ",\n" + indent + "  "
+    return ("{" + sep[1:] + sep.join([
+        encode_basestring_ascii(key).replace("%", "%%") + ": %s"
+        for key in order]) + "\n" + indent + "}", order)
+
+
+def _members(items: list, indent: str) -> list[str]:
+    """The text of each member of a list, written at ``indent``.  Rows are
+    most of a report, and rows of one test share a key order, so the
+    nonempty dicts of one key order are written together, from one
+    template, a key at a time (``_column``)."""
+    shapes = [tuple(x) if type(x) is dict else None for x in items]
+    groups = {shape: [] for shape in shapes}
+    for shape, x in zip(shapes, items):
+        groups[shape].append(x)
+    texts = {}
+    for shape, group in groups.items():
+        if not shape:  # None or an empty dict's
+            texts[shape] = map(_json, group, repeat(indent))
+            continue
+        fmt, order = _template(shape, indent)
+        columns = [_column(list(map(itemgetter(key), group)), indent + "  ")
+                   for key in order]
+        texts[shape] = map(fmt.__mod__, zip(*columns))
+    return list(map(next, map(texts.__getitem__, shapes)))
+
+
+def _column(values: list, indent: str):
+    """The texts of one key's values in a group of rows, for ``%s``
+    slots: the ints themselves (``%s`` writes an int as ``int.__repr__``
+    does), the encoded strs, or else ``_json`` once per distinct ``repr``.
+    ``repr`` tells every built-in type apart (``True`` from ``1``, ``"1"``
+    from ``1``), so a float or a tuple still reaches ``_json`` and
+    raises."""
+    types = set(map(type, values))
+    if types == {int}:
+        return values
+    if types == {str}:
+        return map(encode_basestring_ascii, values)
+    reprs = list(map(repr, values))
+    texts = {r: _json(y, indent) for r, y in dict(zip(reprs, values)).items()}
+    return map(texts.__getitem__, reprs)
 
 
 def json_text(payload) -> str:
@@ -162,15 +204,15 @@ def parse_complex(text: str, name: str | None = None) -> SimplicialComplex:
         if not line or line.startswith("#"):
             continue
         if header is None:
-            if not line.startswith("complex"):
-                raise ParseError("expected header 'complex v=<n>'", i)
             parts = line.split()
-            if len(parts) != 2 or not parts[1].startswith("v="):
+            if (len(parts) != 2 or parts[0] != "complex"
+                    or not parts[1].startswith("v=")):
                 raise ParseError("expected header 'complex v=<n>'", i)
-            try:
-                header = int(parts[1][2:])
-            except ValueError:
-                raise ParseError("vertex count is not an integer", i) from None
+            count = parts[1][2:]
+            # int() would also take signs, underscores and non-ASCII digits
+            if not (count.isascii() and count.isdigit()):
+                raise ParseError("vertex count is not an integer", i)
+            header = int(count)
             continue
         facets.append(_parse_facet(line.split(), i))
     if header is None:
@@ -333,7 +375,8 @@ def _json_entries(values):
                              " 'simplex' and 'value' fields")
         if not isinstance(entry["simplex"], list) or not entry["simplex"]:
             raise ParseError("'simplex' must be a nonempty array of labels")
-        yield [str(l) for l in entry["simplex"]], str(entry["value"]), None
+        yield ([*map(_label_text, entry["simplex"])], str(entry["value"]),
+               None)
 
 
 def read_function(path: str, k: SimplicialComplex) -> ConstructibleFunction:

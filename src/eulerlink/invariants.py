@@ -20,11 +20,13 @@ homeomorphic to a real algebraic set:
 Both link-based checks (``dim3_check`` and ``search_check``) run their local
 test once per link shape and reuse the result on every other simplex whose
 link has that shape (see ``_per_link_shape``).  A simplex's link key, read
-from its star in the coface table, decides its link's shape without building
+from its star in the coface table (from the length of its coface row alone
+when the link is only points), decides its link's shape without building
 the link.  A link is built once per link key, straight from the key, on
 dense ids and without labels: its simplex tuple is its shape.  A row whose
 witness names a simplex of the link gets that link under the labels of its
-own geometric link, and no link is built for it.
+own geometric link, and no link is built for it; only such a row reads its
+link vertices.
 
 Sullivan's parities and the b-vector are computed on int lists, with the
 link operator of the functions module: the zeta sums over the complex's
@@ -42,7 +44,8 @@ from operator import mul, sub
 from typing import NamedTuple
 
 from .complexes import (Simplex, SimplicialComplex, _boundary_labels,
-                        _dense_link, _link_key, _named_link)
+                        _dense_link, _link_keys, _link_vertices,
+                        _named_link)
 from .functions import ConstructibleFunction, _int_link, _star_sums
 from .search import (DEFAULT_BUDGET, ExpressionWitness, ONE_EXPR,
                      SearchBudget, SearchResult, closure_search,
@@ -205,7 +208,7 @@ def _per_link_shape(k: SimplicialComplex, test):
     (value vectors, first violations, search counts) is the same on all
     links of one shape.
 
-    The memo has two levels.  The link key (``complexes._link_key``) is
+    The memo has two levels.  The link key (``complexes._link_keys``) is
     read from the coface table, and the first simplex of each link key
     builds the key's dense link (``complexes._dense_link``), the geometric
     link on dense ids; its ``simplices`` are its dense shape, which keys
@@ -216,24 +219,27 @@ def _per_link_shape(k: SimplicialComplex, test):
     The yielded link is the dense link ``test`` ran on, which has no
     labels.  Where the result names a link simplex (a witness location), it
     is yielded under the labels of ``tau``'s own geometric link, so the
-    location reads as it would there; its boundary labels are worked out
-    once per dimension.
+    location reads as it would there; only such a row reads its link
+    vertices (``complexes._link_vertices``), and its boundary labels are
+    worked out once per dimension.
     """
-    shapes: dict[tuple, tuple[SimplicialComplex, object]] = {}
-    keys: dict[tuple, tuple[SimplicialComplex, object]] = {}
+    shapes: dict[tuple, tuple[SimplicialComplex, object, bool]] = {}
+    keys: dict[tuple, tuple[SimplicialComplex, object, bool]] = {}
     boundary: dict[int, list[str]] = {}
-    for i, tau in enumerate(k.simplices):
-        key, verts = _link_key(k, i)
-        if key not in keys:
+    for i, (tau, key) in enumerate(zip(k.simplices, _link_keys(k))):
+        got = keys.get(key)
+        if got is None:
             link = _dense_link(key)
             if link.simplices not in shapes:
-                shapes[link.simplices] = (link, test(link))
-            keys[key] = shapes[link.simplices]
-        link, res = keys[key]
-        if _located(res):
+                res = test(link)
+                shapes[link.simplices] = (link, res, _located(res))
+            got = keys[key] = shapes[link.simplices]
+        link, res, located = got
+        if located:
             if tau.dim not in boundary:
                 boundary[tau.dim] = _boundary_labels(k, tau.dim)
-            link = _named_link(link, k, verts, boundary[tau.dim])
+            link = _named_link(link, k, _link_vertices(k, i),
+                               boundary[tau.dim])
         yield tau, link, res
 
 

@@ -1,11 +1,12 @@
-"""Shared generators for the randomized suites, and the dense-shape
-reference.
+"""Shared generators for the randomized suites, and the dense-shape and
+link-key references.
 
 Every generator takes an explicit random.Random so a failing case can be
 reproduced from the seed alone.
 """
 
 import random
+from itertools import chain
 
 import pytest
 
@@ -49,6 +50,20 @@ def dense_shape(link: SimplicialComplex) -> tuple:
     increasing order: what the link-shape memo keys its results by."""
     dense = {v: i for i, v in enumerate(link.vertex_ids)}
     return tuple(tuple(dense[v] for v in s) for s in link.simplices)
+
+
+def link_key(k: SimplicialComplex, i: int) -> tuple:
+    """The link key of simplex ``i``, read from its whole star: ``dim tau``
+    and tau's strict cofaces with tau's vertices dropped, the rest
+    renumbered densely in ascending order."""
+    simplices = k.simplices
+    tau = simplices[i]
+    star = list(map(simplices.__getitem__, k.coface_table()[i]))
+    verts = sorted(set(chain.from_iterable(star)).difference(tau))
+    dense = dict(zip(verts, range(len(verts))))
+    get, has = dense.__getitem__, dense.__contains__
+    return (len(tau) - 1, tuple([tuple(map(get, filter(has, s)))
+                                 for s in star]))
 
 
 @pytest.fixture

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from eulerlink import corpus
 from eulerlink.complexes import (Simplex, SimplicialComplex, SimplicialMap,
                                  _boundary_labels, _canonical_order,
-                                 _dense_link, _link_key, _named_link,
-                                 build_complex,
+                                 _dense_link, _link_keys, _link_vertices,
+                                 _named_link, build_complex,
                                  barycentric_subdivision, cone,
                                  disjoint_union, euler_characteristic,
                                  geometric_link, join, point_complex,
@@ -415,7 +415,8 @@ def test_named_link_view_has_its_own_name_table():
     k = corpus.corpus_complex("susp_torus")
     i = k.n_vertices  # an edge
     tau = k.simplices[i]
-    key, verts = _link_key(k, i)
+    key = list(_link_keys(k))[i]
+    verts = _link_vertices(k, i)
     link = _dense_link(key)
     before = link.simplex_names()
     table = link.coface_table()  # a local test has run on the link

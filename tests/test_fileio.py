@@ -108,6 +108,36 @@ def test_parse_complex_diagnostics():
     assert "line 3" in str(err)
 
 
+@pytest.mark.parametrize("header, message", [
+    ("complexes v=3", "expected header 'complex v=<n>'"),
+    ("complex v=1_0", "vertex count is not an integer"),
+    ("complex v=+3", "vertex count is not an integer"),
+    ("complex v=\u0663", "vertex count is not an integer"),  # Arabic-Indic 3
+], ids=["complexes", "underscore", "sign", "non-ascii-digit"])
+def test_loose_headers_are_rejected(header, message):
+    with pytest.raises(ParseError) as err:
+        parse_complex(header + "\na b c\n")
+    assert str(err.value) == f"line 1: {message}"
+    assert parse_complex("complex v=3\na b c\n").n_vertices == 3
+
+
+@pytest.mark.parametrize("label, shown", [
+    (None, "null"), (True, "true"), (False, "false"), (1.5, "1.5"),
+    (["a"], '["a"]'), ({"a": 1}, '{"a": 1}'),
+], ids=repr)
+def test_json_labels_are_strings_or_integers(label, shown):
+    w = corpus.window()
+    with pytest.raises(ParseError) as err:
+        parse_complex(json.dumps({"facets": [[label, "b"]]}))
+    assert str(err.value) == f"bad vertex label {shown}"
+    with pytest.raises(ParseError) as err:
+        parse_function(json.dumps({"values": [{"simplex": ["0,0", label],
+                                               "value": "1"}]}), w)
+    assert str(err.value) == f"bad vertex label {shown}"
+    k = parse_complex(json.dumps({"facets": [[0, -1, "b"]]}))
+    assert sorted(k.labels.values()) == ["-1", "0", "b"]
+
+
 def test_function_round_trip():
     w = corpus.window()
     q = corpus.quadrant_subcomplex(w)
@@ -378,6 +408,14 @@ def test_fuzzed_function_files_fail_in_one_line(fuzz_dir, text):
     ("f.fn", '{"values": {"c0": "1"}}'),
     ("f.fn", "function over=circle\nc0 : 1/2^4097\n"),
     ("k.cplx", '{"name": 3, "facets": [["a", "b"]]}'),
+    ("k.cplx", '{"facets": [[null, 2]]}'),
+    ("k.cplx", '{"facets": [[true, 2]]}'),
+    ("k.cplx", '{"facets": [[1.5, 2]]}'),
+    ("k.cplx", '{"facets": [[["a"], "b"]]}'),
+    ("f.fn", '{"values": [{"simplex": [null], "value": "1"}]}'),
+    ("f.fn", '{"values": [{"simplex": [false, "c0"], "value": "1"}]}'),
+    ("f.fn", '{"values": [{"simplex": [1.5], "value": "1"}]}'),
+    ("f.fn", '{"values": [{"simplex": [["c0"], "c1"], "value": "1"}]}'),
     ("k.cplx", "complex v=13\n" + " ".join(f"v{i}" for i in range(13)) + "\n"),
 ])
 def test_reported_malformed_files_exit_one(fuzz_dir, name, text):

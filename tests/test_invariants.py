@@ -1,13 +1,16 @@
 """Invariant vectors, the three obstruction checks, certificates, bounds."""
 
+import json
+import os
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_shape
-from eulerlink import corpus, invariants, search
-from eulerlink.complexes import (Simplex, _dense_link, _link_key,
-                                 barycentric_subdivision,
+from conftest import dense_shape, link_key
+from eulerlink import cli, corpus, invariants, search
+from eulerlink.complexes import (Simplex, _dense_link, _link_keys,
+                                 _link_vertices, barycentric_subdivision,
                                  build_complex, cone, disjoint_union,
                                  euler_characteristic, geometric_link, join,
                                  point_complex, simplicial_link, suspension)
@@ -27,6 +30,7 @@ from eulerlink.search import (ONE_EXPR, ExpressionWitness, SearchBudget,
                               SearchResult, closure_search, dim4_local_search,
                               halving_witness, replay_witness)
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DIM2_CORPUS = ["theta", "segment", "circle", "sphere2", "torus", "klein",
                "rp2", "window"]
 
@@ -307,14 +311,18 @@ def _star_key_cases():
 
 
 def _assert_star_keys_exact(k):
-    """Simplices with equal link keys have links of equal dense shape, the
-    dense link built from the key has exactly that shape, and the key's
-    link vertices are the first vertices of the link."""
+    """Link keys equal the keys read from the whole star, simplices with
+    equal link keys have links of equal dense shape, the dense link built
+    from the key has exactly that shape, and the link vertices are the
+    first vertices of the link."""
     shapes = {}
+    keys = list(_link_keys(k))
+    assert len(keys) == len(k.simplices)
     for i, tau in enumerate(k.simplices):
         own = geometric_link(k, tau)
         shape = dense_shape(own)
-        key, verts = _link_key(k, i)
+        key, verts = keys[i], _link_vertices(k, i)
+        assert key == link_key(k, i), tau
         assert shapes.setdefault(key, shape) == shape, tau
         assert _dense_link(key).simplices == shape, tau
         assert own.vertex_ids[:len(verts)] == tuple(verts)
@@ -383,6 +391,31 @@ def test_dim3_check_builds_one_link_per_link_key(monkeypatch):
     keys = {(tau.dim, dense_shape(simplicial_link(cw, tau)))
             for tau in cw.simplices}
     assert len(built) == len(keys)
+
+
+@pytest.mark.parametrize("name, located", [
+    ("sphere3", 0), ("torus", 0), ("window", 32), ("susp_window", 98)])
+def test_check_reads_link_vertices_only_for_located_rows(name, located,
+                                                         tmp_path,
+                                                         monkeypatch):
+    # sphere3 and the torus pass every test; the window and its suspension
+    # fail, with half-link witnesses that name a simplex of the link.
+    read = []
+
+    def counting_vertices(k, i):
+        read.append(k.simplex_name(k.simplices[i]))
+        return _link_vertices(k, i)
+
+    monkeypatch.setattr(invariants, "_link_vertices", counting_vertices)
+    out = tmp_path / "report.json"
+    code = cli.main(["check", "--json", "-o", str(out),
+                     os.path.join(ROOT, "corpus", f"{name}.cplx")])
+    rows = json.loads(out.read_text(encoding="utf-8"))["tests"]
+    named = [r["simplex"] for r in rows if "witness" in r
+             and r["witness"]["location"] != "integral"]
+    assert code == (0 if not located else 2)
+    assert read == named
+    assert len(read) == located
 
 
 def test_reused_witnesses_replay_on_their_own_links():

@@ -6,8 +6,15 @@ root and a relative ``corpus/<name>.cplx`` path, because the path is echoed
 into the report.  A change to the report format must regenerate the file:
 
     PYTHONPATH=src python tests/test_report_digests.py
+
+With ``--check`` the script writes nothing: it prints how many digests
+changed and exits 1 if any did, so that a change meant to keep every report
+byte can be checked without touching the file:
+
+    PYTHONPATH=src python tests/test_report_digests.py --check
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -73,6 +80,11 @@ def test_report_bytes_are_pinned(argv, pinned, monkeypatch):
 
 
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(
+        description="Regenerate the pinned report digests.")
+    parser.add_argument("--check", action="store_true",
+                        help="write nothing; exit 1 if any digest changed")
+    args = parser.parse_args()
     os.chdir(ROOT)
     table = {_key(argv): _digest(argv) for argv in _runs()}
     try:
@@ -84,6 +96,8 @@ if __name__ == "__main__":
     print(f"{len(changed)} of {len(table)} digests changed"
           + "".join(f"\n  {key}" for key in changed[:5])
           + ("\n  ..." if len(changed) > 5 else ""), file=sys.stderr)
+    if args.check:
+        sys.exit(1 if changed else 0)
     os.makedirs(os.path.dirname(DIGESTS), exist_ok=True)
     with open(DIGESTS, "w", encoding="utf-8") as fh:
         json.dump(table, fh, indent=1, sort_keys=True)
