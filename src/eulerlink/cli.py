@@ -62,10 +62,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_check(args) -> int:
-    k = read_complex(args.path)
-    if k.dim > 4:
-        raise ValueError(f"dimension {k.dim} is out of range for check"
-                         " (supported: <= 4)")
+    k = read_complex(args.path, max_dim=4)
     budget = _budget_from(args)
     config = RunConfig(command="check", inputs=(args.path,),
                        output_format="json" if args.json else "text",
@@ -81,7 +78,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_invariants(args) -> int:
-    k = read_complex(args.path)
+    k = read_complex(args.path, max_dim=2)
     res = b_vector(k)
     if isinstance(res, InvariantVector):
         if args.json:
@@ -92,11 +89,11 @@ def cmd_invariants(args) -> int:
             print(str(res))
         return 0
     if args.json:
-        payload = {"complex": k.name, "witness": res.as_dict(k),
+        payload = {"complex": k.name, "witness": res.as_dict(k.labels),
                    "exit_code": 2}
         sys.stdout.write(json_text(payload))
     else:
-        print(f"obstruction: {res.describe(k)}")
+        print(f"obstruction: {res.describe(k.labels)}")
     return 2
 
 

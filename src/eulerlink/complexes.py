@@ -397,21 +397,6 @@ def _boundary_labels(k: SimplicialComplex, d: int) -> list[str]:
     return _fresh_labels(k, [f"b{i}" for i in range(d + 1)]) if d else []
 
 
-def _named_link(link: SimplicialComplex, k: SimplicialComplex, verts,
-                boundary: list[str]) -> SimplicialComplex:
-    """The dense link ``link`` (``_dense_link``) under the labels of the
-    geometric link of a simplex of ``k`` with link vertices ``verts`` and
-    boundary labels ``boundary`` (``_boundary_labels``): vertex j is named
-    like vertex j there (``verts`` as in ``k``, then the boundary).  A view
-    that shares ``link``'s simplices and coface table; its name table is
-    its own, as its labels are."""
-    view = object.__new__(SimplicialComplex)
-    view.__dict__ = {**link.__dict__, "_names": None,
-                     "_labels": dict(enumerate([*map(k.label, verts),
-                                                *boundary]))}
-    return view
-
-
 # -- joins and friends ------------------------------------------------------
 
 

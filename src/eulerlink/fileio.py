@@ -192,10 +192,14 @@ def json_text(payload) -> str:
 # -- complexes ------------------------------------------------------------------
 
 
-def parse_complex(text: str, name: str | None = None) -> SimplicialComplex:
+def parse_complex(text: str, name: str | None = None,
+                  max_dim: int | None = None) -> SimplicialComplex:
+    """The complex of a text or JSON complex file.  Given ``max_dim``, a
+    facet of higher dimension is a parse error, raised before any face is
+    built."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        return _complex_from_obj(_load_json(text), name)
+        return _complex_from_obj(_load_json(text), name, max_dim)
     lines = text.splitlines()
     header = None
     facets: list[tuple[str, ...]] = []
@@ -219,10 +223,11 @@ def parse_complex(text: str, name: str | None = None) -> SimplicialComplex:
         raise ParseError("empty input: missing 'complex v=<n>' header")
     if not facets:
         raise ParseError("empty complex: no facets")
-    return _from_label_facets(facets, name, expected_vertices=header)
+    return _from_label_facets(facets, name, max_dim, expected_vertices=header)
 
 
-def _complex_from_obj(obj, name: str | None) -> SimplicialComplex:
+def _complex_from_obj(obj, name: str | None,
+                      max_dim: int | None) -> SimplicialComplex:
     if not isinstance(obj, dict) or "facets" not in obj:
         raise ParseError("structured complex needs a 'facets' field")
     raw = obj["facets"]
@@ -236,24 +241,31 @@ def _complex_from_obj(obj, name: str | None) -> SimplicialComplex:
     got = obj.get("name")
     if got is not None and not isinstance(got, str):
         raise ParseError("'name' must be a string")
-    return _from_label_facets(facets, name=got if got is not None else name)
+    return _from_label_facets(facets, got if got is not None else name,
+                              max_dim)
 
 
-def _from_label_facets(facets, name, expected_vertices: int | None = None):
+def _from_label_facets(facets, name, max_dim: int | None,
+                       expected_vertices: int | None = None):
     labels = sorted({l for f in facets for l in f}, key=_label_key)
     if expected_vertices is not None and len(labels) != expected_vertices:
         raise ParseError(f"header says v={expected_vertices} but facets use"
                          f" {len(labels)} distinct vertices")
+    dim = max(map(len, facets)) - 1
+    if max_dim is not None and dim > max_dim:
+        raise ParseError(f"dimension {dim} is out of range (supported:"
+                         f" <= {max_dim})")
     ids = {l: i for i, l in enumerate(labels)}
     return build_complex([sorted(ids[l] for l in f) for f in facets],
                          labels={i: l for l, i in ids.items()}, name=name)
 
 
-def read_complex(path: str) -> SimplicialComplex:
+def read_complex(path: str, max_dim: int | None = None) -> SimplicialComplex:
+    """``parse_complex`` of the file at ``path``, named by its stem."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     stem = os.path.splitext(os.path.basename(path))[0]
-    return parse_complex(text, name=stem)
+    return parse_complex(text, name=stem, max_dim=max_dim)
 
 
 def _label_rows(k: SimplicialComplex, simplices) -> list[tuple[list, Simplex]]:

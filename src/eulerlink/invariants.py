@@ -12,21 +12,22 @@ homeomorphic to a real algebraic set:
   itself an obstruction.
 * ``dim3_check`` — for dimension at most 3, the b-vector of every
   simplex's geometric link must vanish.
-* ``dim4_local_search`` (in the search module) — bounded operator-closure
-  search at each simplex, re-exported here for convenience.
+* ``search_check`` — the bounded operator-closure search of the search
+  module at every simplex.
 * ``divisibility_certificate`` / ``bonnard_bounds`` — the sufficiency
   certificate via 2-adic valuation and the closed-form presentation bounds.
 
-Both link-based checks (``dim3_check`` and ``search_check``) run their local
-test once per link shape and reuse the result on every other simplex whose
-link has that shape (see ``_per_link_shape``).  A simplex's link key, read
-from its star in the coface table (from the length of its coface row alone
-when the link is only points), decides its link's shape without building
-the link.  A link is built once per link key, straight from the key, on
-dense ids and without labels: its simplex tuple is its shape.  A row whose
-witness names a simplex of the link gets that link under the labels of its
-own geometric link, and no link is built for it; only such a row reads its
-link vertices.
+Both link-based checks (``dim3_check`` and ``search_check``) make their rows
+in one loop, ``_link_test_rows``, which runs their local test once per link
+shape and reuses the result and its row text on every other simplex whose
+link has that shape.  A simplex's link key, read from its star in the
+coface table (from the length of its coface row alone when the link is only
+points), decides its link's shape without building the link.  A link is
+built once per link key, straight from the key, on dense ids and without
+labels: its simplex tuple is its shape.  A row whose witness names a
+simplex of the link has its text made on its own, with the location named
+from the labels of the row's own geometric link, and no link is built for
+it; only such a row reads its link vertices.
 
 Sullivan's parities and the b-vector are computed on int lists, with the
 link operator of the functions module: the zeta sums over the complex's
@@ -44,12 +45,11 @@ from operator import mul, sub
 from typing import NamedTuple
 
 from .complexes import (Simplex, SimplicialComplex, _boundary_labels,
-                        _dense_link, _link_keys, _link_vertices,
-                        _named_link)
+                        _dense_link, _link_keys, _link_vertices)
 from .functions import ConstructibleFunction, _int_link, _star_sums
 from .search import (DEFAULT_BUDGET, ExpressionWitness, ONE_EXPR,
                      SearchBudget, SearchResult, closure_search,
-                     dim4_local_search, halving_witness)
+                     halving_witness, witness_text)
 
 NECESSARY_ONLY = ("all checks are necessary conditions for homeomorphism to"
                   " a real algebraic set; passing is not a realizability proof")
@@ -191,16 +191,19 @@ def sullivan_check(k: SimplicialComplex) -> ObstructionReport:
         summary={"sullivan": "pass" if passed else "fail"}, notes=tuple(notes))
 
 
-def _located(res) -> bool:
-    """Whether a local test's result names a simplex of its link."""
-    if isinstance(res, SearchResult):
-        res = res.witness
-    return isinstance(res, ExpressionWitness) and res.location is not None
+def _link_test_rows(k: SimplicialComplex, test_name: str, test, text):
+    """Run the local test ``test`` on the geometric link of every simplex
+    of ``k``, once per link shape, and return the rows of test
+    ``test_name``, in canonical order, and every simplex's result.
 
-
-def _per_link_shape(k: SimplicialComplex, test):
-    """Yield ``(tau, link, test(link))`` for every simplex ``tau`` of ``k``,
-    running ``test`` once per link shape.
+    ``text(res, label)`` makes a row's verdict, value and data from a
+    result.  It runs once per link shape, and the rows of that shape share
+    what it returns; where the result's witness names a simplex of the
+    link (has a location), it runs once per row instead.  There ``label``
+    names the tested link's vertices as the row's own geometric link does:
+    its link vertices (``complexes._link_vertices``) as named in ``k``,
+    then the boundary's fresh labels, worked out once per dimension.  Only
+    such a row reads its link vertices, and no link is built for it.
 
     A link's shape is its dense shape: its simplex tuple with the vertex
     ids relabelled densely in increasing order.  An increasing relabelling
@@ -215,69 +218,75 @@ def _per_link_shape(k: SimplicialComplex, test):
     the results of ``test``.  Two link keys can share a dense shape (a
     vertex link and an edge link, say), so ``test`` still runs once per
     dense shape.
-
-    The yielded link is the dense link ``test`` ran on, which has no
-    labels.  Where the result names a link simplex (a witness location), it
-    is yielded under the labels of ``tau``'s own geometric link, so the
-    location reads as it would there; only such a row reads its link
-    vertices (``complexes._link_vertices``), and its boundary labels are
-    worked out once per dimension.
     """
-    shapes: dict[tuple, tuple[SimplicialComplex, object, bool]] = {}
-    keys: dict[tuple, tuple[SimplicialComplex, object, bool]] = {}
+    rows, results = [], []
+    shapes: dict[tuple, tuple] = {}  # dense shape -> (result, row or None)
+    keys: dict[tuple, tuple] = {}  # link key -> its shape's entry
     boundary: dict[int, list[str]] = {}
-    for i, (tau, key) in enumerate(zip(k.simplices, _link_keys(k))):
+    for i, (tau, where, key) in enumerate(zip(k.simplices, k.simplex_names(),
+                                              _link_keys(k))):
         got = keys.get(key)
         if got is None:
             link = _dense_link(key)
-            if link.simplices not in shapes:
+            got = shapes.get(link.simplices)
+            if got is None:
                 res = test(link)
-                shapes[link.simplices] = (link, res, _located(res))
-            got = keys[key] = shapes[link.simplices]
-        link, res, located = got
-        if located:
+                w = res.witness if isinstance(res, SearchResult) else res
+                located = (isinstance(w, ExpressionWitness)
+                           and w.location is not None)
+                got = shapes[link.simplices] = (
+                    res, None if located else text(res, None))
+            keys[key] = got
+        res, row = got
+        if row is None:
             if tau.dim not in boundary:
                 boundary[tau.dim] = _boundary_labels(k, tau.dim)
-            link = _named_link(link, k, _link_vertices(k, i),
-                               boundary[tau.dim])
-        yield tau, link, res
+            row = text(res, [*map(k.label, _link_vertices(k, i)),
+                             *boundary[tau.dim]])
+        rows.append(TestRow(test_name, tau, where, *row))
+        results.append(res)
+    return tuple(rows), results
 
 
-def _b_text(b: InvariantVector) -> tuple[str, str]:
-    """The verdict and value of a dim3 row whose link has b-vector ``b``."""
-    bad = [name for name, c in zip(("chi2", "b1", "b2", "b3", "b4"), b) if c]
-    return ("pass" if b.is_zero else "fail",
-            f"b = {b}" + (f", nonzero: {' '.join(bad)}" if bad else ""))
+def _b_text(res, label) -> tuple[str, str, dict]:
+    """The verdict, value and data of a dim3 row whose link has b-vector
+    or half-link witness ``res``."""
+    if isinstance(res, ExpressionWitness):
+        d = res.as_dict(label)
+        return ("fail", f"half-link obstruction: {witness_text(d)}",
+                {"witness": d})
+    bad = [name for name, c in zip(("chi2", "b1", "b2", "b3", "b4"), res) if c]
+    return ("pass" if res.is_zero else "fail",
+            f"b = {res}" + (f", nonzero: {' '.join(bad)}" if bad else ""),
+            {"b": list(res)})
 
 
 def dim3_check(k: SimplicialComplex) -> ObstructionReport:
     """Vanishing of the b-vector of every simplex's geometric link.
 
-    A row's text is worked out once per b-vector, not once per simplex;
-    each row still gets a ``data`` dict of its own.  A half-link witness
-    names a simplex of the link, so its row is read under that link's
-    labels."""
+    A half-link witness names a simplex of the link, so its row is read
+    under the labels of the row's own link (``_link_test_rows``)."""
     if k.dim > 3:
         raise ValueError("dim3 check requires dimension <= 3")
-    rows = []
-    texts: dict[InvariantVector, tuple[str, str]] = {}
-    names = k.simplex_names()
-    for i, (tau, link, res) in enumerate(_per_link_shape(k, b_vector)):
-        if isinstance(res, InvariantVector):
-            if res not in texts:
-                texts[res] = _b_text(res)
-            verdict, value = texts[res]
-            data = {"b": list(res)}
-        else:
-            verdict = "fail"
-            value = f"half-link obstruction: {res.describe(link)}"
-            data = {"witness": res.as_dict(link)}
-        rows.append(TestRow("dim3", tau, names[i], verdict, value, data))
+    rows, _ = _link_test_rows(k, "dim3", b_vector, _b_text)
     passed = all(r.verdict == "pass" for r in rows)
     return ObstructionReport(
-        complex_name=k.name or "complex", dimension=k.dim, rows=tuple(rows),
+        complex_name=k.name or "complex", dimension=k.dim, rows=rows,
         summary={"dim3": "pass" if passed else "fail"},
         notes=(NECESSARY_ONLY,))
+
+
+def _search_text(res: SearchResult, label) -> tuple[str, str, dict]:
+    """The verdict, value and data of a search row with result ``res``."""
+    if res.witness is not None:
+        d = res.witness.as_dict(label)
+        return ("fail", witness_text(d),
+                {"witness": d, "explored": res.explored, "stop": res.stop})
+    return ("pass", f"no witness within budget ({res.explored} functions,"
+                    f" stop: {res.stop})",
+            {"explored": res.explored, "stop": res.stop,
+             "guard_hits": res.guard_hits,
+             "depth_complete": res.depth_complete})
 
 
 def search_check(k: SimplicialComplex,
@@ -287,42 +296,22 @@ def search_check(k: SimplicialComplex,
     The notes hold for every row: the completeness of the weakest pass row
     (fewest complete levels, first in canonical order on a tie), and the
     guard hits summed over all rows."""
-    rows = []
-    weakest = None
-    guard_hits = 0
-    names = k.simplex_names()
-    for i, (tau, link, res) in enumerate(_per_link_shape(
-            k, lambda link: closure_search(link, budget))):
-        guard_hits += res.guard_hits
-        if res.verdict == "witness":
-            w = res.witness
-            rows.append(TestRow(
-                test="search", simplex=tau, where=names[i],
-                verdict="fail",
-                value=w.describe(link),
-                data={"witness": w.as_dict(link),
-                      "explored": res.explored, "stop": res.stop}))
-        else:
-            rows.append(TestRow(
-                test="search", simplex=tau, where=names[i],
-                verdict="pass",
-                value=f"no witness within budget ({res.explored} functions,"
-                      f" stop: {res.stop})",
-                data={"explored": res.explored, "stop": res.stop,
-                      "guard_hits": res.guard_hits,
-                      "depth_complete": res.depth_complete}))
-            if weakest is None or res.depth_complete < weakest[1].depth_complete:
-                weakest = (rows[-1].where, res)
+    rows, results = _link_test_rows(
+        k, "search", lambda link: closure_search(link, budget), _search_text)
     notes = [NECESSARY_ONLY]
+    weakest = min(((row.where, res) for row, res in zip(rows, results)
+                   if res.passed),
+                  key=lambda p: p[1].depth_complete, default=None)
     if weakest is not None:
         where, res = weakest
         notes.append(f"search, weakest pass row {where}: {res.completeness()}")
+    guard_hits = sum(res.guard_hits for res in results)
     if guard_hits:
         notes.append(f"value-growth guard pruned {guard_hits} branches"
                      " over all rows")
     passed = all(r.verdict == "pass" for r in rows)
     return ObstructionReport(
-        complex_name=k.name or "complex", dimension=k.dim, rows=tuple(rows),
+        complex_name=k.name or "complex", dimension=k.dim, rows=rows,
         summary={"search": "pass" if passed else "fail"}, notes=tuple(notes))
 
 

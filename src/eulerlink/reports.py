@@ -40,13 +40,8 @@ def exit_code_for(report: ObstructionReport) -> int:
 
 
 def report_payload(report: ObstructionReport, config: RunConfig) -> dict:
-    rows = []
-    for r in report.rows:
-        row = {"test": r.test, "simplex": r.where, "verdict": r.verdict,
-               "value": r.value}
-        if r.data:
-            row.update(r.data)
-        rows.append(row)
+    rows = [{"test": r.test, "simplex": r.where, "verdict": r.verdict,
+             "value": r.value, **(r.data or {})} for r in report.rows]
     return {
         "tool_version": TOOL_VERSION,
         "complex": report.complex_name,

@@ -115,7 +115,11 @@ def evaluate_expression(expr: Expression,
 
 class ExpressionWitness(NamedTuple):
     """A violation certificate: an expression over the link indicator whose
-    value breaks integrality or integral parity."""
+    value breaks integrality or integral parity.
+
+    ``label`` names the vertices of the link the witness lives on:
+    ``label[v]`` is vertex v's label, from a list on dense ids or a
+    complex's ``labels``.  Only a witness with a location reads it."""
 
     expr: Expression
     kind: str  # KIND_NON_INTEGER | KIND_ODD_INTEGRAL
@@ -124,25 +128,32 @@ class ExpressionWitness(NamedTuple):
     depth: int
     size: int
 
-    def describe(self, complex: SimplicialComplex | None = None) -> str:
-        head = f"{expression_str(self.expr)} -> {self.kind} {self.value}"
-        if self.location is None:
-            return head  # the kind already names the integral
-        if complex is not None:
-            return f"{head} at {complex.simplex_name(self.location)}"
-        return f"{head} at {tuple(self.location)}"
+    def describe(self, label) -> str:
+        """The one-line description of ``as_dict(label)``."""
+        return witness_text(self.as_dict(label))
 
-    def as_dict(self, complex: SimplicialComplex | None = None) -> dict:
+    def as_dict(self, label) -> dict:
+        """The witness as a report writes it, its location named as the
+        simplex ``(label label ...)``, or ``integral``."""
+        where = "integral"
+        if self.location is not None:
+            where = "(" + " ".join(map(label.__getitem__, self.location)) + ")"
         return {
             "expr": expression_str(self.expr),
             "kind": self.kind,
-            "location": ("integral" if self.location is None
-                         else (complex.simplex_name(self.location) if complex
-                               else " ".join(map(str, self.location)))),
+            "location": where,
             "value": str(self.value),
             "depth": self.depth,
             "size": self.size,
         }
+
+
+def witness_text(d: dict) -> str:
+    """The one-line description of a witness dict (``as_dict``): the
+    expression, the kind and value of the violation, and where it is (the
+    kind already names the integral)."""
+    head = f"{d['expr']} -> {d['kind']} {d['value']}"
+    return head if d["location"] == "integral" else f"{head} at {d['location']}"
 
 
 def halving_witness(expr: Expression, simplex: Simplex, a: int,

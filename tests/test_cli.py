@@ -1,10 +1,11 @@
 """Command-line behavior: exit codes, output shapes, golden stability."""
 
 import json
+import random
 
 import pytest
 
-from eulerlink import cli, corpus
+from eulerlink import cli, corpus, fileio
 from eulerlink.complexes import Simplex, geometric_link
 from eulerlink.fileio import read_complex, save_complex, write_complex
 from eulerlink.functions import indicator_of_subcomplex
@@ -63,6 +64,30 @@ def test_check_rejects_high_dimension(tmp_path, capsys):
     save_complex(cone(corpus.corpus_complex("susp_sphere3")), str(five))
     assert run(["check", str(five)]) == 1
     assert "dimension" in capsys.readouterr().err
+
+
+def test_a_dimension_out_of_range_is_rejected_before_building(
+        tmp_path, capsys, monkeypatch):
+    # 300 twelve-label facets: building their faces would take seconds and
+    # hundreds of MiB, so build_complex is replaced, and check and
+    # invariants must reject the file before they reach it.
+    built = []
+    monkeypatch.setattr(fileio, "build_complex",
+                        lambda facets, **kw: built.append(facets)
+                        or corpus.theta())
+    rng = random.Random(0)
+    facets = [sorted(rng.sample(range(40), 12)) for _ in range(300)]
+    path = tmp_path / "eleven.cplx"
+    path.write_text(json.dumps({"facets": facets}), encoding="utf-8")
+    for command, top in (("check", 4), ("invariants", 2)):
+        assert run([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: dimension 11 is out of range"
+                                f" (supported: <= {top})\n")
+    assert not built
+    assert run(["validate", str(path)]) == 0  # no dimension limit
+    assert len(built) == 1 and len(built[0]) == 300
 
 
 def test_check_report_is_byte_identical_across_runs(tmp_path, theta_file):

@@ -10,7 +10,7 @@ from eulerlink import corpus
 from eulerlink.complexes import (Simplex, SimplicialComplex, SimplicialMap,
                                  _boundary_labels, _canonical_order,
                                  _dense_link, _link_keys, _link_vertices,
-                                 _named_link, build_complex,
+                                 build_complex,
                                  barycentric_subdivision, cone,
                                  disjoint_union, euler_characteristic,
                                  geometric_link, join, point_complex,
@@ -411,28 +411,21 @@ def test_name_table_matches_simplex_name(k):
     assert k.simplex_names() is k.simplex_names()
 
 
-def test_named_link_view_has_its_own_name_table():
-    k = corpus.corpus_complex("susp_torus")
-    i = k.n_vertices  # an edge
-    tau = k.simplices[i]
-    key = list(_link_keys(k))[i]
-    verts = _link_vertices(k, i)
-    link = _dense_link(key)
-    before = link.simplex_names()
-    table = link.coface_table()  # a local test has run on the link
-    pairs = link.face_pairs()
-    view = _named_link(link, k, verts[::-1], _boundary_labels(k, tau.dim))
-    assert view.simplex_names() == tuple(view.simplex_name(s)
-                                         for s in view.simplices)
-    assert view.simplex_names() != before
-    assert link.simplex_names() is before
-    assert view.simplices is link.simplices
-    assert view.coface_table() is table
-    assert view.face_pairs() is pairs
-    # in key order, the view is named as the geometric link is
-    own = geometric_link(k, tau)
-    view = _named_link(link, k, verts, _boundary_labels(k, tau.dim))
-    assert view.simplex_names() == own.simplex_names()
+@pytest.mark.parametrize("name", ["susp_torus", "cone_window"])
+def test_link_labels_name_the_dense_link_as_the_geometric_link(name):
+    # Vertex j of a link key's dense link is named like vertex j of the
+    # simplex's own geometric link: the link vertices as named in k, then
+    # the boundary's fresh labels.  That is how a report names a witness's
+    # location without building the simplex's link.
+    k = corpus.corpus_complex(name)
+    for i, (tau, key) in enumerate(zip(k.simplices, _link_keys(k))):
+        label = [*map(k.label, _link_vertices(k, i)),
+                 *_boundary_labels(k, tau.dim)]
+        own = geometric_link(k, tau)
+        assert len(label) == own.n_vertices
+        assert tuple("(" + " ".join(map(label.__getitem__, s)) + ")"
+                     for s in _dense_link(key).simplices) == \
+            own.simplex_names(), tau
 
 
 # -- join, cone, suspension, union ----------------------------------------------

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import random
 import sys
 
 import pytest
@@ -286,6 +287,34 @@ def test_facets_above_the_size_cap_are_parse_errors(monkeypatch):
     with pytest.raises(ParseError, match="facet has 13 vertices, more than"
                                          " the 12 allowed"):
         parse_complex(json.dumps({"facets": [["a", "b"], over]}))
+
+
+def _long_facets(count: int = 300, size: int = 12) -> list[list[str]]:
+    rng = random.Random(0)
+    return [[f"v{i}" for i in sorted(rng.sample(range(40), size))]
+            for _ in range(count)]
+
+
+def test_a_dimension_above_max_dim_is_a_parse_error(monkeypatch):
+    # Rejected by the largest facet, before build_complex (replaced here)
+    # builds any face.
+    built = []
+    monkeypatch.setattr(fileio, "build_complex",
+                        lambda facets, **kw: built.append(facets) or facets)
+    facets = _long_facets()
+    labels = {l for f in facets for l in f}
+    text = f"complex v={len(labels)}\n" + "".join(
+        " ".join(f) + "\n" for f in facets)
+    for given in (text, json.dumps({"facets": facets})):
+        for max_dim in (4, 2, 10):
+            with pytest.raises(ParseError, match=f"^dimension 11 is out of"
+                                                 f" range \\(supported: <="
+                                                 f" {max_dim}\\)$"):
+                parse_complex(given, max_dim=max_dim)
+        assert not built
+        assert len(parse_complex(given, max_dim=11)) == 300
+        assert len(parse_complex(given)) == 300
+        built.clear()
 
 
 @pytest.mark.parametrize("obj, message", [

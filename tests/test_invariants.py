@@ -17,11 +17,11 @@ from eulerlink.complexes import (Simplex, _dense_link, _link_keys,
 from eulerlink.dyadic import Dyadic
 from eulerlink.functions import (ConstructibleFunction, indicator_of_subcomplex,
                                  is_euler)
-from eulerlink.fileio import write_complex
+from eulerlink.fileio import read_complex
 from eulerlink.invariants import (MAX_BOUND_DIMENSION, MAX_BOUND_RANGE,
                                   NECESSARY_ONLY,
                                   BoundQuery, InvariantVector, ZERO_VECTOR,
-                                  _located, _per_link_shape,
+                                  _b_text, _link_test_rows, _search_text,
                                   b_vector,
                                   bonnard_bounds, dim3_check,
                                   divisibility_certificate, merge_reports,
@@ -197,8 +197,8 @@ def test_dim3_check_equals_per_simplex_b_vector_on_corpus():
             else:
                 assert row.verdict == "fail"
                 assert row.value == \
-                    f"half-link obstruction: {res.describe(link)}"
-                assert row.data == {"witness": res.as_dict(link)}, \
+                    f"half-link obstruction: {res.describe(link.labels)}"
+                assert row.data == {"witness": res.as_dict(link.labels)}, \
                     (name, row.where)
 
 
@@ -221,9 +221,29 @@ def _search_notes(k, results):
     return tuple(notes)
 
 
-@pytest.mark.parametrize("name", ["cone_sphere3", "susp_sphere3"])
+def _bowtie():
+    """Two triangles sharing the vertex v."""
+    return build_complex([(0, 1, 2), (0, 3, 4)], name="bowtie",
+                         labels=dict(enumerate("vabcd")))
+
+
+# (complex, the rows whose search witness has a location).  Every corpus
+# witness is an odd integral; the bowtie, its suspension and its cone have
+# half links that are not integers.
+_SEARCH_CASES = {
+    "cone_sphere3": (lambda: corpus.corpus_complex("cone_sphere3"), []),
+    "susp_sphere3": (lambda: corpus.corpus_complex("susp_sphere3"), []),
+    "bowtie": (_bowtie, ["(v)"]),
+    "susp_bowtie": (lambda: suspension(_bowtie()),
+                    ["(v)", "(v north)", "(v south)"]),
+    "cone_bowtie": (lambda: cone(_bowtie()), ["(v apex)"]),
+}
+
+
+@pytest.mark.parametrize("name", _SEARCH_CASES)
 def test_search_check_equals_per_simplex_search(name):
-    k = corpus.corpus_complex(name)
+    make, located = _SEARCH_CASES[name]
+    k = make()
     budget = SearchBudget(max_functions=50)
     expected = []
     results = []
@@ -232,8 +252,9 @@ def test_search_check_equals_per_simplex_search(name):
         results.append(res)
         w = res.witness
         if w is not None:
-            expected.append((k.simplex_name(tau), "fail", w.describe(res.link),
-                             {"witness": w.as_dict(res.link),
+            labels = res.link.labels
+            expected.append((k.simplex_name(tau), "fail", w.describe(labels),
+                             {"witness": w.as_dict(labels),
                               "explored": res.explored, "stop": res.stop}))
         else:
             expected.append((k.simplex_name(tau), "pass",
@@ -246,6 +267,8 @@ def test_search_check_equals_per_simplex_search(name):
     assert [(r.where, r.verdict, r.value, r.data)
             for r in report.rows] == expected
     assert report.notes == _search_notes(k, results)
+    assert [r.where for r in report.rows if r.verdict == "fail"
+            and r.data["witness"]["location"] != "integral"] == located
 
 
 def test_search_notes_hold_for_every_row(monkeypatch):
@@ -270,37 +293,63 @@ def test_search_notes_hold_for_every_row(monkeypatch):
                                " all rows")
 
 
+def _is_located(res) -> bool:
+    w = res.witness if isinstance(res, SearchResult) else res
+    return isinstance(w, ExpressionWitness) and w.location is not None
+
+
 def test_search_runs_once_per_link_shape():
     k = corpus.corpus_complex("susp_sphere3")
-    searched = []
+    searched, texts = [], []
 
     def search(link):
         searched.append(link)
         return closure_search(link, SearchBudget(max_depth=1))
 
-    results = list(_per_link_shape(k, search))
-    assert len(results) == len(k.simplices) == 92
+    def text(res, label):
+        texts.append(label)
+        return _search_text(res, label)
+
+    rows, results = _link_test_rows(k, "search", search, text)
+    assert len(rows) == len(results) == len(k.simplices) == 92
     assert len(searched) == 6
-    for tau, link, res in results:
-        assert res.link is link
-        own = geometric_link(k, tau)
-        assert dense_shape(link) == dense_shape(own)
-        if _located(res):
-            assert write_complex(link) == write_complex(own)
+    assert texts == [None] * 6  # every witness is an odd integral
+    for tau, row, res in zip(k.simplices, rows, results):
+        assert row.simplex == tau and row.test == "search"
+        assert any(res.link is link for link in searched)
+        assert dense_shape(res.link) == dense_shape(geometric_link(k, tau))
 
 
-def test_located_witness_rows_get_their_own_link():
-    cw = corpus.corpus_complex("cone_window")
-    located = 0
-    for tau, link, res in _per_link_shape(cw, b_vector):
-        own = geometric_link(cw, tau)
-        assert dense_shape(link) == dense_shape(own)
-        if _located(res):
-            located += 1
-            assert write_complex(link) == write_complex(own)
-            assert link.simplex_name(res.location) == \
-                own.simplex_name(own.simplices[link.index(res.location)])
-    assert located > 1
+def test_located_witness_rows_are_named_as_on_their_own_link():
+    # A located witness's text is made once per row, named under the row's
+    # own link; every other text once per link shape, without labels.
+    budget = SearchBudget(max_functions=50)
+    cases = [(corpus.corpus_complex("cone_window"), "dim3", b_vector,
+              _b_text),
+             (suspension(_bowtie()), "search",
+              lambda link: closure_search(link, budget), _search_text)]
+    for k, test, local, make in cases:
+        texts = []
+
+        def text(res, label):
+            texts.append(label)
+            return make(res, label)
+
+        rows, results = _link_test_rows(k, test, local, text)
+        located = 0
+        for tau, row, res in zip(k.simplices, rows, results):
+            if _is_located(res):
+                located += 1
+                own = geometric_link(k, tau)
+                w = res.witness if test == "search" else res
+                # the dense link's simplex at the same index of own
+                at = own.simplices[dense_shape(own).index(tuple(w.location))]
+                named = w._replace(location=at).as_dict(own.labels)
+                assert row.data["witness"] == named, tau
+                assert row.value.endswith(f" at {own.simplex_name(at)}")
+        assert located > 1
+        assert len([x for x in texts if x is not None]) == located
+        assert None in texts
 
 
 def _star_key_cases():
@@ -418,22 +467,70 @@ def test_check_reads_link_vertices_only_for_located_rows(name, located,
     assert len(read) == located
 
 
+@pytest.mark.parametrize("flags", [[], ["--search", "--max-funcs", "50"]],
+                         ids=["", "search"])
+@pytest.mark.parametrize("name", ["window", "susp_window"])
+def test_check_renders_each_witness_once(name, flags, tmp_path, monkeypatch):
+    # One top-level expression_str per located witness row, and one per
+    # link shape whose witness has no location; recursive calls are not
+    # counted.
+    calls, depth = [], [0]
+    render = search.expression_str
+
+    def counting_str(expr):
+        if not depth[0]:
+            calls.append(expr)
+        depth[0] += 1
+        try:
+            return render(expr)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(search, "expression_str", counting_str)
+    out = tmp_path / "report.json"
+    path = os.path.join(ROOT, "corpus", f"{name}.cplx")
+    assert cli.main(["check", "--json", "-o", str(out), path, *flags]) == 2
+    rows = json.loads(out.read_text(encoding="utf-8"))["tests"]
+    k = read_complex(path)
+    by_name = dict(zip(k.simplex_names(), k.simplices))
+    located = [r for r in rows
+               if "witness" in r and r["witness"]["location"] != "integral"]
+    shapes = {(r["test"], dense_shape(geometric_link(k, by_name[r["simplex"]])))
+              for r in rows
+              if "witness" in r and r["witness"]["location"] == "integral"}
+    assert located
+    assert bool(shapes) == bool(flags)
+    assert len(calls) == len(located) + len(shapes)
+
+
 def test_reused_witnesses_replay_on_their_own_links():
     # search witnesses on the 4-ball are all odd integrals
     ball = corpus.corpus_complex("cone_sphere3")
     budget = SearchBudget(max_functions=50)
-    searched = [(tau, res.witness) for tau, _, res in
-                _per_link_shape(ball, lambda l: closure_search(l, budget))
+
+    def local(link):
+        return closure_search(link, budget)
+
+    _, results = _link_test_rows(ball, "search", local, _search_text)
+    searched = [(tau, res.witness) for tau, res in zip(ball.simplices, results)
                 if res.witness is not None]
     assert len(searched) == 30
-    # half-link witnesses of the cone over the window sit at a simplex,
-    # which moves from link to link
+    # half-link witnesses of the cone over the window, and of the
+    # suspended bowtie's search, sit at a simplex, which moves from link
+    # to link
     cw = corpus.corpus_complex("cone_window")
-    halved = [(tau, res) for tau, _, res in _per_link_shape(cw, b_vector)
+    _, results = _link_test_rows(cw, "dim3", b_vector, _b_text)
+    halved = [(tau, res) for tau, res in zip(cw.simplices, results)
               if isinstance(res, ExpressionWitness)]
     assert len({w.location for _, w in halved}) > 1
+    sb = suspension(_bowtie())
+    _, results = _link_test_rows(sb, "search", local, _search_text)
+    located = [(tau, res.witness) for tau, res in zip(sb.simplices, results)
+               if _is_located(res)]
+    assert len(located) == 3
     for k, found, report in ((ball, searched, search_check(ball, budget)),
-                             (cw, halved, dim3_check(cw))):
+                             (cw, halved, dim3_check(cw)),
+                             (sb, located, search_check(sb, budget))):
         rows = {r.simplex: r for r in report.rows}
         for tau, w in found:
             own = geometric_link(k, tau)
@@ -442,6 +539,7 @@ def test_reused_witnesses_replay_on_their_own_links():
                 s for s in own.simplices if own.simplex_name(s) == where)
             assert (at is None) == (w.location is None)
             assert replay_witness(w._replace(location=at), own) == w.value
+
 
 
 # -- search check and report plumbing ---------------------------------------------

@@ -73,7 +73,7 @@ def test_odd_link_integral_is_a_depth_zero_witness():
     assert w.location is None
     assert w.value == Dyadic(3)
     assert w.depth == 0 and w.size == 1
-    assert w.describe(res.link) == "ONE -> odd Euler integral 3"
+    assert w.describe(res.link.labels) == "ONE -> odd Euler integral 3"
     assert replay_witness(w, res.link) == Dyadic(3)
 
 
@@ -87,7 +87,7 @@ def test_half_integer_witness_needs_one_operator():
     assert w.kind == "non-integer value"
     assert w.depth == 1 and w.size == 2
     assert w.value == Dyadic(3, 1)
-    assert w.describe(res.link) == \
+    assert w.describe(res.link.labels) == \
         "HALFLINK(ONE) -> non-integer value 3/2^1 at (a)"
     assert replay_witness(w, res.link) == Dyadic(3, 1)
     assert res.stop == "witness"
@@ -121,7 +121,7 @@ def test_budget_exhaustion_is_reported_never_silent():
 def test_witness_serialization():
     th = corpus.theta()
     res = dim4_local_search(th, theta_junction(th))
-    d = res.witness.as_dict(res.link)
+    d = res.witness.as_dict(res.link.labels)
     assert d == {"expr": "ONE", "kind": "odd Euler integral",
                  "location": "integral", "value": "3", "depth": 0, "size": 1}
 
