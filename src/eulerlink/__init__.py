@@ -1,6 +1,10 @@
 """Exact Euler calculus on finite simplicial complexes, with local
 obstruction tests for realizability as a real algebraic set."""
 
+# The one version string, set before the submodules load, so that any of
+# them may import it.
+__version__ = "0.1.0"
+
 from .dyadic import Dyadic
 from .complexes import (Simplex, SimplicialComplex, SimplicialMap,
                         MapViolation, Subdivision, build_complex,
@@ -20,8 +24,6 @@ from .invariants import (BonnardBounds, BoundQuery, DivisibilityCertificate,
                          search_check, sullivan_check)
 from .search import (ExpressionWitness, SearchBudget, SearchResult,
                      closure_search, dim4_local_search, replay_witness)
-
-__version__ = "0.1.0"
 
 __all__ = [
     "Dyadic",

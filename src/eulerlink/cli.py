@@ -9,14 +9,15 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .complexes import Simplex, geometric_link
-from .fileio import (ParseError, read_complex, read_function, save_complex,
-                     write_complex, write_function)
+from .complexes import geometric_link
+from .fileio import (ParseError, json_text, read_complex, read_function,
+                     save_complex, simplex_resolver, write_complex,
+                     write_function)
 from .functions import euler_integral, indicator_of_subcomplex
 from .invariants import (BoundQuery, InvariantVector, b_vector, bonnard_bounds,
                          dim3_check, merge_reports, search_check,
                          sullivan_check)
-from .reports import RunConfig, exit_code_for, json_text, render
+from .reports import RunConfig, exit_code_for, render
 from .search import SearchBudget
 
 
@@ -35,24 +36,12 @@ def _counts_phrase(k) -> str:
                      for d, c in enumerate(k.counts_by_dim()))
 
 
-def _budget_from(args) -> SearchBudget:
-    return SearchBudget(max_depth=args.depth, max_functions=args.max_funcs,
-                        use_p=not args.no_p)
-
-
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _vertex_by_label(k, label: str) -> int:
-    for v in k.vertex_ids:
-        if k.label(v) == label:
-            return v
-    raise ValueError(f"no vertex labeled {label!r}")
 
 
 def cmd_validate(args) -> int:
@@ -62,11 +51,12 @@ def cmd_validate(args) -> int:
 
 
 def cmd_check(args) -> int:
-    k = read_complex(args.path, max_dim=4)
-    budget = _budget_from(args)
+    budget = SearchBudget(max_depth=args.depth, max_functions=args.max_funcs,
+                          use_p=not args.no_p)
     config = RunConfig(command="check", inputs=(args.path,),
                        output_format="json" if args.json else "text",
                        budget=budget, search_forced=args.search)
+    k = read_complex(args.path, max_dim=4)
     parts = [sullivan_check(k)]
     if k.dim <= 3:
         parts.append(dim3_check(k))
@@ -80,21 +70,15 @@ def cmd_check(args) -> int:
 def cmd_invariants(args) -> int:
     k = read_complex(args.path, max_dim=2)
     res = b_vector(k)
-    if isinstance(res, InvariantVector):
-        if args.json:
-            payload = {"complex": k.name, "b": list(res.as_tuple()),
-                       "exit_code": 0}
-            sys.stdout.write(json_text(payload))
-        else:
-            print(str(res))
-        return 0
+    code = 0 if isinstance(res, InvariantVector) else 2
     if args.json:
-        payload = {"complex": k.name, "witness": res.as_dict(k.labels),
-                   "exit_code": 2}
-        sys.stdout.write(json_text(payload))
+        found = ({"b": list(res)} if code == 0
+                 else {"witness": res.as_dict(k.labels)})
+        sys.stdout.write(json_text({"complex": k.name, **found,
+                                    "exit_code": code}))
     else:
-        print(f"obstruction: {res.describe(k.labels)}")
-    return 2
+        print(res if code == 0 else f"obstruction: {res.describe(k.labels)}")
+    return code
 
 
 def cmd_integrate(args) -> int:
@@ -106,14 +90,7 @@ def cmd_integrate(args) -> int:
 
 def cmd_link(args) -> int:
     k = read_complex(args.path)
-    named = " ".join(args.simplex)
-    verts = {_vertex_by_label(k, l) for l in args.simplex}
-    if len(verts) != len(args.simplex):
-        raise ValueError(f"repeated vertex in simplex ({named})")
-    tau = Simplex(sorted(verts))
-    if tau not in k:
-        raise ValueError(f"({named}) is not a simplex of the complex")
-    link = geometric_link(k, tau)
+    link = geometric_link(k, simplex_resolver(k)(args.simplex))
     if not link.simplices:
         raise ValueError("the link is empty (isolated maximal vertex);"
                          " nothing to write")
@@ -147,15 +124,12 @@ def cmd_corpus(args) -> int:
         import os
         os.makedirs(args.write, exist_ok=True)
         for name in corpus_mod.corpus_names():
-            k = corpus_mod.corpus_complex(name)
-            with open(os.path.join(args.write, f"{name}.cplx"), "w",
-                      encoding="utf-8") as fh:
-                fh.write(write_complex(k))
+            save_complex(corpus_mod.corpus_complex(name),
+                         os.path.join(args.write, f"{name}.cplx"))
         w = corpus_mod.window()
         one_q = indicator_of_subcomplex(w, corpus_mod.quadrant_subcomplex(w))
-        with open(os.path.join(args.write, "quadrant_indicator.fn"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(write_function(one_q))
+        _emit(write_function(one_q),
+              os.path.join(args.write, "quadrant_indicator.fn"))
         print(f"wrote {len(corpus_mod.corpus_names())} complexes and 1"
               " function file")
         return 0

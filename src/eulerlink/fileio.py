@@ -189,6 +189,25 @@ def json_text(payload) -> str:
     return _json(payload, "") + "\n"
 
 
+def _headed_records(text: str, header: str) -> tuple[str, int, list]:
+    """The value of the header ``header`` (``<word> <key>=<placeholder>``)
+    of a text file, the header's line number, and the ``(line number,
+    line)`` records after it, each line stripped.  Blank lines and lines
+    starting with ``#`` are skipped."""
+    word, field = header.split()
+    key = field[:field.index("=") + 1]
+    records = [(i, line) for i, line in enumerate(
+        map(str.strip, text.splitlines()), start=1)
+        if line and not line.startswith("#")]
+    if not records:
+        raise ParseError(f"empty input: missing '{header}' header")
+    i, line = records[0]
+    parts = line.split()
+    if len(parts) != 2 or parts[0] != word or not parts[1].startswith(key):
+        raise ParseError(f"expected header '{header}'", i)
+    return parts[1][len(key):], i, records[1:]
+
+
 # -- complexes ------------------------------------------------------------------
 
 
@@ -197,33 +216,17 @@ def parse_complex(text: str, name: str | None = None,
     """The complex of a text or JSON complex file.  Given ``max_dim``, a
     facet of higher dimension is a parse error, raised before any face is
     built."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         return _complex_from_obj(_load_json(text), name, max_dim)
-    lines = text.splitlines()
-    header = None
-    facets: list[tuple[str, ...]] = []
-    for i, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if header is None:
-            parts = line.split()
-            if (len(parts) != 2 or parts[0] != "complex"
-                    or not parts[1].startswith("v=")):
-                raise ParseError("expected header 'complex v=<n>'", i)
-            count = parts[1][2:]
-            # int() would also take signs, underscores and non-ASCII digits
-            if not (count.isascii() and count.isdigit()):
-                raise ParseError("vertex count is not an integer", i)
-            header = int(count)
-            continue
-        facets.append(_parse_facet(line.split(), i))
-    if header is None:
-        raise ParseError("empty input: missing 'complex v=<n>' header")
+    count, i, records = _headed_records(text, "complex v=<n>")
+    # int() would also take signs, underscores and non-ASCII digits
+    if not (count.isascii() and count.isdigit()):
+        raise ParseError("vertex count is not an integer", i)
+    facets = [_parse_facet(line.split(), j) for j, line in records]
     if not facets:
         raise ParseError("empty complex: no facets")
-    return _from_label_facets(facets, name, max_dim, expected_vertices=header)
+    return _from_label_facets(facets, name, max_dim,
+                              expected_vertices=int(count))
 
 
 def _complex_from_obj(obj, name: str | None,
@@ -307,53 +310,57 @@ def save_complex(k: SimplicialComplex, path: str) -> None:
 # -- functions -------------------------------------------------------------------
 
 
+def simplex_resolver(k: SimplicialComplex):
+    """The function that turns a list of vertex labels of ``k`` into the
+    simplex they span, given the line it was read from, if any.  An
+    unknown or repeated label, or labels that span no simplex of ``k``, is
+    a ParseError.  The label table is built once, here."""
+    ids = {k.label(v): v for v in k.vertex_ids}
+
+    def resolve(labels, line: int | None = None) -> Simplex:
+        for l in labels:
+            if l not in ids:
+                raise ParseError(f"unknown vertex label {l!r}", line)
+        verts = {ids[l] for l in labels}
+        if len(verts) != len(labels):
+            raise ParseError(
+                f"repeated vertex in simplex ({' '.join(labels)})", line)
+        s = Simplex(sorted(verts))
+        if s not in k:
+            raise ParseError(
+                f"({' '.join(labels)}) is not a simplex of the complex", line)
+        return s
+
+    return resolve
+
+
 def _function_from_entries(k: SimplicialComplex, entries,
                            default: Dyadic) -> ConstructibleFunction:
     """The function with the given ``(labels, value text, line)`` entries
     and ``default`` elsewhere."""
-    ids = {k.label(v): v for v in k.vertex_ids}
+    resolve = simplex_resolver(k)
     table: dict[Simplex, Dyadic] = {}
     for labels, value, line in entries:
-        named = " ".join(labels)
-        bad = [l for l in labels if l not in ids]
-        if bad:
-            raise ParseError(f"unknown vertex label {bad[0]!r}", line)
-        verts = {ids[l] for l in labels}
-        if len(verts) != len(labels):
-            raise ParseError(f"repeated vertex in simplex {named}", line)
-        s = Simplex(sorted(verts))
-        if s not in k:
-            raise ParseError(f"({named}) is not a simplex of the complex",
-                             line)
+        s = resolve(labels, line)
         if s in table:
-            raise ParseError(f"duplicate assignment for ({named})", line)
+            raise ParseError(f"duplicate assignment for ({' '.join(labels)})",
+                             line)
         table[s] = _parse_value(value, line)
     return ConstructibleFunction.from_dict(k, table, default=default)
 
 
 def parse_function(text: str, k: SimplicialComplex) -> ConstructibleFunction:
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         return _function_from_obj(_load_json(text), k)
     return _function_from_entries(k, _text_entries(text, k), ZERO)
 
 
 def _text_entries(text: str, k: SimplicialComplex):
-    over = None
-    for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if over is None:
-            parts = line.split()
-            if (len(parts) != 2 or parts[0] != "function"
-                    or not parts[1].startswith("over=")):
-                raise ParseError("expected header 'function over=<name>'", i)
-            over = parts[1][5:]
-            if k.name is not None and over != k.name:
-                raise ParseError(f"function is over {over!r}, complex is"
-                                 f" {k.name!r}", i)
-            continue
+    over, i, records = _headed_records(text, "function over=<name>")
+    if k.name is not None and over != k.name:
+        raise ParseError(f"function is over {over!r}, complex is"
+                         f" {k.name!r}", i)
+    for i, line in records:
         if ":" not in line:
             raise ParseError("expected '<labels> : <value>'", i)
         left, _, right = line.partition(":")
@@ -361,8 +368,6 @@ def _text_entries(text: str, k: SimplicialComplex):
         if not labels:
             raise ParseError("missing simplex before ':'", i)
         yield labels, right, i
-    if over is None:
-        raise ParseError("empty input: missing 'function over=<name>' header")
 
 
 def _function_from_obj(obj, k: SimplicialComplex) -> ConstructibleFunction:

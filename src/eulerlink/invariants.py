@@ -166,6 +166,18 @@ class ObstructionReport(NamedTuple):
         return tuple(r for r in self.rows if r.verdict != "pass")
 
 
+def _report(k: SimplicialComplex, test: str, rows: tuple[TestRow, ...],
+            notes=(NECESSARY_ONLY,),
+            passed: bool | None = None) -> ObstructionReport:
+    """The report of one test on ``k``: its verdict is ``passed``, or,
+    when that is not given, whether every row passed."""
+    if passed is None:
+        passed = all(r.verdict == "pass" for r in rows)
+    return ObstructionReport(
+        complex_name=k.name or "complex", dimension=k.dim, rows=rows,
+        summary={test: "pass" if passed else "fail"}, notes=tuple(notes))
+
+
 def sullivan_check(k: SimplicialComplex) -> ObstructionReport:
     """Per-simplex parity of the link's Euler characteristic.
 
@@ -186,9 +198,7 @@ def sullivan_check(k: SimplicialComplex) -> ObstructionReport:
     if passed and k.dim <= 2:
         notes.append("realizable (dim <= 2 criterion): even link parity is"
                      " sufficient in dimension <= 2")
-    return ObstructionReport(
-        complex_name=k.name or "complex", dimension=k.dim, rows=rows,
-        summary={"sullivan": "pass" if passed else "fail"}, notes=tuple(notes))
+    return _report(k, "sullivan", rows, notes, passed)
 
 
 def _link_test_rows(k: SimplicialComplex, test_name: str, test, text):
@@ -269,11 +279,7 @@ def dim3_check(k: SimplicialComplex) -> ObstructionReport:
     if k.dim > 3:
         raise ValueError("dim3 check requires dimension <= 3")
     rows, _ = _link_test_rows(k, "dim3", b_vector, _b_text)
-    passed = all(r.verdict == "pass" for r in rows)
-    return ObstructionReport(
-        complex_name=k.name or "complex", dimension=k.dim, rows=rows,
-        summary={"dim3": "pass" if passed else "fail"},
-        notes=(NECESSARY_ONLY,))
+    return _report(k, "dim3", rows)
 
 
 def _search_text(res: SearchResult, label) -> tuple[str, str, dict]:
@@ -309,10 +315,7 @@ def search_check(k: SimplicialComplex,
     if guard_hits:
         notes.append(f"value-growth guard pruned {guard_hits} branches"
                      " over all rows")
-    passed = all(r.verdict == "pass" for r in rows)
-    return ObstructionReport(
-        complex_name=k.name or "complex", dimension=k.dim, rows=rows,
-        summary={"search": "pass" if passed else "fail"}, notes=tuple(notes))
+    return _report(k, "search", rows, notes)
 
 
 def merge_reports(*reports: ObstructionReport) -> ObstructionReport:

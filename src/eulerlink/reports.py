@@ -9,11 +9,10 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from . import __version__ as TOOL_VERSION
 from .fileio import json_text
 from .invariants import ObstructionReport
 from .search import DEFAULT_BUDGET, SearchBudget
-
-TOOL_VERSION = "0.1.0"
 
 
 class RunConfig(NamedTuple):

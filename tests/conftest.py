@@ -69,3 +69,20 @@ def link_key(k: SimplicialComplex, i: int) -> tuple:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0)
+
+
+# An Euler 2-complex whose b-vector is (0,1,1,0,1): every link is even, so
+# Sullivan's test passes, but b1, b2 and b4 do not vanish.  Akbulut and
+# King ("Topology of real algebraic sets", MSRI Publ. 25, 1992) show that
+# vanishing b-invariants decide realizability in dimension 3, so its cone
+# and its suspension are not real algebraic.  It is a test fixture, not a
+# corpus file, so the corpus and its pinned reports stay as they are.
+AKL_TRIANGLES = ("0 1 5, 0 1 6, 0 2 5, 0 2 6, 0 3 4, 0 3 6, 0 4 5, 0 4 6,"
+                 " 0 4 7, 0 5 6, 0 6 7, 1 2 4, 1 2 6, 1 4 5, 2 4 5, 3 4 7,"
+                 " 3 6 7, 4 5 6")
+
+
+@pytest.fixture
+def akl() -> SimplicialComplex:
+    return build_complex([tuple(map(int, t.split()))
+                          for t in AKL_TRIANGLES.split(", ")], name="akl")

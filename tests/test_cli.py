@@ -1,7 +1,9 @@
 """Command-line behavior: exit codes, output shapes, golden stability."""
 
 import json
+import os
 import random
+import re
 
 import pytest
 
@@ -117,6 +119,16 @@ def test_invariants_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("obstruction: HALFLINK(ONE)")
 
+    for path, payload in [
+            (rp2, {"complex": "rp2", "b": [1, 0, 0, 0, 0], "exit_code": 0}),
+            (th, {"complex": "theta", "exit_code": 2, "witness": {
+                "depth": 1, "expr": "HALFLINK(ONE)",
+                "kind": "non-integer value", "location": "(a)", "size": 2,
+                "value": "3/2^1"}})]:
+        assert run(["invariants", str(path), "--json"]) == payload["exit_code"]
+        assert capsys.readouterr().out == json.dumps(
+            payload, indent=2, sort_keys=True) + "\n"
+
     s3 = tmp_path / "s3.cplx"
     save_complex(corpus.sphere3(), str(s3))
     assert run(["invariants", str(s3)]) == 1   # only defined through dim 2
@@ -149,13 +161,16 @@ def test_link_command_round_trips(tmp_path, theta_file, capsys):
     assert write_complex(reread) == write_complex(expected)
 
     assert run(["link", theta_file, "nope"]) == 1
-    assert "no vertex labeled" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: unknown vertex label 'nope'\n"
 
 
+# The same messages as a function file's, which add the line number
+# (tests/test_fileio.py::test_function_files_name_bad_simplices_by_labels).
 @pytest.mark.parametrize("labels, message", [
     (["a", "a"], "repeated vertex in simplex (a a)"),
     (["a", "b"], "(a b) is not a simplex of the complex"),
-], ids=["repeated", "not-a-simplex"])
+    (["a", "nope", "zz"], "unknown vertex label 'nope'"),
+], ids=["repeated", "not-a-simplex", "unknown"])
 def test_link_errors_name_the_simplex_by_its_labels(theta_file, capsys,
                                                     labels, message):
     assert run(["link", theta_file, *labels]) == 1
@@ -202,6 +217,34 @@ def test_an_invalid_budget_is_one_error_line(theta_file, capsys, flags,
     assert len(err.splitlines()) == 1
     assert err.startswith("error: search budget out of range: depth must be"
                           " >= 0 and max functions >= 1")
+
+
+@pytest.mark.parametrize("flags", [["--max-funcs", "0"], ["--depth", "-1"]],
+                         ids=["max-funcs", "depth"])
+def test_a_bad_budget_is_rejected_before_the_file_is_read(
+        theta_file, capsys, monkeypatch, flags):
+    def no_read(*args, **kwargs):
+        pytest.fail("check read the complex before rejecting its budget")
+    monkeypatch.setattr(cli, "read_complex", no_read)
+    assert run(["check", theta_file, *flags]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: search budget out of range: ")
+
+
+def test_one_version_string(theta_file, capsys):
+    """Reports carry ``eulerlink.__version__``, as pyproject.toml gives it
+    (read with a regex: ``tomllib`` needs Python 3.11)."""
+    import eulerlink
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as fh:
+        [pinned] = re.findall(r'^version = "([^"]*)"$', fh.read(), re.M)
+    assert run(["check", theta_file, "--json"]) == 2  # theta's odd links
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["tool_version"] == eulerlink.__version__ == pinned
+    assert run(["check", theta_file]) == 2
+    assert capsys.readouterr().out.startswith(f"eulerlink {pinned}: check on")
 
 
 def test_depth_zero_is_a_valid_budget(theta_file, capsys):

@@ -189,6 +189,52 @@ def test_parse_function_diagnostics():
         parse_function("function over=window\n0,0 2,2 : 1\n", w)
 
 
+PATH_TEXT = "complex v=3\na b\nb c\n"
+
+
+@pytest.mark.parametrize("labels, message", [
+    ("b x", "unknown vertex label 'x'"),
+    ("b b", "repeated vertex in simplex (b b)"),
+    ("a c", "(a c) is not a simplex of the complex"),
+], ids=["unknown", "repeated", "not-a-simplex"])
+def test_function_files_name_bad_simplices_by_labels(labels, message):
+    k = parse_complex(PATH_TEXT, name="path")
+    with pytest.raises(ParseError) as err:
+        parse_function(f"function over=path\na b : 1\n\n{labels} : 1\n", k)
+    assert str(err.value) == f"line 4: {message}"
+    obj = {"complex": "path", "values": [
+        {"simplex": ["a", "b"], "value": "1"},
+        {"simplex": labels.split(), "value": "1"}]}
+    with pytest.raises(ParseError) as err:
+        parse_function(json.dumps(obj), k)
+    assert str(err.value) == message
+
+
+HEADERS = {"complex": ("complex v=<n>", "a b\n"),
+           "function": ("function over=<name>", "a b : 1\n")}
+
+
+@pytest.mark.parametrize("fmt", sorted(HEADERS))
+@pytest.mark.parametrize("text, message", [
+    ("", "empty input: missing '{header}' header"),
+    ("# nothing\n\n", "empty input: missing '{header}' header"),
+    ("# c\n{word}s {key}=path\n{body}",
+     "line 2: expected header '{header}'"),
+    ("{word} to=path\n{body}", "line 1: expected header '{header}'"),
+    ("{word}\n{body}", "line 1: expected header '{header}'"),
+], ids=["empty", "comments-only", "wrong-word", "wrong-key", "no-key"])
+def test_text_headers_are_checked_alike(fmt, text, message):
+    header, body = HEADERS[fmt]
+    word, field = header.split()
+    text = text.format(word=word, key=field.split("=")[0], body=body)
+    with pytest.raises(ParseError) as err:
+        if fmt == "complex":
+            parse_complex(text)
+        else:
+            parse_function(text, parse_complex(PATH_TEXT, name="path"))
+    assert str(err.value) == message.format(header=header)
+
+
 def test_hash_lines_are_comments():
     text = "# a complex\ncomplex v=3\n# a comment\n  # indented\na b\n\nb c\n"
     k = parse_complex(text, name="path")

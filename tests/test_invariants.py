@@ -165,6 +165,28 @@ def test_dim3_check_fails_at_cone_point_over_rp2():
     assert "chi2" in apex_row.value
 
 
+def test_akl_is_obstructed_beyond_parity(akl):
+    assert akl.counts_by_dim() == (8, 22, 18)
+    assert b_vector(akl).as_tuple() == (0, 1, 1, 0, 1)
+    assert sullivan_check(akl).passed
+    rep = dim3_check(suspension(akl))
+    assert rep.summary == {"dim3": "fail"}
+    assert [(r.where, r.value) for r in rep.failing()] == [
+        (pole, "b = (0,1,1,0,1), nonzero: b1 b2 b4")
+        for pole in ("(north)", "(south)")]
+
+
+def test_akl_search_finds_the_depth_four_witness(akl):
+    res = closure_search(akl)
+    assert res.stop == "witness" and res.levels == (1, 3, 15, 218)
+    w = res.witness
+    assert w.describe(akl.labels) == (
+        "MUL(HALFLINK(ONE), HALFLINK(MUL(HALFLINK(ONE), HALFLINK(ONE))))"
+        " -> odd Euler integral 1")
+    assert (w.depth, w.location, w.value) == (4, None, Dyadic(1))
+    assert replay_witness(w, akl) == w.value
+
+
 def test_dim3_check_apex_iff_base_vector_vanishes():
     for name in DIM2_CORPUS:
         y = corpus.corpus_complex(name)

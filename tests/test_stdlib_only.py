@@ -2,7 +2,8 @@
 either a standard-library module or relative to the package.  Start-up
 stays lean: no module imports ``dataclasses``, and importing the command
 line loads neither it nor ``inspect``, nor the corpus, which only the
-``corpus`` subcommand uses."""
+``corpus`` subcommand uses.  A relative import names the module that
+defines the name, not one that imports it from elsewhere."""
 
 import ast
 import subprocess
@@ -51,3 +52,41 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
                           str(PACKAGE.parent)],
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def top_level_names(path: Path) -> set[str]:
+    """The names a module defines at its top level: its functions, classes
+    and assigned names, not the names it imports."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for t in targets:
+                names.update(n.id for n in ast.walk(t)
+                             if isinstance(n, ast.Name))
+    return names
+
+
+def test_relative_imports_name_the_defining_module():
+    """``from .m import name`` needs ``name`` defined in ``m`` itself;
+    ``from . import name`` needs a submodule ``name`` or a name that
+    ``__init__`` defines."""
+    defined = {p.stem: top_level_names(p) for p in MODULES}
+    wrong = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ImportFrom) and node.level == 1):
+                continue
+            module = node.module or "__init__"
+            for alias in node.names:
+                if node.module is None and alias.name in defined:
+                    continue  # a submodule
+                if alias.name not in defined[module]:
+                    wrong.append((path.name, node.lineno, module, alias.name))
+    assert wrong == []
