@@ -2,8 +2,15 @@
 
 A complex is stored as the full set of its simplices (not just facets) in a
 canonical order: sorted by dimension, then lexicographically by vertex ids.
-Vertex ids are non-negative integers and may be sparse; optional string
-labels are carried alongside for I/O and reporting.
+Vertex ids are non-negative integers (not bools) and may be sparse;
+optional string labels are carried alongside for I/O and reporting.
+
+The canonical sort keeps presorted runs, so a construction that makes its
+simplices in canonical order, or in a few canonical runs, pays about one
+comparison per simplex for it.  A subdivision grows its chains a length
+at a time in lexicographic order, a join chains the two complexes and
+their joined pairs, and ``build_complex`` closes its generators a level
+(one simplex size) at a time, each level sorted.
 
 Constructions keep the first operand's vertex ids stable and move the second
 operand (or any freshly invented vertices, e.g. cone apexes and boundary
@@ -45,7 +52,7 @@ class Simplex(tuple):
         if not vs:
             raise ValueError("a simplex needs at least one vertex")
         for v in vs:
-            if not isinstance(v, int) or v < 0:
+            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                 raise ValueError(f"vertex ids must be non-negative ints, got {v!r}")
         if len(set(vs)) != len(vs):
             raise ValueError(f"repeated vertex in simplex {vs}")
@@ -65,8 +72,10 @@ class Simplex(tuple):
                               for i in range(len(self))))
 
     def subfaces(self) -> tuple["Simplex", ...]:
-        """All nonempty faces, this simplex included."""
-        return tuple(_trusted(_faces(self)))
+        """All nonempty faces, this simplex included, by size, then
+        lexicographically."""
+        return tuple(_trusted(chain.from_iterable(
+            map(combinations, repeat(self), range(1, len(self) + 1)))))
 
     def contains(self, other: "Simplex") -> bool:
         return set(other) <= set(self)
@@ -80,17 +89,12 @@ def _trusted(tuples):
     return map(tuple.__new__, repeat(Simplex), tuples)
 
 
-def _faces(s: tuple[int, ...]):
-    """The nonempty faces of ``s`` as plain tuples, by size, then
-    lexicographically."""
-    return chain.from_iterable(map(combinations, repeat(s),
-                                   range(1, len(s) + 1)))
-
-
 def _canonical_order(simplices) -> tuple[Simplex, ...]:
-    """Distinct simplices by size, then lexicographically: a lexicographic
-    sort, then a stable sort by size, both keyed in C."""
-    return tuple(sorted(sorted(set(simplices)), key=len))
+    """Distinct simplices by size, then lexicographically: repeats dropped
+    in order (``dict.fromkeys``, not a ``set``, which would scramble it), a
+    lexicographic sort, then a stable sort by size, both keyed in C.  The
+    sorts merge presorted runs, so canonical input costs one pass."""
+    return tuple(sorted(sorted(dict.fromkeys(simplices)), key=len))
 
 
 class SimplicialComplex:
@@ -247,13 +251,25 @@ def build_complex(facets, labels: dict[int, str] | None = None,
     """Build the downward closure of the given generating simplices.
 
     Each generator is validated once, by ``Simplex``; its faces are then
-    strictly increasing by construction."""
-    closure: set[tuple[int, ...]] = set()
+    strictly increasing by construction.  The closure is built a level at
+    a time, from the largest size down: the simplices of one size are that
+    size's generators and the ``combinations(sigma, size - 1)`` of every
+    sigma a level up, sorted.  That is sum of |sigma| boundary tuples, where
+    every face of every generator is sum of 2^|sigma| - 1, and the levels,
+    by increasing size, are in canonical order."""
+    generators: dict[int, list[Simplex]] = {}
     for f in facets:
-        closure.update(_faces(Simplex(f)))
-    if not closure:
+        s = Simplex(f)
+        generators.setdefault(len(s), []).append(s)
+    if not generators:
         raise ValueError("empty complex")
-    return SimplicialComplex(_trusted(closure), labels=labels, name=name)
+    levels = [()]
+    for size in range(max(generators), 0, -1):
+        boundary = map(combinations, levels[-1], repeat(size))
+        levels.append(sorted({*chain.from_iterable(boundary),
+                              *generators.get(size, ())}))
+    return SimplicialComplex(_trusted(chain.from_iterable(reversed(levels))),
+                             labels=labels, name=name)
 
 
 def euler_characteristic(k: SimplicialComplex) -> int:

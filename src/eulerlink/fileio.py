@@ -29,8 +29,8 @@ from __future__ import annotations
 import json
 import os
 from json.encoder import encode_basestring_ascii
-from itertools import repeat
-from operator import itemgetter
+from itertools import chain, repeat
+from operator import itemgetter, ne
 
 from .complexes import Simplex, SimplicialComplex, build_complex
 from .dyadic import Dyadic, ZERO
@@ -54,11 +54,15 @@ def _label_key(label: str):
         return (1, 0, label)
 
 
-def _check_label(label: str, line: int | None = None) -> str:
+def _label_ok(label: str) -> bool:
     # A nonempty label holds whitespace exactly when splitting on it does
     # not give the label back.
-    if (not label or label.startswith("#") or ":" in label
-            or label.split() != [label]):
+    return (bool(label) and not label.startswith("#") and ":" not in label
+            and label.split() == [label])
+
+
+def _check_label(label: str, line: int | None = None) -> str:
+    if not _label_ok(label):
         raise ParseError(f"bad vertex label {label!r}", line)
     return label
 
@@ -91,9 +95,16 @@ def _load_json(text: str):
         raise ParseError(f"bad JSON: {e}") from None
 
 
-def _parse_value(text: str, line: int | None = None) -> Dyadic:
+def _parse_value(token, line: int | None = None) -> Dyadic:
+    """A value as read: a string, or a JSON integer (not a bool) in
+    decimal.  Any other JSON value is named as JSON writes it."""
+    t = type(token)
+    if t is int:
+        token = int.__repr__(token)
+    elif t is not str:
+        raise ParseError(f"not a dyadic rational: {json.dumps(token)}", line)
     try:
-        return Dyadic.parse(text)
+        return Dyadic.parse(token)
     except ValueError as e:
         raise ParseError(str(e), line) from None
 
@@ -222,9 +233,16 @@ def parse_complex(text: str, name: str | None = None,
     # int() would also take signs, underscores and non-ASCII digits
     if not (count.isascii() and count.isdigit()):
         raise ParseError("vertex count is not an integer", i)
-    facets = [_parse_facet(line.split(), j) for j, line in records]
+    facets = [line.split() for _, line in records]
     if not facets:
         raise ParseError("empty complex: no facets")
+    # Each distinct label is checked once.  Only a fault sends the facets
+    # through _parse_facet, line by line, to name the earliest bad line.
+    if (max(map(len, facets)) > MAX_FACET_VERTICES
+            or not all(map(_label_ok, set(chain.from_iterable(facets))))
+            or any(map(ne, map(len, map(set, facets)), map(len, facets)))):
+        for (j, _), facet in zip(records, facets):
+            _parse_facet(facet, j)
     return _from_label_facets(facets, name, max_dim,
                               expected_vertices=int(count))
 
@@ -250,7 +268,7 @@ def _complex_from_obj(obj, name: str | None,
 
 def _from_label_facets(facets, name, max_dim: int | None,
                        expected_vertices: int | None = None):
-    labels = sorted({l for f in facets for l in f}, key=_label_key)
+    labels = sorted(set(chain.from_iterable(facets)), key=_label_key)
     if expected_vertices is not None and len(labels) != expected_vertices:
         raise ParseError(f"header says v={expected_vertices} but facets use"
                          f" {len(labels)} distinct vertices")
@@ -258,9 +276,10 @@ def _from_label_facets(facets, name, max_dim: int | None,
     if max_dim is not None and dim > max_dim:
         raise ParseError(f"dimension {dim} is out of range (supported:"
                          f" <= {max_dim})")
-    ids = {l: i for i, l in enumerate(labels)}
-    return build_complex([sorted(ids[l] for l in f) for f in facets],
-                         labels={i: l for l, i in ids.items()}, name=name)
+    ids = dict(zip(labels, range(len(labels))))
+    get = ids.__getitem__
+    return build_complex([sorted(map(get, f)) for f in facets],
+                         labels=dict(enumerate(labels)), name=name)
 
 
 def read_complex(path: str, max_dim: int | None = None) -> SimplicialComplex:
@@ -336,8 +355,8 @@ def simplex_resolver(k: SimplicialComplex):
 
 def _function_from_entries(k: SimplicialComplex, entries,
                            default: Dyadic) -> ConstructibleFunction:
-    """The function with the given ``(labels, value text, line)`` entries
-    and ``default`` elsewhere."""
+    """The function with the given ``(labels, value, line)`` entries and
+    ``default`` elsewhere; a value is as ``_parse_value`` reads it."""
     resolve = simplex_resolver(k)
     table: dict[Simplex, Dyadic] = {}
     for labels, value, line in entries:
@@ -380,7 +399,7 @@ def _function_from_obj(obj, k: SimplicialComplex) -> ConstructibleFunction:
         raise ParseError("'complex' must be a string")
     if over is not None and k.name is not None and over != k.name:
         raise ParseError(f"function is over {over!r}, complex is {k.name!r}")
-    default = _parse_value(str(obj.get("default", "0")))
+    default = _parse_value(obj.get("default", "0"))
     return _function_from_entries(k, _json_entries(obj["values"]), default)
 
 
@@ -392,8 +411,7 @@ def _json_entries(values):
                              " 'simplex' and 'value' fields")
         if not isinstance(entry["simplex"], list) or not entry["simplex"]:
             raise ParseError("'simplex' must be a nonempty array of labels")
-        yield ([*map(_label_text, entry["simplex"])], str(entry["value"]),
-               None)
+        yield [*map(_label_text, entry["simplex"])], entry["value"], None
 
 
 def read_function(path: str, k: SimplicialComplex) -> ConstructibleFunction:

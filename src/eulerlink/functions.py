@@ -17,9 +17,11 @@ Values are Dyadic at the API boundary and plain ints inside these
 operators.  A function's values become one list of ints over a shared
 exponent e, the largest exponent among them (value i is xs[i] / 2**e).  The
 sign (-1)^(dim sigma + 1) is applied once to the whole list, lam is sums of
-those ints over closed stars, and each output value becomes a Dyadic once,
-at the end.  Halving is the same ints over 2**(e + 1), and parity is read
-from their low bits.
+those ints over closed stars, and each distinct output value becomes one
+Dyadic, at the end, which every simplex with that value shares (a Dyadic
+is immutable).  A function built from exact ints shares its Dyadics alike.
+Halving is the same ints over 2**(e + 1), and parity is read from their
+low bits.
 
 On a complex, the closed-star sums S(tau) = sum over sigma >= tau of
 f(sigma) are a zeta transform over the codimension-one incidences (Yates's
@@ -97,7 +99,10 @@ class ConstructibleFunction:
 
     def __init__(self, complex: SimplicialComplex, values):
         vals = tuple(values)
-        if not {Dyadic}.issuperset(map(type, vals)):
+        types = set(map(type, vals))
+        if types == {int}:
+            vals = _dyadics(vals)
+        elif not {Dyadic}.issuperset(types):
             vals = tuple(v if isinstance(v, Dyadic) else Dyadic(v)
                          for v in vals)
         if len(vals) != len(complex.simplices):
@@ -246,9 +251,17 @@ def _int_link(xs: Sequence[int],
     return lam, next((i for i, a in enumerate(lam) if a & 1), -1)
 
 
+def _dyadics(xs: Sequence[int], e: int = 0) -> tuple[Dyadic, ...]:
+    """``Dyadic(x, e)`` for every ``x`` of ``xs``, one Dyadic per distinct
+    value.  The table is keyed on the values, so they must be exact ints:
+    a ``True`` would take the slot of ``1``."""
+    table = {x: Dyadic(x, e) for x in set(xs)}
+    return tuple(map(table.__getitem__, xs))
+
+
 def _function(k: SimplicialComplex, xs, e: int) -> ConstructibleFunction:
     """The function with values ``xs[i] / 2**e``."""
-    return ConstructibleFunction(k, tuple(Dyadic(x, e) for x in xs))
+    return ConstructibleFunction(k, _dyadics(xs, e))
 
 
 def euler_integral(phi: ConstructibleFunction) -> Dyadic:

@@ -41,6 +41,7 @@ A pass is never a realizability proof; reports carry that caveat.
 
 from __future__ import annotations
 
+from itertools import repeat
 from operator import mul, sub
 from typing import NamedTuple
 
@@ -181,18 +182,21 @@ def _report(k: SimplicialComplex, test: str, rows: tuple[TestRow, ...],
 def sullivan_check(k: SimplicialComplex) -> ObstructionReport:
     """Per-simplex parity of the link's Euler characteristic.
 
-    A row's verdict and text are worked out once per link Euler
-    characteristic, not once per simplex; each row still gets a ``data``
-    dict of its own."""
+    A row's verdict, value and ``data`` are made once per link Euler
+    characteristic, not once per simplex, and the rows of one Euler
+    characteristic share them, as the rows of one link shape do in the
+    link tests.  The rows are read from those tables by maps, in C."""
     ones = [1] * len(k.simplices)
     lam, odd = _int_link(ones, _star_sums(k, ones))
-    texts = {chi: ("fail" if chi & 1 else "pass", f"link chi = {chi}")
-             for chi in set(lam)}
-    new = tuple.__new__  # the fields are in place: skip TestRow's __new__
-    rows = tuple([new(TestRow, ("sullivan", s, where, *texts[chi],
-                                {"link_chi": chi}))
-                  for s, where, chi in zip(k.simplices, k.simplex_names(),
-                                           lam)])
+    chis = set(lam)
+    verdict = {chi: "fail" if chi & 1 else "pass" for chi in chis}
+    value = {chi: f"link chi = {chi}" for chi in chis}
+    data = {chi: {"link_chi": chi} for chi in chis}
+    fields = zip(repeat("sullivan"), k.simplices, k.simplex_names(),
+                 map(verdict.__getitem__, lam), map(value.__getitem__, lam),
+                 map(data.__getitem__, lam))
+    # The fields are in place: skip TestRow's __new__.
+    rows = tuple(map(tuple.__new__, repeat(TestRow), fields))
     passed = odd < 0
     notes = [NECESSARY_ONLY]
     if passed and k.dim <= 2:

@@ -1,12 +1,12 @@
-"""Shared generators for the randomized suites, and the dense-shape and
-link-key references.
+"""Shared generators for the randomized suites, and the closure,
+dense-shape and link-key references.
 
 Every generator takes an explicit random.Random so a failing case can be
 reproduced from the seed alone.
 """
 
 import random
-from itertools import chain
+from itertools import chain, combinations
 
 import pytest
 
@@ -43,6 +43,16 @@ def random_simplicial_map(rng: random.Random, k: SimplicialComplex,
             return f
     w = l.vertex_ids[0]
     return SimplicialMap(k, l, {v: w for v in k.vertex_ids})
+
+
+def closure(generators) -> tuple[tuple[int, ...], ...]:
+    """The downward closure of the generators, each a list of distinct
+    non-negative ints: every nonempty subset of every generator, once, by
+    size, then lexicographically."""
+    faces = {face for g in generators
+             for r in range(1, len(g) + 1)
+             for face in combinations(sorted(g), r)}
+    return tuple(sorted(faces, key=lambda s: (len(s), s)))
 
 
 def dense_shape(link: SimplicialComplex) -> tuple:

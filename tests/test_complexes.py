@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import closure
 from eulerlink import corpus
 from eulerlink.complexes import (Simplex, SimplicialComplex, SimplicialMap,
                                  _boundary_labels, _canonical_order,
@@ -45,6 +46,7 @@ def test_build_complex_rejects_empty():
     ([[0, -1]], "vertex ids must be non-negative ints, got -1"),
     ([[0, 1.0]], "vertex ids must be non-negative ints, got 1.0"),
     ([[0, "1"]], "vertex ids must be non-negative ints, got '1'"),
+    ([[1, 2], [True, 2]], "vertex ids must be non-negative ints, got True"),
     ([[0, 1], [2, 1, 2]], r"repeated vertex in simplex \(2, 1, 2\)"),
 ])
 def test_build_complex_validates_every_generator(facets, message):
@@ -59,6 +61,48 @@ def test_build_complex_validates_every_generator(facets, message):
 def test_canonical_order_sorts_by_size_then_lexicographically(tuples):
     assert _canonical_order(tuples) == tuple(
         sorted(set(tuples), key=lambda s: (len(s), s)))
+
+
+@given(st.lists(st.lists(st.integers(0, 12), min_size=1, max_size=5,
+                         unique=True).map(lambda vs: tuple(sorted(vs))),
+                max_size=40),
+       st.sampled_from(["presorted", "reversed", "duplicated", "repeated"]))
+@settings(max_examples=200, deadline=None)
+def test_canonical_order_of_ordered_and_repeated_input(tuples, arrangement):
+    canonical = tuple(sorted(set(tuples), key=lambda s: (len(s), s)))
+    given_order = {
+        "presorted": canonical,
+        "reversed": canonical[::-1],
+        "duplicated": [s for s in canonical for _ in range(2)],
+        "repeated": canonical + canonical[::2] + canonical,
+    }[arrangement]
+    assert _canonical_order(given_order) == canonical
+
+
+@st.composite
+def generators(draw):
+    """Generators on sparse ids, in any vertex order, of mixed sizes, with
+    copies and faces of other generators among them."""
+    ids = draw(st.lists(st.integers(0, 10**9), min_size=1, max_size=7,
+                        unique=True))
+    simplex = st.lists(st.sampled_from(ids), min_size=1, max_size=5,
+                       unique=True)
+    gens = draw(st.lists(simplex, min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 4))):
+        g = draw(st.sampled_from(gens))
+        face = draw(st.lists(st.sampled_from(g), min_size=1, max_size=len(g),
+                             unique=True))
+        gens.insert(draw(st.integers(0, len(gens))), face)
+    return gens
+
+
+@given(generators())
+@settings(max_examples=300, deadline=None)
+def test_build_complex_is_the_sorted_closure(gens):
+    k = build_complex(gens)
+    assert k.simplices == closure(gens)
+    assert all(type(s) is Simplex for s in k.simplices)
+    assert [*map(k.index, k.simplices)] == [*range(len(k))]
 
 
 def _counting_simplex_new():

@@ -109,6 +109,24 @@ def test_parse_complex_diagnostics():
     assert "line 3" in str(err)
 
 
+LONG_FACET = " ".join(f"v{i}" for i in range(MAX_FACET_VERTICES + 1))
+
+
+@pytest.mark.parametrize("body, message", [
+    (f"a b\n{LONG_FACET}\nb c\nx a:b\n",
+     "line 3: facet has 13 vertices, more than the 12 allowed"),
+    (f"a b\nx a:b\nb c\n{LONG_FACET}\n", "line 3: bad vertex label 'a:b'"),
+    ("a b\nb c\na b a\nx a:b\n", "line 4: repeated vertex in facet a b a"),
+    ("a b\nb c\nx a:b\na b a\n", "line 4: bad vertex label 'a:b'"),
+    ("a b\nb c:\n# c:\nc: d\n", "line 3: bad vertex label 'c:'"),
+], ids=["long-then-label", "label-then-long", "repeat-then-label",
+        "label-then-repeat", "one-label-twice"])
+def test_the_earliest_bad_line_is_named(body, message):
+    with pytest.raises(ParseError) as err:
+        parse_complex("complex v=9\n" + body)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("header, message", [
     ("complexes v=3", "expected header 'complex v=<n>'"),
     ("complex v=1_0", "vertex count is not an integer"),
@@ -169,6 +187,28 @@ def test_function_json_variant():
 
     constant = parse_function(json.dumps({"values": [], "default": "2"}), w)
     assert constant == ConstructibleFunction.constant(w, Dyadic(2))
+
+
+@pytest.mark.parametrize("value, shown", [
+    (True, "true"), (False, "false"), (None, "null"), (1.5, "1.5"),
+    ([1], "[1]"), ({"a": 1}, '{"a": 1}'), ("1/3", "'1/3'"),
+], ids=repr)
+def test_json_values_are_named_as_json_writes_them(value, shown):
+    w = corpus.window()
+    for obj in ({"values": [], "default": value},
+                {"values": [{"simplex": ["0,0"], "value": value}]}):
+        with pytest.raises(ParseError) as err:
+            parse_function(json.dumps(obj), w)
+        assert str(err.value) == f"not a dyadic rational: {shown}"
+
+
+def test_json_integer_values_read():
+    w = corpus.window()
+    phi = parse_function(json.dumps(
+        {"values": [{"simplex": ["0,0"], "value": 3}], "default": -1}), w)
+    assert phi == parse_function(json.dumps(
+        {"values": [{"simplex": ["0,0"], "value": "3"}], "default": "-1"}), w)
+    assert sorted(map(str, set(phi.values))) == ["-1", "3"]
 
 
 def test_parse_function_diagnostics():

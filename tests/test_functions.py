@@ -1,13 +1,15 @@
 """Calculus operations on simplexwise-constant functions."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eulerlink import corpus
 from eulerlink.complexes import (Simplex, SimplicialMap, build_complex,
                                  point_complex)
 from eulerlink.dyadic import Dyadic
 from eulerlink.functions import (ConstructibleFunction, ParityObstruction,
-                                 dual, euler_integral, half_link, indicator,
+                                 _function, dual, euler_integral, half_link, indicator,
                                  indicator_of_subcomplex, is_euler,
                                  link_operator, p_operator, pullback,
                                  pushforward, restrict_to_link)
@@ -38,6 +40,40 @@ def test_indicator_basics():
     assert euler_integral(indicator(k, [edge])) == Dyadic(-1)
     with pytest.raises(ValueError):
         indicator(k, [Simplex((77,))])
+
+
+def _points(n: int):
+    return build_complex([[i] for i in range(n)])
+
+
+def _fields(values) -> list:
+    """What tells Dyadics apart beyond ``==``: ``Dyadic(True)`` equals
+    ``Dyadic(1)`` but keeps a bool numerator and prints ``True``."""
+    return [(type(v), type(v.num), v.num, v.exp, str(v)) for v in values]
+
+
+@given(st.lists(st.one_of(st.integers(-4, 4), st.booleans(), st.integers()),
+                min_size=1, max_size=30))
+@settings(max_examples=200, deadline=None)
+def test_int_built_functions_match_per_element_dyadics(xs):
+    phi = ConstructibleFunction(_points(len(xs)), xs)
+    assert _fields(phi.values) == _fields(map(Dyadic, xs))
+
+
+@pytest.mark.parametrize("xs", [[1, True], [True, 1], [0, False, 1, True]],
+                         ids=repr)
+def test_a_bool_value_keeps_its_own_dyadic(xs):
+    phi = ConstructibleFunction(_points(len(xs)), xs)
+    assert _fields(phi.values) == _fields(map(Dyadic, xs))
+    assert [*map(str, phi.values)] == [*map(str, xs)]
+
+
+@given(st.lists(st.integers(-9, 9), min_size=1, max_size=30),
+       st.integers(0, 4))
+@settings(max_examples=200, deadline=None)
+def test_functions_from_scaled_ints_match_per_element_dyadics(xs, e):
+    phi = _function(_points(len(xs)), xs, e)
+    assert _fields(phi.values) == _fields(Dyadic(x, e) for x in xs)
 
 
 def test_arithmetic_requires_same_complex():

@@ -16,7 +16,7 @@ from eulerlink.complexes import (Simplex, _dense_link, _link_keys,
                                  point_complex, simplicial_link, suspension)
 from eulerlink.dyadic import Dyadic
 from eulerlink.functions import (ConstructibleFunction, indicator_of_subcomplex,
-                                 is_euler)
+                                 is_euler, link_operator)
 from eulerlink.fileio import read_complex
 from eulerlink.invariants import (MAX_BOUND_DIMENSION, MAX_BOUND_RANGE,
                                   NECESSARY_ONLY,
@@ -139,6 +139,30 @@ def test_sullivan_rows_carry_link_chi():
     assert set(bad) == {"(a)", "(b)"}
     assert all(r.data["link_chi"] == 3 for r in bad.values())
     assert report.summary["sullivan"] == "fail"
+
+
+def _sullivan_reference(k) -> list[tuple]:
+    """Sullivan's rows built one by one from the Dyadic link operator."""
+    chis = map(int, link_operator(ConstructibleFunction.one(k)).values)
+    return [("sullivan", s, k.simplex_name(s),
+             "fail" if chi % 2 else "pass", f"link chi = {chi}",
+             {"link_chi": chi})
+            for s, chi in zip(k.simplices, chis)]
+
+
+def _assert_sullivan_rows(k):
+    report = sullivan_check(k)
+    want = _sullivan_reference(k)
+    assert [tuple(r) for r in report.rows] == want
+    assert all(type(r) is invariants.TestRow and type(r.data["link_chi"]) is int
+               for r in report.rows)
+    assert report.passed == all(r[3] == "pass" for r in want)
+
+
+@pytest.mark.parametrize("name", ["theta", "rp2", "window", "cone_rp2",
+                                  "cone_theta", "susp_sphere2"])
+def test_sullivan_rows_match_the_per_row_reference(name):
+    _assert_sullivan_rows(corpus.corpus_complex(name))
 
 
 def test_sullivan_notes_realizability_for_low_dimension():
@@ -423,6 +447,12 @@ def small_complexes(draw):
 @given(small_complexes())
 def test_star_keys_are_exact_on_drawn_complexes(k):
     _assert_star_keys_exact(k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_complexes())
+def test_sullivan_rows_match_the_per_row_reference_on_drawn_complexes(k):
+    _assert_sullivan_rows(k)
 
 
 def test_search_check_builds_one_link_per_star_key(monkeypatch):
