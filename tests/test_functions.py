@@ -9,8 +9,8 @@ from eulerlink.complexes import (Simplex, SimplicialMap, build_complex,
                                  point_complex)
 from eulerlink.dyadic import Dyadic
 from eulerlink.functions import (ConstructibleFunction, ParityObstruction,
-                                 _function, dual, euler_integral, half_link, indicator,
-                                 indicator_of_subcomplex, is_euler,
+                                 _function, dual, euler_integral, half_link,
+                                 indicator, indicator_of_subcomplex, is_euler,
                                  link_operator, p_operator, pullback,
                                  pushforward, restrict_to_link)
 
@@ -58,6 +58,8 @@ def _fields(values) -> list:
 def test_int_built_functions_match_per_element_dyadics(xs):
     phi = ConstructibleFunction(_points(len(xs)), xs)
     assert _fields(phi.values) == _fields(map(Dyadic, xs))
+    if bool not in map(type, xs):  # one Dyadic per distinct int
+        assert len(set(map(id, phi.values))) == len(set(xs))
 
 
 @pytest.mark.parametrize("xs", [[1, True], [True, 1], [0, False, 1, True]],
@@ -74,6 +76,7 @@ def test_a_bool_value_keeps_its_own_dyadic(xs):
 def test_functions_from_scaled_ints_match_per_element_dyadics(xs, e):
     phi = _function(_points(len(xs)), xs, e)
     assert _fields(phi.values) == _fields(Dyadic(x, e) for x in xs)
+    assert len(set(map(id, phi.values))) == len(set(xs))
 
 
 def test_arithmetic_requires_same_complex():

@@ -157,6 +157,9 @@ def _assert_sullivan_rows(k):
     assert all(type(r) is invariants.TestRow and type(r.data["link_chi"]) is int
                for r in report.rows)
     assert report.passed == all(r[3] == "pass" for r in want)
+    # rows of one link Euler characteristic share their data
+    chis = {r.data["link_chi"] for r in report.rows}
+    assert len(set(map(id, (r.data for r in report.rows)))) == len(chis)
 
 
 @pytest.mark.parametrize("name", ["theta", "rp2", "window", "cone_rp2",
