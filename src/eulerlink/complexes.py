@@ -18,13 +18,14 @@ spheres of geometric links) to ids above the current maximum.  That makes
 decompositions such as "boundary part / link part of a join" recoverable
 from the ids alone, which the function calculus relies on.
 
-The link of a simplex is read from its star, in the coface table: by
-``_link_rows`` on ``k``'s ids, for the simplicial and the geometric link,
-and by ``_link_keys`` on dense ids, for the link key that decides a
-geometric link's shape; a link that is only points has its key read from
-the length of its coface row alone.  One row builder, ``_geometric_rows``,
-joins a link with the boundary of a simplex, both for ``geometric_link``
-and for the dense link built from a link key alone (``_dense_link``).
+The link of a simplex is read from its star, its row of the coface
+table, by one reader, ``_star_link``: the link vertices, ascending, and
+the link's rows on dense ids.  Those rows are the link key that decides a
+geometric link's shape (``_link_keys``; a link that is only points has its
+key read from the length of its coface row alone).  ``_dense_link`` joins
+a key's rows with the boundary of a simplex on the next dense ids, and
+every geometric link is its key's dense link, relabelled (``relabeled``)
+onto ``k``'s ids and labels and fresh ones for the boundary.
 
 Two incidence tables are built on first use.  The coface table lists every
 strict coface of every simplex, and only stars read it: the links above,
@@ -282,16 +283,18 @@ def euler_characteristic(k: SimplicialComplex) -> int:
 # -- links -----------------------------------------------------------------
 
 
-def _link_rows(k: SimplicialComplex, i: int) -> list[tuple[int, ...]]:
-    """The link of simplex ``i`` read from its star: ``s`` is disjoint from
-    tau with ``s | tau`` in ``k`` exactly when ``s | tau`` is a strict coface
-    of tau.  So the rows are tau's strict cofaces with tau's vertices
-    removed, in canonical order (removing the same vertices from every
-    coface keeps their order): the link vertices come first, ascending."""
-    simplices = k.simplices
-    tau = simplices[i]
-    return [tuple([v for v in simplices[j] if v not in tau])
-            for j in k.cofaces(i)]
+def _star_link(simplices, tau, row) -> tuple[list[int], tuple]:
+    """The link of ``tau`` read from its star, the coface indices ``row``:
+    ``s`` is disjoint from tau with ``s | tau`` in the complex exactly when
+    ``s | tau`` is a strict coface of tau.  So the link vertices are the
+    star's vertices outside tau, ascending, and the link rows are the star
+    with tau's vertices dropped and the rest renumbered densely (vertex j
+    is the j-th link vertex), which keeps their canonical order."""
+    star = list(map(simplices.__getitem__, row))
+    verts = sorted(set(chain.from_iterable(star)).difference(tau))
+    dense = dict(zip(verts, range(len(verts))))
+    get, has = dense.__getitem__, dense.__contains__
+    return verts, tuple([tuple(map(get, filter(has, s))) for s in star])
 
 
 def _member(k: SimplicialComplex, tau) -> Simplex:
@@ -304,8 +307,11 @@ def _member(k: SimplicialComplex, tau) -> Simplex:
 def simplicial_link(k: SimplicialComplex, tau) -> SimplicialComplex:
     """The classical link: simplices disjoint from ``tau`` whose join with
     it lies in the complex.  Vertex ids are inherited from ``k``."""
-    rows = _link_rows(k, k.index(_member(k, tau)))
-    return SimplicialComplex(_trusted(rows), labels=k._labels)
+    tau = _member(k, tau)
+    verts, rows = _star_link(k.simplices, tau, k.cofaces(k.index(tau)))
+    # The link vertices ascend, so each row mapped back ascends.
+    return SimplicialComplex(_trusted(tuple(map(verts.__getitem__, r))
+                                      for r in rows), labels=k._labels)
 
 
 def vertex_link(k: SimplicialComplex, v: int) -> SimplicialComplex:
@@ -323,37 +329,21 @@ def _fresh_labels(k: SimplicialComplex, wanted: list[str]) -> list[str]:
     return out
 
 
-def _geometric_rows(rows, base: int, d: int) -> list[tuple[int, ...]]:
-    """The rows of the geometric link of a ``d``-simplex with link ``rows``:
-    the boundary of a ``d``-simplex on the ids ``base .. base + d``, the
-    link, and their join (the link alone for a vertex).  Every link id is
-    below ``base``, so each joined row ascends."""
-    if not d:
-        return list(rows)
-    bverts = range(base, base + d + 1)
-    bfaces = [c for r in range(1, d + 1) for c in combinations(bverts, r)]
-    return [*bfaces, *rows, *starmap(add, product(rows, bfaces))]
-
-
 def geometric_link(k: SimplicialComplex, tau) -> SimplicialComplex:
     """Boundary of a small neighborhood sphere around an interior point of
     ``tau``: the join of the boundary of a ``dim tau``-simplex (on fresh
     vertex ids above ``k``'s maximum) with the simplicial link of ``tau``.
 
     For a vertex this is the ordinary vertex link; for a maximal simplex of
-    top dimension d it is the boundary sphere of a d-simplex.
+    top dimension d it is the boundary sphere of a d-simplex.  It is built
+    as ``tau``'s dense link, relabelled onto ``k``'s ids and labels.
     """
     tau = _member(k, tau)
-    rows = _link_rows(k, k.index(tau))
-    verts = [r[0] for r in rows if len(r) == 1]
+    verts, rows = _star_link(k.simplices, tau, k.cofaces(k.index(tau)))
     base = k.max_vertex_id() + 1
-    # The boundary's labels are those of its ids, in order (none for a
-    # vertex).
-    labels = dict(zip([*verts, *range(base, base + len(tau))],
-                      [*map(k.label, verts),
-                       *_boundary_labels(k, tau.dim)]))
-    return SimplicialComplex(_trusted(_geometric_rows(rows, base, tau.dim)),
-                             labels=labels)
+    return relabeled(_dense_link((tau.dim, rows)),
+                     [*verts, *range(base, base + len(tau))],
+                     [*map(k.label, verts), *_boundary_labels(k, tau.dim)])
 
 
 def _link_keys(k: SimplicialComplex):
@@ -365,11 +355,10 @@ def _link_keys(k: SimplicialComplex):
     coface has size |tau| + 1.  Then its m cofaces add the link vertices in
     ascending order (tau | {v} is lexicographic in v), so the key is
     ``(dim tau, ((0,), ..., (m - 1,)))``, built once per ``(dim tau, m)``
-    without reading the star.  Any other key is read from the star: the
-    rows ``_link_rows`` reads, with tau's vertices dropped and the rest
-    renumbered.  The geometric link's boundary sits on fresh ids above
-    every link vertex, so equal keys give geometric links of equal dense
-    shape, which ``_dense_link`` builds from the key alone."""
+    without reading the star.  Any other key's rows are read from the
+    star, the coface row in hand, by ``_star_link``.  ``geometric_link``
+    is the key's dense link (``_dense_link``), relabelled in increasing
+    order, so equal keys give geometric links of equal dense shape."""
     simplices = k.simplices
     points: dict[tuple[int, int], tuple] = {}
     for tau, row in zip(simplices, k.coface_table()):
@@ -379,12 +368,7 @@ def _link_keys(k: SimplicialComplex):
                 points[size] = (len(tau) - 1, tuple(zip(range(len(row)))))
             yield points[size]
             continue
-        star = list(map(simplices.__getitem__, row))
-        verts = sorted(set(chain.from_iterable(star)).difference(tau))
-        dense = dict(zip(verts, range(len(verts))))
-        get, has = dense.__getitem__, dense.__contains__
-        yield (len(tau) - 1, tuple([tuple(map(get, filter(has, s)))
-                                    for s in star]))
+        yield (len(tau) - 1, _star_link(simplices, tau, row)[1])
 
 
 def _link_vertices(k: SimplicialComplex, i: int) -> list[int]:
@@ -396,14 +380,17 @@ def _link_vertices(k: SimplicialComplex, i: int) -> list[int]:
 
 
 def _dense_link(key: tuple) -> SimplicialComplex:
-    """The geometric link of link key ``key`` (``_link_keys``) on dense ids:
-    the link vertices on ``0 .. n-1``, as in the key, and the boundary on
-    ``n .. n+d``, without labels.  That is the dense shape of the geometric
-    link of every simplex with this key, so its ``simplices`` are that
-    shape."""
+    """The geometric link of link key ``key`` (``_link_keys``) on dense ids,
+    without labels: the key's rows on ``0 .. n-1``, the boundary of a
+    ``d``-simplex on ``n .. n+d`` (no faces for ``d = 0``), and their join,
+    whose rows ascend.  Its ``simplices`` are the dense shape of the
+    geometric link of every simplex with this key."""
     d, rows = key
     n = [*map(len, rows)].count(1)
-    return SimplicialComplex(_trusted(_geometric_rows(rows, n, d)))
+    bfaces = [c for r in range(1, d + 1)
+              for c in combinations(range(n, n + d + 1), r)]
+    return SimplicialComplex(_trusted(
+        [*bfaces, *rows, *starmap(add, product(rows, bfaces))]))
 
 
 def _boundary_labels(k: SimplicialComplex, d: int) -> list[str]:
@@ -416,22 +403,26 @@ def _boundary_labels(k: SimplicialComplex, d: int) -> list[str]:
 # -- joins and friends ------------------------------------------------------
 
 
-def relabeled(k: SimplicialComplex, offset: int) -> SimplicialComplex:
-    """Shift a complex onto dense fresh ids ``offset, offset+1, ...``."""
+def relabeled(k: SimplicialComplex, ids, labels=None) -> SimplicialComplex:
+    """``k`` with its vertices, in ascending order, moved onto ``ids``
+    (ascending too; spare ids are ignored) and named ``labels``, by default
+    their labels in ``k``."""
     old = k.vertex_ids  # ascending
-    ren = dict(zip(old, range(offset, offset + len(old))))
+    ren = dict(zip(old, ids))
     # The renumbering is increasing, so each renamed simplex ascends.
     simplices = _trusted(tuple(map(ren.__getitem__, s)) for s in k.simplices)
-    labels = {ren[v]: k.label(v) for v in old}
+    labels = dict(zip(ren.values(), map(k.label, old) if labels is None
+                      else labels))
     return SimplicialComplex(simplices, labels=labels, name=k.name)
 
 
 def _beside(k: SimplicialComplex, l: SimplicialComplex):
-    """``l`` on fresh ids above ``k``'s, and the labels of both, each of
-    ``l``'s primed until it is fresh in ``k``."""
-    l2 = relabeled(l, k.max_vertex_id() + 1)
-    fixed = _fresh_labels(k, [l2.label(v) for v in l2.vertex_ids])
-    return l2, {**k._labels, **dict(zip(l2.vertex_ids, fixed))}
+    """``l`` on fresh ids above ``k``'s, each of its labels primed until it
+    is fresh in ``k``, and the labels of both."""
+    base = k.max_vertex_id() + 1
+    l2 = relabeled(l, range(base, base + l.n_vertices),
+                   _fresh_labels(k, [*map(l.label, l.vertex_ids)]))
+    return l2, {**k._labels, **l2._labels}
 
 
 def join(k: SimplicialComplex, l: SimplicialComplex,

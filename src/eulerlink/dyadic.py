@@ -11,7 +11,8 @@ from __future__ import annotations
 import functools
 import re
 
-_PATTERN = re.compile(r"^([+-]?\d+)(?:/2\^(\d+))?$")
+# ASCII digits only: ``\d`` alone also matches other scripts' digits.
+_PATTERN = re.compile(r"^([+-]?\d+)(?:/2\^(\d+))?$", re.ASCII)
 
 # Largest k accepted in a parsed "p/2^k": arithmetic aligns exponents by
 # shifting, so an unbounded k in an input file is an unbounded allocation.

@@ -137,9 +137,6 @@ class ConstructibleFunction:
         s = s if isinstance(s, Simplex) else Simplex(s)
         return self.values[self.complex.index(s)]
 
-    def support(self) -> tuple[Simplex, ...]:
-        return tuple(s for s, v in zip(self.complex.simplices, self.values) if v)
-
     @property
     def is_integer_valued(self) -> bool:
         return all(v.is_integer for v in self.values)

@@ -1,5 +1,5 @@
 """Shared generators for the randomized suites, and the closure,
-dense-shape and link-key references.
+dense-shape, link-key and link references.
 
 Every generator takes an explicit random.Random so a failing case can be
 reproduced from the seed alone.
@@ -74,6 +74,47 @@ def link_key(k: SimplicialComplex, i: int) -> tuple:
     get, has = dense.__getitem__, dense.__contains__
     return (len(tau) - 1, tuple([tuple(map(get, filter(has, s)))
                                  for s in star]))
+
+
+def _ref_complex(faces, labels: dict) -> SimplicialComplex:
+    """The complex of ``faces`` (sets of ids), sorted here by size, then
+    lexicographically, with ``labels`` for its vertices."""
+    rows = sorted((tuple(sorted(f)) for f in faces),
+                  key=lambda s: (len(s), s))
+    return SimplicialComplex([Simplex(r) for r in rows], labels=labels)
+
+
+def ref_simplicial_link(k: SimplicialComplex, tau) -> SimplicialComplex:
+    """The link of ``tau`` by brute force: every simplex of ``k`` disjoint
+    from tau whose union with tau is in ``k``, with ``k``'s ids and
+    labels."""
+    t = frozenset(tau)
+    present = {frozenset(s) for s in k.simplices}
+    faces = [a for a in present if t.isdisjoint(a) and a | t in present]
+    verts = {v for a in faces for v in a}
+    return _ref_complex(faces, {v: k.label(v) for v in verts})
+
+
+def ref_geometric_link(k: SimplicialComplex, tau) -> SimplicialComplex:
+    """The link of ``tau`` joined with the boundary of a ``dim tau``-simplex
+    on the ids above ``k``'s largest vertex id, labelled ``b0 .. bd``, each
+    primed until no vertex of ``k`` has it (no boundary for a vertex)."""
+    link = ref_simplicial_link(k, tau)
+    d = len(tau) - 1
+    top = max((s[0] for s in k.simplices if len(s) == 1), default=-1)
+    bverts = list(range(top + 1, top + 2 + d)) if d else []
+    boundary = [frozenset(c) for r in range(1, d + 1)
+                for c in combinations(bverts, r)]
+    faces = [frozenset(s) for s in link.simplices]
+    faces += boundary + [a | b for a in faces for b in boundary]
+    used = {k.label(s[0]) for s in k.simplices if len(s) == 1}
+    names = []
+    for i in range(len(bverts)):
+        name = f"b{i}"
+        while name in used:
+            name += "'"
+        names.append(name)
+    return _ref_complex(faces, {**link.labels, **dict(zip(bverts, names))})
 
 
 @pytest.fixture

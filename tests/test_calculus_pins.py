@@ -13,8 +13,15 @@ these outputs must leave every digest as it is; a change to them must
 regenerate the file:
 
     PYTHONPATH=src python tests/test_calculus_pins.py
+
+With ``--check`` the script writes nothing: it prints how many cases
+changed and exits 1 if any did, so that a change meant to keep these
+outputs can be checked without touching the file:
+
+    PYTHONPATH=src python tests/test_calculus_pins.py --check
 """
 
+import argparse
 import hashlib
 import json
 import os
@@ -83,7 +90,25 @@ def test_calculus_outputs_are_pinned(case, pinned):
 
 
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(
+        description="Regenerate the pinned calculus digests.")
+    parser.add_argument("--check", action="store_true",
+                        help="write nothing; exit 1 if any case changed")
+    args = parser.parse_args()
     table = {case: _outputs(case) for case in CASES}
+    try:
+        with open(DIGESTS, encoding="utf-8") as fh:
+            old = json.load(fh)
+    except FileNotFoundError:
+        old = {}
+    changed = [case for case in table if old.get(case) != table[case]]
+    print(f"{len(changed)} of {len(table)} cases changed"
+          + "".join(f"\n  {case}: " + " ".join(
+              sorted(key for key in table[case]
+                     if old.get(case, {}).get(key) != table[case][key]))
+              for case in changed), file=sys.stderr)
+    if args.check:
+        sys.exit(1 if changed else 0)
     with open(DIGESTS, "w", encoding="utf-8") as fh:
         json.dump(table, fh, indent=1, sort_keys=True)
         fh.write("\n")

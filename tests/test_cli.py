@@ -151,6 +151,17 @@ def test_integrate_command(tmp_path, capsys):
     assert capsys.readouterr().out == "1/2^1\n"
 
 
+def test_integrate_rejects_a_non_ascii_digit(tmp_path, capsys):
+    cp = tmp_path / "p.cplx"
+    cp.write_text("complex v=1\np\n", encoding="utf-8")
+    fp = tmp_path / "p.fn"
+    fp.write_text("function over=p\np : \u0661\n", encoding="utf-8")
+    assert run(["integrate", str(cp), str(fp)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: line 2: not a dyadic rational: ' \u0661'\n"
+
+
 def test_link_command_round_trips(tmp_path, theta_file, capsys):
     out_path = tmp_path / "link.cplx"
     assert run(["link", theta_file, "a", "-o", str(out_path)]) == 0

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import closure
+from conftest import closure, ref_geometric_link
 from eulerlink import corpus
 from eulerlink.complexes import (Simplex, SimplicialComplex, SimplicialMap,
                                  _boundary_labels, _canonical_order,
@@ -452,18 +452,18 @@ def test_name_table_matches_simplex_name(k):
 @pytest.mark.parametrize("name", ["susp_torus", "cone_window"])
 def test_link_labels_name_the_dense_link_as_the_geometric_link(name):
     # Vertex j of a link key's dense link is named like vertex j of the
-    # simplex's own geometric link: the link vertices as named in k, then
-    # the boundary's fresh labels.  That is how a report names a witness's
-    # location without building the simplex's link.
+    # simplex's geometric link, built by brute force: the link vertices as
+    # named in k, then the boundary's fresh labels.  That is how a report
+    # names a witness's location without building the simplex's link.
     k = corpus.corpus_complex(name)
     for i, (tau, key) in enumerate(zip(k.simplices, _link_keys(k))):
         label = [*map(k.label, _link_vertices(k, i)),
                  *_boundary_labels(k, tau.dim)]
-        own = geometric_link(k, tau)
-        assert len(label) == own.n_vertices
+        ref = ref_geometric_link(k, tau)
+        assert len(label) == ref.n_vertices
         assert tuple("(" + " ".join(map(label.__getitem__, s)) + ")"
                      for s in _dense_link(key).simplices) == \
-            own.simplex_names(), tau
+            ref.simplex_names(), tau
 
 
 # -- join, cone, suspension, union ----------------------------------------------

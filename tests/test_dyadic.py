@@ -69,6 +69,16 @@ def test_parse_forms():
             Dyadic.parse(bad)
 
 
+@pytest.mark.parametrize("bad", ["\u0661", "\u0663", "-\u0663",
+                                 "3/2^\u0661", "\uff11", "1\u0660"])
+def test_parse_takes_ascii_digits_only(bad):
+    # int() reads other scripts' digits (Arabic-Indic, fullwidth); a value
+    # file holds ASCII ones only, as the complex header does.
+    with pytest.raises(ValueError) as err:
+        Dyadic.parse(bad)
+    assert str(err.value) == f"not a dyadic rational: {bad!r}"
+
+
 def test_parse_caps_the_exponent():
     # parse only: the values above the cap are never built
     assert Dyadic.parse(f"1/2^{MAX_PARSE_EXP}") == Dyadic(1, MAX_PARSE_EXP)

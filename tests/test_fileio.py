@@ -202,6 +202,21 @@ def test_json_values_are_named_as_json_writes_them(value, shown):
         assert str(err.value) == f"not a dyadic rational: {shown}"
 
 
+@pytest.mark.parametrize("value", ["x", "\u0661"], ids=ascii)
+def test_a_non_ascii_digit_is_named_as_a_bad_value(value):
+    # Arabic-Indic one reads as no value at all, just as "x" does.
+    p = build_complex([[0]], labels={0: "p"}, name="p")
+    with pytest.raises(ParseError) as err:
+        parse_function(f"function over=p\np : {value}\n", p)
+    assert str(err.value) == \
+        f"line 2: not a dyadic rational: {' ' + value!r}"
+    for obj in ({"values": [], "default": "\u0663"},
+                {"values": [{"simplex": ["p"], "value": "\u0663"}]}):
+        with pytest.raises(ParseError) as err:
+            parse_function(json.dumps(obj), p)
+        assert str(err.value) == "not a dyadic rational: '\u0663'"
+
+
 def test_json_integer_values_read():
     w = corpus.window()
     phi = parse_function(json.dumps(

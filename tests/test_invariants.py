@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_shape, link_key
+from conftest import (dense_shape, link_key, ref_geometric_link,
+                      ref_simplicial_link)
 from eulerlink import cli, corpus, invariants, search
 from eulerlink.complexes import (Simplex, _dense_link, _link_keys,
                                  _link_vertices, barycentric_subdivision,
@@ -406,26 +407,34 @@ def _star_key_cases():
         yield corpus.corpus_complex(name)
     yield barycentric_subdivision(corpus.corpus_complex("susp_rp2")).complex
     yield join(corpus.rp2(), corpus.rp2(), name="rp2*rp2")
+    # labels that the boundary's b0, b1, ... must be primed past
+    yield build_complex([(0, 1, 2), (2, 3)], name="primed",
+                        labels={0: "b0", 1: "b1", 2: "b0'", 3: "b2''"})
+    yield build_complex([(3, 40), (7,), (3, 9, 200)], name="sparse")
+
+
+def _assert_same_complex(got, want, tau):
+    assert got.simplices == want.simplices, tau
+    assert got.labels == want.labels, tau
+    assert got.simplex_names() == want.simplex_names(), tau
 
 
 def _assert_star_keys_exact(k):
-    """Link keys equal the keys read from the whole star, simplices with
-    equal link keys have links of equal dense shape, the dense link built
-    from the key has exactly that shape, and the link vertices are the
-    first vertices of the link."""
-    shapes = {}
+    """Link keys equal the keys read from the whole star; the simplicial
+    and the geometric link equal the brute-force references, simplices,
+    labels and names; and the dense link built from the key has the
+    reference geometric link's dense shape, so simplices with equal keys
+    have links of equal shape."""
     keys = list(_link_keys(k))
     assert len(keys) == len(k.simplices)
     for i, tau in enumerate(k.simplices):
-        own = geometric_link(k, tau)
-        shape = dense_shape(own)
-        key, verts = keys[i], _link_vertices(k, i)
-        assert key == link_key(k, i), tau
-        assert shapes.setdefault(key, shape) == shape, tau
-        assert _dense_link(key).simplices == shape, tau
-        assert own.vertex_ids[:len(verts)] == tuple(verts)
-        assert len(own.vertex_ids) == len(verts) + (tau.dim + 1 if tau.dim
-                                                    else 0)
+        assert keys[i] == link_key(k, i), tau
+        link = ref_simplicial_link(k, tau)
+        _assert_same_complex(simplicial_link(k, tau), link, tau)
+        assert tuple(_link_vertices(k, i)) == link.vertex_ids, tau
+        ref = ref_geometric_link(k, tau)
+        _assert_same_complex(geometric_link(k, tau), ref, tau)
+        assert _dense_link(keys[i]).simplices == dense_shape(ref), tau
 
 
 @pytest.mark.parametrize("k", _star_key_cases(),
