@@ -10,7 +10,12 @@ simplices in canonical order, or in a few canonical runs, pays about one
 comparison per simplex for it.  A subdivision grows its chains a length
 at a time in lexicographic order, a join chains the two complexes and
 their joined pairs, and ``build_complex`` closes its generators a level
-(one simplex size) at a time, each level sorted.
+(one simplex size) at a time, each level sorted.  After the sort, the
+constructor hashes each simplex once, into the index, and keeps the end of
+each size's block (``_ends``, one bisection per size).  The dimension, the
+vertex count, the counts by dimension, ``face_pairs`` and the functions
+module's signs and Euler integral read whole blocks from that table
+instead of testing each simplex.
 
 Constructions keep the first operand's vertex ids stable and move the second
 operand (or any freshly invented vertices, e.g. cone apexes and boundary
@@ -22,10 +27,11 @@ The link of a simplex is read from its star, its row of the coface
 table, by one reader, ``_star_link``: the link vertices, ascending, and
 the link's rows on dense ids.  Those rows are the link key that decides a
 geometric link's shape (``_link_keys``; a link that is only points has its
-key read from the length of its coface row alone).  ``_dense_link`` joins
-a key's rows with the boundary of a simplex on the next dense ids, and
-every geometric link is its key's dense link, relabelled (``relabeled``)
-onto ``k``'s ids and labels and fresh ones for the boundary.
+key read from the length of its coface row alone).  ``_link_simplices``
+joins a link's rows with the boundary of a simplex on ids above them:
+``_dense_link`` on a key's dense rows and the next dense ids, and
+``geometric_link`` on the same rows moved onto ``k``'s ids and fresh ids
+above ``k``'s, so each is one construction.
 
 Two incidence tables are built on first use.  The coface table lists every
 strict coface of every simplex, and only stars read it: the links above,
@@ -39,7 +45,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from itertools import (chain, combinations, compress, product, repeat,
                        starmap)
-from operator import add, not_
+from operator import add, not_, sub
 from typing import NamedTuple
 
 
@@ -90,16 +96,13 @@ def _trusted(tuples):
     return map(tuple.__new__, repeat(Simplex), tuples)
 
 
-def _canonical_order(simplices) -> tuple[Simplex, ...]:
-    """Distinct simplices by size, then lexicographically: repeats dropped
-    in order (``dict.fromkeys``, not a ``set``, which would scramble it), a
-    lexicographic sort, then a stable sort by size, both keyed in C.  The
-    sorts merge presorted runs, so canonical input costs one pass."""
-    return tuple(sorted(sorted(dict.fromkeys(simplices)), key=len))
-
-
 class SimplicialComplex:
-    """A finite simplicial complex, downward closed by construction."""
+    """A finite simplicial complex, downward closed by construction.
+
+    The simplices are sorted, by two sorts keyed in C that merge presorted
+    runs, and then hashed once, into the index.  The sort puts repeats side
+    by side, so an index shorter than the simplices shows them, and only
+    then are they dropped.  ``_ends[d]`` ends dimension ``d``'s block."""
 
     def __init__(self, simplices, labels: dict[int, str] | None = None,
                  name: str | None = None):
@@ -107,16 +110,23 @@ class SimplicialComplex:
         if not {Simplex}.issuperset(map(type, simplices)):
             simplices = [s if type(s) is Simplex else Simplex(s)
                          for s in simplices]
-        self.simplices: tuple[Simplex, ...] = _canonical_order(simplices)
+        simplices.sort()
+        simplices.sort(key=len)
+        index = dict(zip(simplices, range(len(simplices))))
+        if len(index) < len(simplices):
+            simplices = [*index]  # the first of each run of repeats
+            index = dict(zip(simplices, range(len(simplices))))
+        self.simplices: tuple[Simplex, ...] = tuple(simplices)
         self.name = name
-        self._index = dict(zip(self.simplices, range(len(self.simplices))))
+        self._index = index
+        top = len(simplices[-1]) if simplices else 0
+        self._ends: tuple[int, ...] = tuple(
+            bisect_left(simplices, size, key=len)
+            for size in range(2, top + 2))
         self._labels = dict(labels) if labels else {}
         self._cofaces: tuple[tuple[int, ...], ...] | None = None
         self._pairs: tuple[tuple[tuple[int, ...], range], ...] | None = None
         self._names: tuple[str, ...] | None = None
-        # Vertices come first in canonical order.
-        self._n_vertices = next((i for i, s in enumerate(self.simplices)
-                                 if len(s) > 1), len(self.simplices))
 
     # -- basic queries ---------------------------------------------------
 
@@ -135,15 +145,16 @@ class SimplicialComplex:
     @property
     def dim(self) -> int:
         """Dimension of the complex; -1 for the empty complex."""
-        return self.simplices[-1].dim if self.simplices else -1
+        return len(self._ends) - 1
 
     @property
     def vertex_ids(self) -> tuple[int, ...]:
-        return tuple(s[0] for s in self.simplices[:self._n_vertices])
+        return tuple(s[0] for s in self.simplices[:self.n_vertices])
 
     @property
     def n_vertices(self) -> int:
-        return self._n_vertices
+        """The vertices come first in canonical order: the size-1 block."""
+        return self._ends[0] if self._ends else 0
 
     def label(self, v: int) -> str:
         return self._labels.get(v, str(v))
@@ -166,7 +177,8 @@ class SimplicialComplex:
 
     def max_vertex_id(self) -> int:
         """Id of the last vertex (vertex ids ascend); -1 without vertices."""
-        return self.simplices[self._n_vertices - 1][0] if self._n_vertices else -1
+        n = self.n_vertices
+        return self.simplices[n - 1][0] if n else -1
 
     def facets(self) -> tuple[Simplex, ...]:
         """Maximal simplices, in canonical order: those that are the face
@@ -179,10 +191,9 @@ class SimplicialComplex:
         return all(f in self._index for s in self.simplices for f in s.subfaces())
 
     def counts_by_dim(self) -> tuple[int, ...]:
-        counts = [0] * (self.dim + 1)
-        for s in self.simplices:
-            counts[s.dim] += 1
-        return tuple(counts)
+        """The length of each dimension's block."""
+        ends = self._ends
+        return tuple(map(sub, ends, (0, *ends)))
 
     def cofaces(self, i: int) -> tuple[int, ...]:
         """Indices of all simplices strictly containing simplex ``i``, in
@@ -225,17 +236,15 @@ class SimplicialComplex:
         sum of |sigma| lookups, against sum of 2^|sigma| - 2 for
         ``coface_table``."""
         if self._pairs is None:
-            simplices, index = self.simplices, self._index
-            top = len(simplices[-1]) if simplices else 0
+            simplices, index, ends = self.simplices, self._index, self._ends
+            top = len(ends)
             blocks = []  # (size, faces, cofaces), by decreasing size
-            hi = len(simplices)
             for size in range(top, 1, -1):
-                lo = bisect_left(simplices, size, 0, hi, key=len)
+                lo, hi = ends[size - 2], ends[size - 1]
                 walks = map(combinations, simplices[lo:hi], repeat(size - 1))
                 faces = tuple(map(index.__getitem__,
                                   chain.from_iterable(walks)))
                 blocks.append((size, faces, range(lo, hi)))
-                hi = lo
             self._pairs = tuple((faces[j::size], cofaces)
                                 for j in range(top)
                                 for size, faces, cofaces in blocks
@@ -274,10 +283,9 @@ def build_complex(facets, labels: dict[int, str] | None = None,
 
 
 def euler_characteristic(k: SimplicialComplex) -> int:
-    """Alternating sum of face counts (0 for the empty complex): the
-    simplices of odd size less those of even size."""
-    odd = sum(map((1).__and__, map(len, k.simplices)))
-    return 2 * odd - len(k.simplices)
+    """Alternating sum of face counts (0 for the empty complex)."""
+    counts = k.counts_by_dim()
+    return sum(counts[0::2]) - sum(counts[1::2])
 
 
 # -- links -----------------------------------------------------------------
@@ -336,14 +344,20 @@ def geometric_link(k: SimplicialComplex, tau) -> SimplicialComplex:
 
     For a vertex this is the ordinary vertex link; for a maximal simplex of
     top dimension d it is the boundary sphere of a d-simplex.  It is built
-    as ``tau``'s dense link, relabelled onto ``k``'s ids and labels.
+    as ``tau``'s dense link with its rows moved onto ``k``'s ids and the
+    boundary onto the fresh ones (``_link_simplices``), in one
+    construction.
     """
     tau = _member(k, tau)
     verts, rows = _star_link(k.simplices, tau, k.cofaces(k.index(tau)))
     base = k.max_vertex_id() + 1
-    return relabeled(_dense_link((tau.dim, rows)),
-                     [*verts, *range(base, base + len(tau))],
-                     [*map(k.label, verts), *_boundary_labels(k, tau.dim)])
+    fresh = range(base, base + len(tau))
+    # The link vertices ascend, so each row mapped back ascends.
+    rows = [tuple(map(verts.__getitem__, r)) for r in rows]
+    labels = dict(zip(verts, map(k.label, verts)))
+    labels.update(zip(fresh, _boundary_labels(k, tau.dim)))
+    return SimplicialComplex(_trusted(_link_simplices(tau.dim, rows, fresh)),
+                             labels=labels)
 
 
 def _link_keys(k: SimplicialComplex):
@@ -379,18 +393,24 @@ def _link_vertices(k: SimplicialComplex, i: int) -> list[int]:
     return sorted(set(chain.from_iterable(star)).difference(simplices[i]))
 
 
+def _link_simplices(d: int, rows, boundary) -> list[tuple[int, ...]]:
+    """The simplices of a geometric link, unsorted: the link ``rows``, the
+    boundary of a ``d``-simplex on the ids ``boundary`` (no faces for
+    ``d = 0``), all above the rows' ids, and their join, whose rows
+    ascend."""
+    bfaces = [c for r in range(1, d + 1) for c in combinations(boundary, r)]
+    return [*bfaces, *rows, *starmap(add, product(rows, bfaces))]
+
+
 def _dense_link(key: tuple) -> SimplicialComplex:
     """The geometric link of link key ``key`` (``_link_keys``) on dense ids,
-    without labels: the key's rows on ``0 .. n-1``, the boundary of a
-    ``d``-simplex on ``n .. n+d`` (no faces for ``d = 0``), and their join,
-    whose rows ascend.  Its ``simplices`` are the dense shape of the
-    geometric link of every simplex with this key."""
+    without labels: the key's rows on ``0 .. n-1`` and the boundary on
+    ``n .. n+d`` (``_link_simplices``).  Its ``simplices`` are the dense
+    shape of the geometric link of every simplex with this key."""
     d, rows = key
     n = [*map(len, rows)].count(1)
-    bfaces = [c for r in range(1, d + 1)
-              for c in combinations(range(n, n + d + 1), r)]
     return SimplicialComplex(_trusted(
-        [*bfaces, *rows, *starmap(add, product(rows, bfaces))]))
+        _link_simplices(d, rows, range(n, n + d + 1))))
 
 
 def _boundary_labels(k: SimplicialComplex, d: int) -> list[str]:

@@ -26,6 +26,10 @@ class Dyadic:
     __slots__ = ("num", "exp")
 
     def __init__(self, num: int = 0, exp: int = 0):
+        # Exact ints only: a bool or a float would be stored as given.
+        if type(num) is not int or type(exp) is not int:
+            raise TypeError("a Dyadic needs an int numerator and exponent,"
+                            f" got {num!r} and {exp!r}")
         if exp < 0:
             # Negative exponents are just integer multiplication.
             num <<= -exp
@@ -79,10 +83,12 @@ class Dyadic:
 
     @staticmethod
     def _coerce(other) -> "Dyadic | None":
+        """``other`` as a Dyadic, an int (a bool too) by its value; None
+        for anything else."""
         if isinstance(other, Dyadic):
             return other
         if isinstance(other, int):
-            return Dyadic(other)
+            return Dyadic(int(other))
         return None
 
     def __add__(self, other) -> "Dyadic":

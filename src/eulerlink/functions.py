@@ -16,18 +16,21 @@ the parity test for Euler functions are all built from it.
 Values are Dyadic at the API boundary and plain ints inside these
 operators.  A function's values become one list of ints over a shared
 exponent e, the largest exponent among them (value i is xs[i] / 2**e).  The
-sign (-1)^(dim sigma + 1) is applied once to the whole list, lam is sums of
-those ints over closed stars, and each distinct output value becomes one
-Dyadic, at the end, which every simplex with that value shares (a Dyadic
-is immutable).  A function built from exact ints shares its Dyadics alike.
-Halving is the same ints over 2**(e + 1), and parity is read from their
-low bits.
+sign (-1)^(dim sigma + 1) is applied once to the whole list, one size block
+of the canonical order at a time (``SimplicialComplex._ends``): each block
+of even dimension is negated as one slice, and the Euler integral is the
+alternating sum of the block sums.  Lam is sums of those signed ints over
+closed stars, and each distinct output value becomes one Dyadic, at the
+end, which every simplex with that value shares (a Dyadic is immutable).
+A function built from exact ints shares its Dyadics alike.  Halving is the
+same ints over 2**(e + 1), and parity is read from their low bits.
 
 On a complex, the closed-star sums S(tau) = sum over sigma >= tau of
 f(sigma) are a zeta transform over the codimension-one incidences (Yates's
 method; Bjorklund, Husfeldt, Kaski and Koivisto, "Fourier meets Moebius",
 STOC 2007), run in place over ``SimplicialComplex.face_pairs()``: for each
-pair (sigma - v, sigma), ``f[sigma - v] += f[sigma]``.  That is sum of
+pair (sigma - v, sigma), ``f[sigma - v] += f[sigma]``, each segment of
+pairs reading its cofaces' values as one slice of ``f``.  That is sum of
 |sigma| additions, where the coface table has sum of 2^|sigma| - 2 entries.
 A pair is in phase j when v has j vertices of sigma above it; the phases
 run in order, and within a phase the pairs run by decreasing size of sigma.
@@ -50,8 +53,9 @@ Why that sums every sigma >= tau into tau exactly once:
   one that counts, and tau collects f(sigma) exactly once.
 
 The pairs of one phase and one size read sets of that size and write sets
-one smaller, so none reads what another writes, and updating in place is
-safe.  The phases are those of Yates's transform with one phase per vertex
+one smaller, so none reads what another writes: updating in place is safe,
+and so is reading the segment's coface values in one slice before it
+runs.  The phases are those of Yates's transform with one phase per vertex
 rank instead of per vertex, which makes them few (the dimension plus one)
 and lets ``face_pairs`` build each as a slice.
 
@@ -68,7 +72,7 @@ passing value.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from operator import add, itemgetter, mul, sub
+from operator import add, itemgetter, mul, neg, sub
 from typing import NamedTuple
 
 from .complexes import (Simplex, SimplicialComplex, SimplicialMap,
@@ -221,9 +225,15 @@ def _ints(values) -> tuple[list[int], int]:
     return [v.num << (e - v.exp) for v in values], e
 
 
-def _signed(simplices: Sequence[Simplex], xs: Sequence[int]) -> list[int]:
-    """``(-1)^(dim sigma + 1) * x_sigma`` for every simplex sigma."""
-    return [-x if len(s) % 2 else x for s, x in zip(simplices, xs)]
+def _signed(k: SimplicialComplex, xs: Sequence[int]) -> list[int]:
+    """``(-1)^(dim sigma + 1) * x_sigma`` for every simplex sigma: each
+    block of even dimension (``SimplicialComplex._ends``) negated as one
+    slice."""
+    out = list(xs)
+    ends = k._ends
+    for lo, hi in zip((0, *ends[1::2]), ends[0::2]):
+        out[lo:hi] = map(neg, out[lo:hi])
+    return out
 
 
 def _star_sums(k: SimplicialComplex, xs: Sequence[int]) -> list[int]:
@@ -232,10 +242,10 @@ def _star_sums(k: SimplicialComplex, xs: Sequence[int]) -> list[int]:
     (see the module docstring).  Lambda x = x + this, since the term of tau
     itself is ``-x_tau`` on even and ``+x_tau`` on odd dimensions, and
     dual x = x - Lambda x = -this."""
-    f = _signed(k.simplices, xs)
+    f = _signed(k, xs)
     for faces, cofaces in k.face_pairs():
-        for a, b in zip(faces, cofaces):
-            f[a] += f[b]
+        for a, y in zip(faces, f[cofaces.start:cofaces.stop]):
+            f[a] += y
     return f
 
 
@@ -262,9 +272,12 @@ def _function(k: SimplicialComplex, xs, e: int) -> ConstructibleFunction:
 
 
 def euler_integral(phi: ConstructibleFunction) -> Dyadic:
-    """Integral against the Euler characteristic of open cells."""
+    """Integral against the Euler characteristic of open cells: the sums
+    of the blocks of even dimension less those of odd dimension."""
     xs, e = _ints(phi.values)
-    return Dyadic(-sum(_signed(phi.complex.simplices, xs)), e)
+    ends = phi.complex._ends
+    sums = [sum(xs[lo:hi]) for lo, hi in zip((0, *ends), ends)]
+    return Dyadic(sum(sums[0::2]) - sum(sums[1::2]), e)
 
 
 def link_operator(phi: ConstructibleFunction) -> ConstructibleFunction:

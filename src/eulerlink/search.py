@@ -29,7 +29,8 @@ as any other simplex of that cell (colour refinement along cofaces).  The
 constant 1 is constant on cells, ADD, SUB, MUL and POP act value by value,
 and the link operator reads only a simplex's own value and those of its
 cofaces, so every function of the closure is constant on cells and is
-kept as one value per cell: on cell a, with ``s = (-1)^(dim + 1)``,
+kept as one value per cell: on cell a, with ``s = (-1)^(dim + 1)`` (the
+quotient keeps one sign per cell),
 
     (lam y)_a = y_a + s_a * y_a + sum over sigma > (first simplex of a)
                 of s_(cell of sigma) * y_(cell of sigma).
@@ -67,8 +68,8 @@ from typing import NamedTuple
 
 from .complexes import Simplex, SimplicialComplex, geometric_link
 from .dyadic import Dyadic
-from .functions import (ConstructibleFunction, _int_link, _signed,
-                        euler_integral, half_link_total, p_operator)
+from .functions import (ConstructibleFunction, _int_link, euler_integral,
+                        half_link_total, p_operator)
 
 Expression = tuple  # ("ONE",) | (op, child...) nested tuples
 
@@ -257,6 +258,7 @@ class _Quotient(NamedTuple):
     # kept: the rows that ``_cell_star_sums`` sums along.
     table: tuple[tuple[int, ...], ...]
     sizes: tuple[int, ...]  # simplices per cell
+    signs: tuple[int, ...]  # (-1)^(dim + 1) of each cell's simplices
 
 
 def _quotient(link: SimplicialComplex) -> _Quotient:
@@ -278,18 +280,20 @@ def _quotient(link: SimplicialComplex) -> _Quotient:
     for i, c in enumerate(cells):
         first.setdefault(c, i)
         sizes[c] += 1
+    simplices = tuple(link.simplices[i] for i in first.values())
     return _Quotient(
         cells=tuple(cells),
-        simplices=tuple(link.simplices[i] for i in first.values()),
+        simplices=simplices,
         table=tuple(tuple(cells[j] for j in table[i]) for i in first.values()),
-        sizes=tuple(sizes))
+        sizes=tuple(sizes),
+        signs=tuple(-1 if len(s) % 2 else 1 for s in simplices))
 
 
 def _cell_star_sums(q: _Quotient, xs: tuple[int, ...]) -> list[int]:
     """For every cell a, the sum over sigma >= (first simplex of a) of
     ``s_(cell of sigma) * x_(cell of sigma)``: the closed-star sums that
     ``functions._int_link`` turns into the link operator on cell values."""
-    signed = _signed(q.simplices, xs)
+    signed = list(map(mul, q.signs, xs))
     term = signed.__getitem__
     return [sum(map(term, row), y) for y, row in zip(signed, q.table)]
 
@@ -356,7 +360,7 @@ def closure_search(link: SimplicialComplex,
         if odd >= 0:
             witness = halving_witness(expr, q.simplices[odd], nums[odd], 0)
         elif sum(map(mul, q.sizes, nums)) & 1:
-            integral = -sum(map(mul, q.sizes, _signed(q.simplices, nums)))
+            integral = -sum(map(mul, q.sizes, map(mul, q.signs, nums)))
             witness = ExpressionWitness(
                 expr=expr, kind=KIND_ODD_INTEGRAL, location=None,
                 value=Dyadic(integral), depth=depth,

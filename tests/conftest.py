@@ -9,6 +9,8 @@ import random
 from itertools import chain, combinations
 
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from eulerlink.complexes import (Simplex, SimplicialComplex, SimplicialMap,
                                  build_complex, validate_map)
@@ -43,6 +45,23 @@ def random_simplicial_map(rng: random.Random, k: SimplicialComplex,
             return f
     w = l.vertex_ids[0]
     return SimplicialMap(k, l, {v: w for v in k.vertex_ids})
+
+
+@st.composite
+def small_complexes(draw):
+    """Complexes of at most 20 simplices on at most 6 vertices."""
+    n = draw(st.integers(1, 6))
+    vertex = st.integers(0, n - 1)
+    facets = draw(st.lists(st.lists(vertex, min_size=1, max_size=4,
+                                    unique=True), min_size=1, max_size=4))
+    k = build_complex(facets)
+    assume(len(k) <= 20)
+    return k
+
+
+def small_or_empty_complexes():
+    """``small_complexes``, and the empty complex."""
+    return st.one_of(st.just(SimplicialComplex([])), small_complexes())
 
 
 def closure(generators) -> tuple[tuple[int, ...], ...]:

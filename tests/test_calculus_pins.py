@@ -19,16 +19,18 @@ changed and exits 1 if any did, so that a change meant to keep these
 outputs can be checked without touching the file:
 
     PYTHONPATH=src python tests/test_calculus_pins.py --check
+
+The script needs the standard library alone, so it runs under any
+supported interpreter, with or without pytest installed.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import os
 import random
 import sys
-
-import pytest
 
 from eulerlink.complexes import barycentric_subdivision, join
 from eulerlink.corpus import corpus_complex
@@ -78,15 +80,21 @@ def _outputs(case: str) -> dict:
             **extra}
 
 
-@pytest.fixture(scope="module")
-def pinned():
+@functools.cache
+def _pinned() -> dict:
     with open(DIGESTS, encoding="utf-8") as fh:
         return json.load(fh)
 
 
-@pytest.mark.parametrize("case", CASES)
-def test_calculus_outputs_are_pinned(case, pinned):
-    assert _outputs(case) == pinned[case]
+def pytest_generate_tests(metafunc):
+    # Parametrized by this hook, not a decorator, so that the module does
+    # not import pytest.
+    if metafunc.function is test_calculus_outputs_are_pinned:
+        metafunc.parametrize("case", CASES)
+
+
+def test_calculus_outputs_are_pinned(case):
+    assert _outputs(case) == _pinned()[case]
 
 
 if __name__ == "__main__":

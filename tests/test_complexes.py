@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import closure, ref_geometric_link
+from conftest import closure, ref_geometric_link, small_or_empty_complexes
 from eulerlink import corpus
 from eulerlink.complexes import (Simplex, SimplicialComplex, SimplicialMap,
-                                 _boundary_labels, _canonical_order,
-                                 _dense_link, _link_keys, _link_vertices,
-                                 build_complex,
+                                 _boundary_labels, _dense_link, _link_keys,
+                                 _link_vertices, build_complex,
                                  barycentric_subdivision, cone,
                                  disjoint_union, euler_characteristic,
                                  geometric_link, join, point_complex,
@@ -70,7 +69,7 @@ def test_canonical_order_sorts_by_size_then_lexicographically(tuples,
         "duplicated": [s for s in canonical for _ in range(2)],
         "repeated": canonical + canonical[::2] + canonical,
     }[arrangement]
-    assert _canonical_order(given_order) == canonical
+    assert SimplicialComplex(given_order).simplices == canonical
 
 
 @st.composite
@@ -157,6 +156,37 @@ def test_plain_tuples_are_validated():
     assert all(type(s) is Simplex for s in k.simplices)
     with pytest.raises(ValueError):
         SimplicialComplex([(0,), (0, 0)])
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_construction_sorts_indexes_and_drops_repeats(data):
+    # Shuffled simplices, some of them repeated, as Simplex or plain tuples.
+    k = data.draw(small_or_empty_complexes())
+    repeats = (data.draw(st.lists(st.sampled_from(k.simplices), max_size=8))
+               if k.simplices else [])
+    given_order = data.draw(st.permutations([*k.simplices, *repeats]))
+    if data.draw(st.booleans()):
+        given_order = [tuple(s) for s in given_order]
+    canonical = tuple(sorted(set(map(tuple, given_order)),
+                             key=lambda s: (len(s), s)))
+    built = SimplicialComplex(given_order)
+    assert built.simplices == canonical
+    assert all(type(s) is Simplex for s in built.simplices)
+    assert built._index == {s: i for i, s in enumerate(canonical)}
+
+
+@given(small_or_empty_complexes())
+@settings(max_examples=200, deadline=None)
+def test_the_block_table_agrees_with_brute_force(k):
+    sizes = [len(s) for s in k.simplices]
+    dim = max(sizes, default=0) - 1
+    assert k.dim == dim
+    assert k.n_vertices == sizes.count(1)
+    assert k.vertex_ids == tuple(s[0] for s in k.simplices if len(s) == 1)
+    assert k.counts_by_dim() == tuple(sizes.count(d + 1)
+                                      for d in range(dim + 1))
+    assert euler_characteristic(k) == sum((-1) ** (n - 1) for n in sizes)
 
 
 def test_downward_closure_exhaustive_on_small_complexes():

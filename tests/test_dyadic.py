@@ -151,3 +151,29 @@ def test_normalisation_edge_cases():
     for num, exp in cases:
         d = Dyadic(num, exp)
         assert (d.num, d.exp) == halving_loop(num, exp), (num, exp)
+
+
+@pytest.mark.parametrize("num, exp", [
+    (True, 0), (False, 0), (1, True), (1.5, 0), (2.0, 1), (1, 1.0),
+    ("1", 0), (None, 0), (Fraction(1), 0)], ids=repr)
+def test_the_constructor_takes_exact_ints_only(num, exp):
+    with pytest.raises(TypeError, match="int numerator and exponent"):
+        Dyadic(num, exp)
+
+
+def test_a_bool_operand_counts_as_its_int():
+    # Arithmetic and comparison coerce a bool by its value, as int does.
+    assert Dyadic(1) == True and Dyadic(0) == False  # noqa: E712
+    assert Dyadic(1) != False  # noqa: E712
+    for total in (Dyadic(1) + True, True + Dyadic(1), Dyadic(3) - True,
+                  Dyadic(2) * True):
+        assert total == Dyadic(2)
+        assert type(total.num) is int and str(total) == "2"
+    assert Dyadic(1, 1) < True
+    assert hash(Dyadic(1)) == hash(True)
+
+
+def test_a_float_operand_is_not_coerced():
+    assert Dyadic(1) != 1.0
+    with pytest.raises(TypeError):
+        Dyadic(1) + 0.5

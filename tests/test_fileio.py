@@ -168,6 +168,32 @@ def test_function_round_trip():
     assert write_function(again) == text
 
 
+@given(st.lists(st.one_of(st.integers(-9, 9),
+                          st.builds(Dyadic, st.integers(-99, 99),
+                                    st.integers(0, 6))),
+                min_size=7, max_size=7))
+@settings(max_examples=100, deadline=None)
+def test_every_function_written_reads_back(values):
+    k = build_complex([[0, 1, 2]], labels={0: "a", 1: "b", 2: "c"},
+                      name="tri")
+    phi = ConstructibleFunction(k, values)
+    text = write_function(phi)
+    again = parse_function(text, k)
+    assert again == phi
+    assert write_function(again) == text
+
+
+def test_a_bool_or_float_value_never_reaches_a_function_file():
+    # [True, 1.5, 0] used to make a function that was written as
+    # "0 : True" and "1 : 1.5", which did not read back.
+    seg = build_complex([[0, 1]], name="seg")
+    with pytest.raises(TypeError, match="int numerator"):
+        ConstructibleFunction(seg, [True, 1.5, 0])
+    phi = ConstructibleFunction(seg, [1, 3, 0])
+    assert write_function(phi) == "function over=seg\n0 : 1\n1 : 3\n"
+    assert parse_function(write_function(phi), seg) == phi
+
+
 def test_function_file_reads(tmp_path):
     w = corpus.window()
     path = tmp_path / "phi.fn"

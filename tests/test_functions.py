@@ -47,8 +47,8 @@ def _points(n: int):
 
 
 def _fields(values) -> list:
-    """What tells Dyadics apart beyond ``==``: ``Dyadic(True)`` equals
-    ``Dyadic(1)`` but keeps a bool numerator and prints ``True``."""
+    """What tells Dyadics apart beyond ``==``: the types of the value and
+    its numerator, and the text."""
     return [(type(v), type(v.num), v.num, v.exp, str(v)) for v in values]
 
 
@@ -56,18 +56,22 @@ def _fields(values) -> list:
                 min_size=1, max_size=30))
 @settings(max_examples=200, deadline=None)
 def test_int_built_functions_match_per_element_dyadics(xs):
+    if bool in map(type, xs):  # rejected, like Dyadic(True)
+        with pytest.raises(TypeError):
+            ConstructibleFunction(_points(len(xs)), xs)
+        return
     phi = ConstructibleFunction(_points(len(xs)), xs)
     assert _fields(phi.values) == _fields(map(Dyadic, xs))
-    if bool not in map(type, xs):  # one Dyadic per distinct int
-        assert len(set(map(id, phi.values))) == len(set(xs))
+    assert len(set(map(id, phi.values))) == len(set(xs))  # one per int
 
 
-@pytest.mark.parametrize("xs", [[1, True], [True, 1], [0, False, 1, True]],
-                         ids=repr)
-def test_a_bool_value_keeps_its_own_dyadic(xs):
-    phi = ConstructibleFunction(_points(len(xs)), xs)
-    assert _fields(phi.values) == _fields(map(Dyadic, xs))
-    assert [*map(str, phi.values)] == [*map(str, xs)]
+@pytest.mark.parametrize("xs", [[1, True], [True, 1], [0, False, 1, True],
+                                [True, 1.5, 0], [0, 0.5]], ids=repr)
+def test_a_bool_or_float_value_is_rejected(xs):
+    # A bool or float used to be stored as given: [True, 1.5, 0] on a
+    # segment integrated to 2.5 and was written as "True" and "1.5".
+    with pytest.raises(TypeError, match="int numerator"):
+        ConstructibleFunction(_points(len(xs)), xs)
 
 
 @given(st.lists(st.integers(-9, 9), min_size=1, max_size=30),

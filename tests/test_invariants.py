@@ -4,11 +4,11 @@ import json
 import os
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (dense_shape, link_key, ref_geometric_link,
-                      ref_simplicial_link)
+                      ref_simplicial_link, small_complexes)
 from eulerlink import cli, corpus, invariants, search
 from eulerlink.complexes import (Simplex, _dense_link, _link_keys,
                                  _link_vertices, barycentric_subdivision,
@@ -441,18 +441,6 @@ def _assert_star_keys_exact(k):
                          ids=lambda k: k.name or "complex")
 def test_star_keys_are_exact(k):
     _assert_star_keys_exact(k)
-
-
-@st.composite
-def small_complexes(draw):
-    """Complexes of at most 20 simplices on at most 6 vertices."""
-    n = draw(st.integers(1, 6))
-    vertex = st.integers(0, n - 1)
-    facets = draw(st.lists(st.lists(vertex, min_size=1, max_size=4,
-                                    unique=True), min_size=1, max_size=4))
-    k = build_complex(facets)
-    assume(len(k) <= 20)
-    return k
 
 
 @settings(max_examples=100, deadline=None)

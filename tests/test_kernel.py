@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import small_or_empty_complexes
 from eulerlink import corpus
 from eulerlink.complexes import (SimplicialComplex, barycentric_subdivision,
                                  build_complex, euler_characteristic,
@@ -21,6 +22,7 @@ from eulerlink.complexes import (SimplicialComplex, barycentric_subdivision,
 from eulerlink.dyadic import ZERO, Dyadic
 from eulerlink.fileio import write_complex
 from eulerlink.functions import (ConstructibleFunction, ParityObstruction,
+                                 _ints, _signed,
                                  dual, euler_integral, half_link,
                                  half_link_total, is_euler, link_operator,
                                  p_operator)
@@ -219,6 +221,18 @@ def test_zeta_transform_matches_the_coface_reference(k, seed):
         assert link_operator(phi) == ref_link_operator(phi)
         assert dual(phi) == ref_dual(phi)
         assert half_link_total(phi) == ref_half_link_total(phi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_or_empty_complexes(), st.data())
+def test_block_signs_and_integral_match_the_per_simplex_definition(k, data):
+    phi = ConstructibleFunction(k, data.draw(st.lists(
+        st.builds(Dyadic, st.integers(-7, 7), st.integers(0, 6)),
+        min_size=len(k), max_size=len(k))))
+    xs, _ = _ints(phi.values)
+    assert _signed(k, xs) == [(-1) ** len(s) * x
+                              for s, x in zip(k.simplices, xs)]
+    assert euler_integral(phi) == ref_euler_integral(phi)
 
 
 def test_the_calculus_on_a_join_leaves_the_coface_table_unbuilt():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_shape
+from conftest import dense_shape, small_or_empty_complexes
 from eulerlink import corpus, search
 from eulerlink.complexes import build_complex, geometric_link
 from eulerlink.functions import (ConstructibleFunction, _int_link, _star_sums,
@@ -182,3 +182,11 @@ def test_quotient_search_equals_full_search_on_drawn_links(link, funcs, use_p):
     _assert_equitable(link, search._quotient(link))
     _assert_same_search(link, SearchBudget(max_depth=4, max_functions=funcs,
                                            use_p=use_p))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_or_empty_complexes())
+def test_each_cell_sign_is_that_of_its_first_simplex(k):
+    q = search._quotient(k)
+    assert len(q.signs) == len(q.simplices) == len(q.sizes)
+    assert q.signs == tuple((-1) ** len(s) for s in q.simplices)

@@ -12,17 +12,19 @@ changed and exits 1 if any did, so that a change meant to keep every report
 byte can be checked without touching the file:
 
     PYTHONPATH=src python tests/test_report_digests.py --check
+
+The script needs the standard library alone, so it runs under any
+supported interpreter, with or without pytest installed.
 """
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import io
 import json
 import os
 import sys
-
-import pytest
 
 from eulerlink import cli, corpus
 from eulerlink.fileio import read_complex
@@ -67,16 +69,22 @@ def test_runs_cover_the_corpus():
     assert len(_runs()) == 81
 
 
-@pytest.fixture(scope="module")
-def pinned():
+@functools.cache
+def _pinned() -> dict:
     with open(DIGESTS, encoding="utf-8") as fh:
         return json.load(fh)
 
 
-@pytest.mark.parametrize("argv", _runs(), ids=_key)
-def test_report_bytes_are_pinned(argv, pinned, monkeypatch):
+def pytest_generate_tests(metafunc):
+    # Parametrized by this hook, not a decorator, so that the module does
+    # not import pytest.
+    if metafunc.function is test_report_bytes_are_pinned:
+        metafunc.parametrize("argv", _runs(), ids=_key)
+
+
+def test_report_bytes_are_pinned(argv, monkeypatch):
     monkeypatch.chdir(ROOT)
-    assert _digest(argv) == pinned[_key(argv)]
+    assert _digest(argv) == _pinned()[_key(argv)]
 
 
 if __name__ == "__main__":
