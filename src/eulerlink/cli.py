@@ -2,11 +2,16 @@
 
 Exit codes everywhere: 0 = pass, 1 = error (bad usage, bad input, parse
 failure, unsupported dimension), 2 = obstruction found.
+
+One parser, built once per process, reads every command line.  A usage
+error is one ``error:`` line that names the subcommand when there is
+one: ``error: eulerlink check: unrecognized arguments: --seed 0``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .complexes import geometric_link
@@ -216,39 +221,27 @@ _COMMANDS = {
 }
 
 
-def _add_command(p: argparse.ArgumentParser, name: str) -> None:
-    _, add_arguments, fn = _COMMANDS[name]
-    add_arguments(p)
-    p.set_defaults(command=name, fn=fn)
-
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The whole program's parser, or, given ``command``, the parser of that
-    subcommand alone, for the arguments after its name: its usage and
-    errors name it as ``eulerlink <command>``, as the whole program's
-    do."""
-    if command is not None:
-        p = _Parser(prog=f"eulerlink {command}")
-        _add_command(p, command)
-        return p
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The whole program's parser, built once: a parse leaves it as is."""
     p = _Parser(
         prog="eulerlink",
         description="Exact Euler-calculus engine and local obstruction"
                     " checker for finite simplicial complexes.")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, (help_text, _, _) in _COMMANDS.items():
-        _add_command(sub.add_parser(name, help=help_text), name)
+    for name, (help_text, add_arguments, fn) in _COMMANDS.items():
+        c = sub.add_parser(name, help=help_text)
+        add_arguments(c)
+        c.set_defaults(fn=fn, parser=c)
     return p
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # The whole program's parser has no option but --help, so an argv that
-    # starts with a subcommand is parsed by that subcommand's parser alone.
-    if argv and argv[0] in _COMMANDS:
-        args = build_parser(argv[0]).parse_args(argv[1:])
-    else:
-        args = build_parser().parse_args(argv)
+    # Given None, argparse reads sys.argv[1:].
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:
+        # parse_args's error, from the parser that names the subcommand
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.fn(args)
     except (ParseError, ValueError, OSError) as e:

@@ -97,7 +97,8 @@ def _trusted(tuples):
 
 
 class SimplicialComplex:
-    """A finite simplicial complex, downward closed by construction.
+    """A finite simplicial complex, whose simplices must be downward closed
+    (the first build of an incidence table checks it).
 
     The simplices are sorted, by two sorts keyed in C that merge presorted
     runs, and then hashed once, into the index.  The sort puts repeats side
@@ -205,10 +206,15 @@ class SimplicialComplex:
         if self._cofaces is None:
             index = self._index
             table = [[] for _ in self.simplices]
-            for j, s in enumerate(self.simplices):
-                for r in range(1, len(s)):
-                    for face in combinations(s, r):
-                        table[index[face]].append(j)
+            try:
+                for j, s in enumerate(self.simplices):
+                    for r in range(1, len(s)):
+                        for face in combinations(s, r):
+                            table[index[face]].append(j)
+            except KeyError:
+                raise ValueError(
+                    f"not downward closed: the face {face} of the simplex"
+                    f" {s} is not in the complex") from None
             self._cofaces = tuple(tuple(row) for row in table)
         return self._cofaces[i]
 
@@ -242,8 +248,11 @@ class SimplicialComplex:
             for size in range(top, 1, -1):
                 lo, hi = ends[size - 2], ends[size - 1]
                 walks = map(combinations, simplices[lo:hi], repeat(size - 1))
-                faces = tuple(map(index.__getitem__,
-                                  chain.from_iterable(walks)))
+                try:
+                    faces = tuple(map(index.__getitem__,
+                                      chain.from_iterable(walks)))
+                except KeyError:
+                    self.coface_table()  # raises, naming a missing face
                 blocks.append((size, faces, range(lo, hi)))
             self._pairs = tuple((faces[j::size], cofaces)
                                 for j in range(top)

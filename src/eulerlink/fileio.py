@@ -78,16 +78,6 @@ def _label_text(token) -> str:
     raise ParseError(f"bad vertex label {json.dumps(token)}")
 
 
-def _parse_facet(tokens, line: int | None = None) -> tuple[str, ...]:
-    if len(tokens) > MAX_FACET_VERTICES:
-        raise ParseError(f"facet has {len(tokens)} vertices, more than the"
-                         f" {MAX_FACET_VERTICES} allowed", line)
-    labels = tuple(_check_label(_label_text(t), line) for t in tokens)
-    if len(set(labels)) != len(labels):
-        raise ParseError(f"repeated vertex in facet {' '.join(labels)}", line)
-    return labels
-
-
 def _load_json(text: str):
     try:
         return json.loads(text)
@@ -236,15 +226,8 @@ def parse_complex(text: str, name: str | None = None,
     facets = [line.split() for _, line in records]
     if not facets:
         raise ParseError("empty complex: no facets")
-    # Each distinct label is checked once.  Only a fault sends the facets
-    # through _parse_facet, line by line, to name the earliest bad line.
-    if (max(map(len, facets)) > MAX_FACET_VERTICES
-            or not all(map(_label_ok, set(chain.from_iterable(facets))))
-            or any(map(ne, map(len, map(set, facets)), map(len, facets)))):
-        for (j, _), facet in zip(records, facets):
-            _parse_facet(facet, j)
     return _from_label_facets(facets, name, max_dim,
-                              expected_vertices=int(count))
+                              map(itemgetter(0), records), int(count))
 
 
 def _complex_from_obj(obj, name: str | None,
@@ -258,7 +241,7 @@ def _complex_from_obj(obj, name: str | None,
     for f in raw:
         if not isinstance(f, list) or not f:
             raise ParseError("each facet must be a nonempty array of labels")
-        facets.append(_parse_facet(f))
+        facets.append([*map(_label_text, f)])
     got = obj.get("name")
     if got is not None and not isinstance(got, str):
         raise ParseError("'name' must be a string")
@@ -266,9 +249,25 @@ def _complex_from_obj(obj, name: str | None,
                               max_dim)
 
 
-def _from_label_facets(facets, name, max_dim: int | None,
+def _from_label_facets(facets, name, max_dim: int | None, lines=None,
                        expected_vertices: int | None = None):
-    labels = sorted(set(chain.from_iterable(facets)), key=_label_key)
+    """The complex of the facets, lists of label strings.  Each distinct
+    label is checked once; only a fault sends the facets, one by one with
+    their text file ``lines``, through the checks that name it."""
+    labels = set(chain.from_iterable(facets))
+    if (max(map(len, facets)) > MAX_FACET_VERTICES
+            or not all(map(_label_ok, labels))
+            or any(map(ne, map(len, map(set, facets)), map(len, facets)))):
+        for facet, line in zip(facets, lines or repeat(None)):
+            if len(facet) > MAX_FACET_VERTICES:
+                raise ParseError(f"facet has {len(facet)} vertices, more than"
+                                 f" the {MAX_FACET_VERTICES} allowed", line)
+            for label in facet:
+                _check_label(label, line)
+            if len(set(facet)) != len(facet):
+                raise ParseError("repeated vertex in facet"
+                                 f" {' '.join(facet)}", line)
+    labels = sorted(labels, key=_label_key)
     if expected_vertices is not None and len(labels) != expected_vertices:
         raise ParseError(f"header says v={expected_vertices} but facets use"
                          f" {len(labels)} distinct vertices")

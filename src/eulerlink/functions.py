@@ -351,12 +351,11 @@ def is_euler(phi: ConstructibleFunction) -> tuple[bool, list[ParityObstruction]]
 
 def p_operator(phi: ConstructibleFunction) -> ConstructibleFunction:
     """Pointwise (phi^4 - phi^2) / 2, which is integer on integer inputs."""
-    # For v = n / 2**k: (v^4 - v^2) / 2 = (n^4 - n^2 * 4**k) / 2**(4k + 1).
-    out = []
-    for v in phi.values:
-        sq = v.num * v.num
-        out.append(Dyadic(sq * sq - (sq << 2 * v.exp), 4 * v.exp + 1))
-    return ConstructibleFunction(phi.complex, tuple(out))
+    # For v = x / 2**e: (v^4 - v^2) / 2 = (x^4 - x^2 * 4**e) / 2**(4e + 1).
+    xs, e = _ints(phi.values)
+    squares = [x * x for x in xs]
+    return _function(phi.complex, [sq * sq - (sq << 2 * e) for sq in squares],
+                     4 * e + 1)
 
 
 # -- functoriality -------------------------------------------------------------
@@ -376,20 +375,17 @@ def pushforward(f: SimplicialMap, phi: ConstructibleFunction) -> ConstructibleFu
 
     Each open source simplex maps onto an open target simplex; its open
     fiber cell over a generic point contributes (-1)^(dim drop) times the
-    value, where the drop is the difference of dimensions.
+    value, where the drop is the difference of dimensions: the source
+    simplex's ``_signed`` sign times its image's.
     """
     if phi.complex.simplices != f.source.simplices:
         raise ValueError("function must live on the map's source")
     f.check()
-    out = [ZERO] * len(f.target.simplices)
-    for i, sigma in enumerate(f.source.simplices):
-        img = f.image(sigma)
-        j = f.target.index(img)
-        if (sigma.dim - img.dim) % 2:
-            out[j] = out[j] - phi.values[i]
-        else:
-            out[j] = out[j] + phi.values[i]
-    return ConstructibleFunction(f.target, tuple(out))
+    xs, e = _ints(phi.values)
+    out = [0] * len(f.target.simplices)
+    for sigma, x in zip(f.source.simplices, _signed(f.source, xs)):
+        out[f.target.index(f.image(sigma))] += x
+    return _function(f.target, _signed(f.target, out), e)
 
 
 # -- restriction to links and subdivision ---------------------------------------

@@ -1,9 +1,13 @@
 """Command-line behavior: exit codes, output shapes, golden stability."""
 
+import contextlib
+import hashlib
+import io
 import json
 import os
 import random
 import re
+import sys
 
 import pytest
 
@@ -263,34 +267,204 @@ def test_depth_zero_is_a_valid_budget(theta_file, capsys):
     assert capsys.readouterr().err == ""
 
 
-@pytest.mark.parametrize("argv, prog", [
-    (["check", "--depth", "abc", "corpus/circle.cplx"], "eulerlink check"),
-    (["check"], "eulerlink check"),
-    (["frobnicate"], "eulerlink"),
-    (["check", "corpus/circle.cplx", "--seed", "0"], "eulerlink check"),
-], ids=["bad-int", "no-path", "no-command", "no-seed"])
-def test_usage_errors_exit_one(argv, prog, capsys):
-    # 2 is the obstruction code, so a usage error must not exit 2
-    with pytest.raises(SystemExit) as e:
-        run(argv)
-    assert e.value.code == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert len(err.splitlines()) == 1 and err.startswith(f"error: {prog}: ")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_a_subcommand_parser_alone_parses_its_command_line():
-    argv = ["check", "x.cplx", "--json", "--max-funcs", "50", "--no-P"]
-    alone = cli.build_parser("check").parse_args(argv[1:])
-    assert vars(alone) == vars(cli.build_parser().parse_args(argv))
-    assert alone.command == "check" and alone.fn is cli.cmd_check
+def run_twice(argv) -> tuple:
+    """The exit code, stdout and stderr of ``argv``, run twice in this
+    process, which shares one parser across command lines: both runs must
+    give the same."""
+    results = []
+    for _ in range(2):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = run(argv)
+            except SystemExit as e:
+                code = e.code
+        results.append((code, out.getvalue(), err.getvalue()))
+    assert results[0] == results[1]
+    return results[0]
 
 
-def test_help_still_exits_zero(capsys):
-    with pytest.raises(SystemExit) as e:
-        run(["check", "--help"])
-    assert e.value.code == 0
-    assert capsys.readouterr().out.startswith("usage: eulerlink check ")
+@pytest.fixture
+def at_root(monkeypatch):
+    """Run from the repository root, at argparse's default help width."""
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setenv("COLUMNS", "80")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["check", "--depth", "abc", "corpus/circle.cplx"],
+     "eulerlink check: argument --depth: invalid int value: 'abc'"),
+    (["check"], "eulerlink check: the following arguments are required: path"),
+    (["frobnicate"],
+     "eulerlink: argument command: invalid choice: 'frobnicate' (choose from"
+     " 'validate', 'check', 'invariants', 'integrate', 'link', 'bounds',"
+     " 'corpus')"),
+    (["check", "corpus/circle.cplx", "--seed", "0"],
+     "eulerlink check: unrecognized arguments: --seed 0"),
+    ([], "eulerlink: the following arguments are required: command"),
+    (["--bogus", "check", "corpus/circle.cplx"],
+     "eulerlink check: unrecognized arguments: --bogus"),
+    (["check", "corpus/circle.cplx", "extra"],
+     "eulerlink check: unrecognized arguments: extra"),
+    (["check", "-o"],
+     "eulerlink check: argument -o/--output: expected one argument"),
+    (["validate"],
+     "eulerlink validate: the following arguments are required: path"),
+    (["link", "corpus/theta.cplx"],
+     "eulerlink link: the following arguments are required: simplex"),
+    (["bounds", "x", "2", "1"],
+     "eulerlink bounds: argument d: invalid int value: 'x'"),
+    (["corpus", "--write"],
+     "eulerlink corpus: argument --write: expected one argument"),
+], ids=["bad-int", "no-path", "no-command", "no-seed", "empty",
+        "option-before-command", "extra-argument", "no-option-value",
+        "validate-no-path", "link-no-simplex", "bounds-bad-int",
+        "corpus-no-dir"])
+def test_usage_errors_exit_one(argv, err, at_root):
+    # 2 is the obstruction code, so a usage error must not exit 2.  An
+    # unrecognized argument is named by the subcommand's parser, wherever
+    # it stands.
+    assert run_twice(argv) == (1, "", f"error: {err}\n")
+
+
+def test_main_builds_the_parser_once(monkeypatch, at_root):
+    built = []
+
+    class Counted(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", Counted)
+    cli.build_parser.cache_clear()
+    try:
+        assert run(["validate", "corpus/circle.cplx"]) == 0
+        with pytest.raises(SystemExit):
+            run(["check", "corpus/circle.cplx", "--seed", "0"])
+        assert run(["validate", "corpus/torus.cplx"]) == 0
+    finally:
+        cli.build_parser.cache_clear()
+    # the whole program's parser and each subcommand's, once
+    assert built == ["eulerlink", *(f"eulerlink {c}" for c in cli._COMMANDS)]
+
+
+# argparse 3.13 writes an option with a short form and a metavar once.
+OUTPUT_OPTION = ("  -o, --output OUTPUT   write the report here instead of"
+                 " stdout\n" if sys.version_info >= (3, 13) else
+                 "  -o OUTPUT, --output OUTPUT\n"
+                 "                        write the report here instead of"
+                 " stdout\n")
+
+HELP = {
+    "whole": (["--help"], """\
+usage: eulerlink [-h]
+                 {validate,check,invariants,integrate,link,bounds,corpus} ...
+
+Exact Euler-calculus engine and local obstruction checker for finite
+simplicial complexes.
+
+positional arguments:
+  {validate,check,invariants,integrate,link,bounds,corpus}
+    validate            parse a complex file and report its face counts
+    check               run the local obstruction tests
+    invariants          b-vector of a complex of dimension <= 2
+    integrate           Euler integral of a function file
+    link                write the geometric link of a simplex as a complex
+                        file
+    bounds              presentation bounds N, N' for value range [delta-k,
+                        delta+k] in dimension d
+    corpus              built-in example complexes
+
+options:
+  -h, --help            show this help message and exit
+"""),
+    "check": (["check", "--help"], """\
+usage: eulerlink check [-h] [--json] [--depth DEPTH] [--max-funcs MAX_FUNCS]
+                       [--no-P] [--search] [-o OUTPUT]
+                       path
+
+positional arguments:
+  path
+
+options:
+  -h, --help            show this help message and exit
+  --json                structured report instead of text
+  --depth DEPTH         search: maximum expression depth (default 6)
+  --max-funcs MAX_FUNCS
+                        search: distinct-function budget (default 20000)
+  --no-P                search: drop the P operator from the closure
+  --search              force the per-simplex closure search below dimension 4
+""" + OUTPUT_OPTION),
+    "validate": (["validate", "--help"], """\
+usage: eulerlink validate [-h] path
+
+positional arguments:
+  path
+
+options:
+  -h, --help  show this help message and exit
+"""),
+}
+
+
+def test_help_still_exits_zero(at_root):
+    argv, text = HELP["check"]
+    assert run_twice(argv) == (0, text, "")
+
+
+@pytest.mark.parametrize("name", ["whole", "validate"])
+def test_help_is_pinned(name, at_root):
+    argv, text = HELP[name]
+    assert run_twice(argv) == (0, text, "")
+
+
+def sha(text: str) -> str:
+    return "sha256:" + hashlib.sha256(text.encode()).hexdigest()
+
+
+# Every subcommand: exit code and stdout, the longer outputs by digest.
+SUBCOMMANDS = {
+    "validate": (["validate", "corpus/torus.cplx"], 0,
+                 "torus: 7 vertices, 21 edges, 14 triangles\n"),
+    "check": (["check", "corpus/theta.cplx"], 2, "sha256:"
+              "cb587e240b394cdc84f25025aa42a97572cfdfc25cfd027b07fc1c38ba6ad762"),
+    "check-json": (["check", "corpus/theta.cplx", "--json"], 2, "sha256:"
+                   "94603e1cfa5f1dea853c8ace5edc2617488fe9fb057388b16a9a864e253da4b1"),
+    "check-search": (["check", "corpus/circle.cplx", "--no-P", "--search",
+                      "--depth", "3"], 0, "sha256:"
+                     "b6112d71df5a1ac2a408b17e85efc9f5f01e783e8ec13f66bdee3f02820380b1"),
+    "check-dim4": (["check", "corpus/susp_sphere3.cplx", "--max-funcs", "50",
+                    "--json"], 0, "sha256:"
+                   "9f0663c19d9025b3f2f4560ad0c351d9916ef1593dc5fc284206cd650f8f07fa"),
+    "invariants": (["invariants", "corpus/rp2.cplx"], 0, "(1,0,0,0,0)\n"),
+    "invariants-json": (["invariants", "corpus/theta.cplx", "--json"], 2,
+                        "sha256:0a050346cedcdb9038f1f0ae15ec759c"
+                        "b55f490232e1fb040378a50c8dec0f32"),
+    "integrate": (["integrate", "corpus/window.cplx",
+                   "corpus/quadrant_indicator.fn"], 0, "1\n"),
+    "link": (["link", "corpus/theta.cplx", "a"], 0,
+             "complex v=3\nl\nm\nu\n"),
+    "bounds": (["bounds", "2", "2", "1"], 0,
+               "N=5 N'=13\nnote: generic bound N additionally assumes the"
+               " domain is irreducible\n"),
+    "bounds-json": (["bounds", "2", "2", "1", "--json"], 0, "sha256:"
+                    "91c7f903c6149107b40b62bd05c090a27b62adcd05e52b72e020b2260c86fd79"),
+    "corpus-list": (["corpus", "--list"], 0,
+                    "".join(f"{n}\n" for n in corpus.corpus_names())),
+    "corpus-name": (["corpus", "theta"], 0,
+                    "complex v=5\na l\na m\na u\nb l\nb m\nb u\n"),
+}
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_every_subcommand_is_pinned(name, at_root):
+    argv, code, want = SUBCOMMANDS[name]
+    got, out, err = run_twice(argv)
+    assert (got, err) == (code, "")
+    assert (sha(out) if want.startswith("sha256:") else out) == want
 
 
 def test_bounds_rejects_a_dimension_above_the_cap(capsys):

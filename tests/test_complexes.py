@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import closure, ref_geometric_link, small_or_empty_complexes
+from conftest import (closure, ref_geometric_link, small_complexes,
+                      small_or_empty_complexes)
 from eulerlink import corpus
 from eulerlink.complexes import (Simplex, SimplicialComplex, SimplicialMap,
                                  _boundary_labels, _dense_link, _link_keys,
@@ -17,6 +18,8 @@ from eulerlink.complexes import (Simplex, SimplicialComplex, SimplicialMap,
                                  simplicial_link, suspension, validate_map,
                                  vertex_link)
 from eulerlink.fileio import read_complex, save_complex
+from eulerlink.functions import ConstructibleFunction, link_operator
+from eulerlink.invariants import sullivan_check
 
 ALL_CORPUS = [corpus.corpus_complex(n) for n in corpus.corpus_names()]
 
@@ -198,6 +201,43 @@ def test_downward_closure_exhaustive_on_small_complexes():
             for r in range(1, len(s)):
                 for sub in itertools.combinations(s, r):
                     assert Simplex(sub) in present
+
+
+@pytest.mark.parametrize("call", [
+    lambda k: link_operator(ConstructibleFunction.one(k)),
+    lambda k: k.facets(),
+    lambda k: simplicial_link(k, (0, 1)),
+    barycentric_subdivision,
+    sullivan_check,
+], ids=["link_operator", "facets", "simplicial_link",
+        "barycentric_subdivision", "sullivan_check"])
+def test_a_complex_that_is_not_downward_closed_is_refused(call):
+    k = SimplicialComplex([(0, 1)])
+    with pytest.raises(ValueError) as err:
+        call(k)
+    assert str(err.value) == ("not downward closed: the face (0,) of the"
+                              " simplex (0, 1) is not in the complex")
+
+
+@given(small_complexes(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_the_incidence_tables_refuse_exactly_a_missing_face(k, data):
+    # Closed, both tables build; with one proper face dropped, both name
+    # it and the first simplex that has it as a face.
+    k.face_pairs()
+    faces = [s for s, row in zip(k.simplices, k.coface_table()) if row]
+    if not faces:
+        return
+    tau = data.draw(st.sampled_from(faces))
+    rest = [s for s in k.simplices if s != tau]
+    first = next(s for s in rest if set(tau) < set(s))
+    message = (f"not downward closed: the face {tuple(tau)} of the simplex"
+               f" {tuple(first)} is not in the complex")
+    for build in (SimplicialComplex.face_pairs,
+                  SimplicialComplex.coface_table):
+        with pytest.raises(ValueError) as err:
+            build(SimplicialComplex(rest))
+        assert str(err.value) == message
 
 
 # -- corpus sanity -------------------------------------------------------------

@@ -416,6 +416,40 @@ def test_facets_above_the_size_cap_are_parse_errors(monkeypatch):
         parse_complex(json.dumps({"facets": [["a", "b"], over]}))
 
 
+THIRTEEN = [f"v{i}" for i in range(13)]
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"facets": [["a", "b"], THIRTEEN]},
+     "facet has 13 vertices, more than the 12 allowed"),
+    ({"facets": [["a", "b"], ["a", "b c"]]}, "bad vertex label 'b c'"),
+    ({"facets": [["a", "b"], ["a", 1, "1"]]}, "repeated vertex in facet a 1 1"),
+    ({"facets": [["a", "b"], "a"]},
+     "each facet must be a nonempty array of labels"),
+    ({"facets": [["a", "b"], []]},
+     "each facet must be a nonempty array of labels"),
+    # Two faults: a facet that is no array, a label that is neither a
+    # string nor an integer, and a bad name come before any other label
+    # fault, in that order.
+    ({"facets": [["a", "a"], "b"]},
+     "each facet must be a nonempty array of labels"),
+    ({"facets": [["a", "a"], ["b", None]]}, "bad vertex label null"),
+    ({"facets": [[*THIRTEEN, None]]}, "bad vertex label null"),
+    ({"facets": [["b", None], "b"]}, "bad vertex label null"),
+    ({"name": 3, "facets": [["a", "a"]]}, "'name' must be a string"),
+    ({"facets": [["a", "a"], THIRTEEN]}, "repeated vertex in facet a a"),
+], ids=["too-many-labels", "bad-label", "repeated-label", "non-list-facet",
+        "empty-facet", "label-then-non-list", "label-then-null",
+        "too-many-and-null", "null-then-non-list", "label-and-name",
+        "first-facet-first"])
+def test_json_facet_faults_are_named(obj, message, monkeypatch):
+    monkeypatch.setattr(fileio, "build_complex",
+                        lambda facets, **kw: pytest.fail("built"))
+    with pytest.raises(ParseError) as err:
+        parse_complex(json.dumps(obj))
+    assert str(err.value) == message
+
+
 def _long_facets(count: int = 300, size: int = 12) -> list[list[str]]:
     rng = random.Random(0)
     return [[f"v{i}" for i in sorted(rng.sample(range(40), size))]

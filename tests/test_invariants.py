@@ -2,9 +2,10 @@
 
 import json
 import os
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (dense_shape, link_key, ref_geometric_link,
@@ -213,6 +214,55 @@ def test_akl_search_finds_the_depth_four_witness(akl):
         " -> odd Euler integral 1")
     assert (w.depth, w.location, w.value) == (4, None, Dyadic(1))
     assert replay_witness(w, akl) == w.value
+
+
+# Akbulut and King: on an Euler 2-complex, the search passes exactly where
+# the b-vector vanishes.  A pass is checked at a budget that completes
+# depth 4 on these complexes, a witness at the default budget.
+SMALL_BUDGET = SearchBudget(max_depth=4, max_functions=2000)
+
+
+def _assert_search_agrees_with_b_vector(k):
+    b = b_vector(k)
+    if isinstance(b, InvariantVector) and b.is_zero:
+        assert closure_search(k, SMALL_BUDGET).passed
+    else:
+        res = closure_search(k)
+        assert res.verdict == "witness"
+        assert replay_witness(res.witness, k) == res.witness.value
+
+
+def test_akl_and_its_double_agree_with_the_search(akl):
+    # akl's witness is at depth 4, where the small budget fills first.
+    assert closure_search(akl, SMALL_BUDGET).passed
+    double = disjoint_union(akl, akl)
+    assert b_vector(double) == ZERO_VECTOR
+    for k in (akl, double):
+        assert sullivan_check(k).passed
+        _assert_search_agrees_with_b_vector(k)
+
+
+@st.composite
+def tetrahedron_sums(draw):
+    """Mod-2 sums of 1 to 5 tetrahedron boundaries on 5 to 9 vertices, the
+    generator that found ``akl``, kept where Sullivan's test passes."""
+    n = draw(st.integers(5, 9))
+    tetrahedra = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=4,
+                                        max_size=4, unique=True),
+                               min_size=1, max_size=5))
+    triangles = set()
+    for t in tetrahedra:
+        triangles ^= set(combinations(sorted(t), 3))
+    assume(triangles)
+    k = build_complex(sorted(triangles))
+    assume(sullivan_check(k).passed)
+    return k
+
+
+@settings(max_examples=300, deadline=None)
+@given(tetrahedron_sums())
+def test_the_search_passes_exactly_where_the_b_vector_vanishes(k):
+    _assert_search_agrees_with_b_vector(k)
 
 
 def test_dim3_check_apex_iff_base_vector_vanishes():

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import small_or_empty_complexes
+from conftest import (random_simplicial_map, small_complexes,
+                      small_or_empty_complexes)
 from eulerlink import corpus
 from eulerlink.complexes import (SimplicialComplex, barycentric_subdivision,
                                  build_complex, euler_characteristic,
@@ -25,7 +26,7 @@ from eulerlink.functions import (ConstructibleFunction, ParityObstruction,
                                  _ints, _signed,
                                  dual, euler_integral, half_link,
                                  half_link_total, is_euler, link_operator,
-                                 p_operator)
+                                 p_operator, pushforward)
 from eulerlink.invariants import InvariantVector, b_vector, sullivan_check
 from eulerlink.search import (KIND_NON_INTEGER, ONE_EXPR, ExpressionWitness,
                               expression_depth, expression_size)
@@ -97,6 +98,15 @@ def ref_p_operator(phi):
         sq = v * v
         out.append((sq * sq - sq).half())
     return ConstructibleFunction(phi.complex, tuple(out))
+
+
+def ref_pushforward(f, phi):
+    out = [ZERO] * len(f.target.simplices)
+    for sigma, v in zip(f.source.simplices, phi.values):
+        img = f.image(sigma)
+        j = f.target.index(img)
+        out[j] = out[j] - v if (sigma.dim - img.dim) % 2 else out[j] + v
+    return ConstructibleFunction(f.target, tuple(out))
 
 
 def ref_witness(expr, obstruction):
@@ -233,6 +243,24 @@ def test_block_signs_and_integral_match_the_per_simplex_definition(k, data):
     assert _signed(k, xs) == [(-1) ** len(s) * x
                               for s, x in zip(k.simplices, xs)]
     assert euler_integral(phi) == ref_euler_integral(phi)
+
+
+def shares_one_dyadic_per_value(phi) -> bool:
+    return len(set(map(id, phi.values))) == len(set(phi.values))
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_or_empty_complexes(), small_complexes(), st.data())
+def test_p_operator_and_pushforward_match_the_dyadic_loops(k, l, data):
+    phi = ConstructibleFunction(k, data.draw(st.lists(
+        st.builds(Dyadic, st.integers(-7, 7), st.integers(0, 6)),
+        min_size=len(k), max_size=len(k))))
+    f = random_simplicial_map(random.Random(data.draw(st.integers(0, 1 << 16))),
+                              k, l)
+    for got, want in ((p_operator(phi), ref_p_operator(phi)),
+                      (pushforward(f, phi), ref_pushforward(f, phi))):
+        assert got == want
+        assert shares_one_dyadic_per_value(got)
 
 
 def test_the_calculus_on_a_join_leaves_the_coface_table_unbuilt():
