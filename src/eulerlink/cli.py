@@ -23,7 +23,7 @@ from .invariants import (BoundQuery, InvariantVector, b_vector, bonnard_bounds,
                          dim3_check, merge_reports, search_check,
                          sullivan_check)
 from .reports import RunConfig, exit_code_for, render
-from .search import SearchBudget
+from .search import DEFAULT_BUDGET, SearchBudget
 
 
 def _dim_word(d: int, count: int) -> str:
@@ -161,10 +161,10 @@ def _check_arguments(c: argparse.ArgumentParser) -> None:
     c.add_argument("path")
     c.add_argument("--json", action="store_true",
                    help="structured report instead of text")
-    c.add_argument("--depth", type=int, default=6,
-                   help="search: maximum expression depth (default 6)")
-    c.add_argument("--max-funcs", type=int, default=20000,
-                   help="search: distinct-function budget (default 20000)")
+    c.add_argument("--depth", type=int, default=DEFAULT_BUDGET.max_depth,
+                   help="search: maximum expression depth (default %(default)s)")
+    c.add_argument("--max-funcs", type=int, default=DEFAULT_BUDGET.max_functions,
+                   help="search: distinct-function budget (default %(default)s)")
     c.add_argument("--no-P", dest="no_p", action="store_true",
                    help="search: drop the P operator from the closure")
     c.add_argument("--search", action="store_true",

@@ -71,6 +71,7 @@ passing value.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterator, Sequence
 from operator import add, itemgetter, mul, neg, sub
 from typing import NamedTuple
@@ -90,10 +91,6 @@ class ParityObstruction(NamedTuple):
     simplex: Simplex
     value: Dyadic
     kind: str
-
-    def describe(self, complex: SimplicialComplex) -> str:
-        return (f"value {self.value} at {complex.simplex_name(self.simplex)}"
-                f" is {self.kind.replace('-', ' ')}")
 
 
 class ConstructibleFunction:
@@ -307,8 +304,9 @@ def _halved(phi: ConstructibleFunction
     lam, _ = _int_link(xs, _star_sums(k, xs))
     even = (1 << (e + 1)) - 1  # a / 2**e is an even integer iff a & even == 0
     whole = (1 << e) - 1       # a / 2**e is an integer iff a & whole == 0
+    value = functools.cache(lambda a: Dyadic(a, e))  # one per distinct a
     obstructions = (
-        ParityObstruction(simplex=s, value=Dyadic(a, e),
+        ParityObstruction(simplex=s, value=value(a),
                           kind="non-integer" if a & whole else "odd-integer")
         for s, a in zip(k.simplices, lam) if a & even)
     return lam, e + 1, obstructions

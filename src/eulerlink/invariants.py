@@ -100,8 +100,7 @@ def _half_link_ints(k: SimplicialComplex, xs: list[int],
     witness of its first odd link value."""
     lam, odd = _int_link(xs, _star_sums(k, xs))
     if odd >= 0:
-        return halving_witness(("HALFLINK", expr), k.simplices[odd],
-                               lam[odd], 0)
+        return halving_witness(("HALFLINK", expr), k.simplices[odd], lam[odd])
     return [a >> 1 for a in lam]
 
 

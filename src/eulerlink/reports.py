@@ -53,10 +53,6 @@ def report_payload(report: ObstructionReport, config: RunConfig) -> dict:
     }
 
 
-def render_json(report: ObstructionReport, config: RunConfig) -> str:
-    return json_text(report_payload(report, config))
-
-
 def render_text(report: ObstructionReport, config: RunConfig) -> str:
     lines = [
         f"eulerlink {TOOL_VERSION}: {config.command} on"
@@ -90,5 +86,5 @@ def render_text(report: ObstructionReport, config: RunConfig) -> str:
 
 def render(report: ObstructionReport, config: RunConfig) -> str:
     if config.output_format == "json":
-        return render_json(report, config)
+        return json_text(report_payload(report, config))
     return render_text(report, config)

@@ -38,9 +38,10 @@ quotient keeps one sign per cell),
 Two functions are equal exactly when their cell values are, and a value
 is reached on some simplex exactly when it is some cell's value, so the
 levels, counts, guard hits and stop are those of a search on one value per
-simplex.  Cells are numbered in the order of their first simplex, so a
-halving witness is located at the first simplex of its first odd cell,
-which is the link's first simplex with an odd link value.
+simplex (the vertex link of ``susp_sphere3``: 44 simplices, 6 cells).  Cells
+are numbered in the order of their first simplex, so a halving witness is
+located at the first simplex of its first odd cell, which is the link's
+first simplex with an odd link value.
 
 Every kept value is integer-valued with an even integral, since anything
 else is a witness and ends the search.  So values are plain int tuples:
@@ -157,13 +158,12 @@ def witness_text(d: dict) -> str:
     return head if d["location"] == "integral" else f"{head} at {d['location']}"
 
 
-def halving_witness(expr: Expression, simplex: Simplex, a: int,
-                    e: int) -> ExpressionWitness:
+def halving_witness(expr: Expression, simplex: Simplex,
+                    a: int) -> ExpressionWitness:
     """The witness of a failed halving: ``expr`` halves a link whose value
-    ``a / 2**e`` at ``simplex`` is not an even integer, so the half,
-    ``a / 2**(e + 1)``, is not an integer."""
+    at ``simplex`` is the odd integer ``a``, so the half is ``a / 2``."""
     return ExpressionWitness(expr=expr, kind=KIND_NON_INTEGER, location=simplex,
-                             value=Dyadic(a, e + 1),
+                             value=Dyadic(a, 1),
                              depth=expression_depth(expr),
                              size=expression_size(expr))
 
@@ -358,7 +358,7 @@ def closure_search(link: SimplicialComplex,
             continue
         expr = (op, *(exprs[i] for i in args))
         if odd >= 0:
-            witness = halving_witness(expr, q.simplices[odd], nums[odd], 0)
+            witness = halving_witness(expr, q.simplices[odd], nums[odd])
         elif sum(map(mul, q.sizes, nums)) & 1:
             integral = -sum(map(mul, q.sizes, map(mul, q.signs, nums)))
             witness = ExpressionWitness(

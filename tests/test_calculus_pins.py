@@ -24,14 +24,11 @@ The script needs the standard library alone, so it runs under any
 supported interpreter, with or without pytest installed.
 """
 
-import argparse
-import functools
 import hashlib
-import json
 import os
 import random
-import sys
 
+import pins
 from eulerlink.complexes import barycentric_subdivision, join
 from eulerlink.corpus import corpus_complex
 from eulerlink.fileio import parse_complex, write_complex
@@ -80,10 +77,7 @@ def _outputs(case: str) -> dict:
             **extra}
 
 
-@functools.cache
-def _pinned() -> dict:
-    with open(DIGESTS, encoding="utf-8") as fh:
-        return json.load(fh)
+_pinned = pins.loader(DIGESTS)
 
 
 def pytest_generate_tests(metafunc):
@@ -98,26 +92,5 @@ def test_calculus_outputs_are_pinned(case):
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(
-        description="Regenerate the pinned calculus digests.")
-    parser.add_argument("--check", action="store_true",
-                        help="write nothing; exit 1 if any case changed")
-    args = parser.parse_args()
-    table = {case: _outputs(case) for case in CASES}
-    try:
-        with open(DIGESTS, encoding="utf-8") as fh:
-            old = json.load(fh)
-    except FileNotFoundError:
-        old = {}
-    changed = [case for case in table if old.get(case) != table[case]]
-    print(f"{len(changed)} of {len(table)} cases changed"
-          + "".join(f"\n  {case}: " + " ".join(
-              sorted(key for key in table[case]
-                     if old.get(case, {}).get(key) != table[case][key]))
-              for case in changed), file=sys.stderr)
-    if args.check:
-        sys.exit(1 if changed else 0)
-    with open(DIGESTS, "w", encoding="utf-8") as fh:
-        json.dump(table, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {len(table)} cases to {DIGESTS}", file=sys.stderr)
+    pins.main(DIGESTS, lambda: {case: _outputs(case) for case in CASES},
+              "case", "Regenerate the pinned calculus digests.")

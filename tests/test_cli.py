@@ -15,6 +15,7 @@ from eulerlink import cli, corpus, fileio
 from eulerlink.complexes import Simplex, geometric_link
 from eulerlink.fileio import read_complex, save_complex, write_complex
 from eulerlink.functions import indicator_of_subcomplex
+from eulerlink.search import DEFAULT_BUDGET, SearchBudget
 
 
 @pytest.fixture
@@ -349,6 +350,14 @@ def test_main_builds_the_parser_once(monkeypatch, at_root):
         cli.build_parser.cache_clear()
     # the whole program's parser and each subcommand's, once
     assert built == ["eulerlink", *(f"eulerlink {c}" for c in cli._COMMANDS)]
+
+
+
+def test_check_defaults_are_the_default_budget():
+    args = cli.build_parser().parse_args(["check", "x.cplx"])
+    budget = SearchBudget(max_depth=args.depth, max_functions=args.max_funcs,
+                          use_p=not args.no_p)
+    assert budget == DEFAULT_BUDGET
 
 
 # argparse 3.13 writes an option with a short form and a metavar once.

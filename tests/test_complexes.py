@@ -567,6 +567,50 @@ def test_disjoint_union_and_cone():
         assert cone(k).dim == k.dim + 1
 
 
+
+# Labels that clash with each other, once primed, and with unlabelled ids.
+CLASHING = ["a", "a'", "b", "0", "1"]
+
+
+@st.composite
+def labelled_complexes(draw):
+    k = draw(small_or_empty_complexes())
+    names = draw(st.lists(st.sampled_from(CLASHING), unique=True,
+                          max_size=k.n_vertices))
+    return SimplicialComplex(k.simplices,
+                             labels=dict(zip(k.vertex_ids, names)))
+
+
+def ref_beside(k, l):
+    """``l``'s simplices with its vertices, in ascending order, moved above
+    ``k``'s largest id, and the labels of both, each clashing label of
+    ``l`` primed until it is fresh."""
+    top = max(k.vertex_ids, default=-1)
+    move = {v: top + 1 + i for i, v in enumerate(sorted(l.vertex_ids))}
+    labels = dict(k.labels)
+    used = set(labels.values())
+    for v in sorted(l.vertex_ids):
+        name = l.label(v)
+        while name in used:
+            name += "'"
+        used.add(name)
+        labels[move[v]] = name
+    return [frozenset(map(move.__getitem__, s)) for s in l.simplices], labels
+
+
+@settings(max_examples=150, deadline=None)
+@given(labelled_complexes(), labelled_complexes())
+def test_join_and_disjoint_union_match_the_reference(k, l):
+    moved, labels = ref_beside(k, l)
+    ks = [frozenset(s) for s in k.simplices]
+    joined = ks + moved + [a | b for a in ks for b in moved]
+    for got, faces in ((join(k, l), joined),
+                       (disjoint_union(k, l), ks + moved)):
+        assert got.simplices == closure(faces)
+        assert got.vertex_ids == tuple(sorted(labels))
+        assert got.labels == labels
+
+
 # -- subdivision ----------------------------------------------------------------
 
 
@@ -593,7 +637,7 @@ def test_carrier_is_the_largest_simplex_of_the_chain():
     for k in ALL_CORPUS:
         sd = barycentric_subdivision(k)
         for c in sd.complex.simplices:
-            assert sd.carrier(c) == max((sd.vertex_simplex[v] for v in c),
+            assert sd.carrier(c) == max((sd.base.simplices[v] for v in c),
                                         key=len)
         chains += len(sd.complex.simplices)
     assert chains == 45039

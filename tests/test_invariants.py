@@ -67,7 +67,7 @@ def test_keyword_construction_is_validated_too():
 @pytest.mark.parametrize("record", [
     invariants.TestRow("dim3", None, "(a)", "pass", "b = (0,0,0,0,0)"),
     SearchResult("pass", None, corpus.theta()),
-    halving_witness(("HALFLINK", ONE_EXPR), Simplex((0,)), 1, 0),
+    halving_witness(("HALFLINK", ONE_EXPR), Simplex((0,)), 1),
     SearchBudget(),
     InvariantVector(0, 1, 0, 1, 0),
 ], ids=lambda r: type(r).__name__)

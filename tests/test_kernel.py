@@ -290,6 +290,31 @@ def test_link_operator_and_dual_build_one_dyadic_per_value(monkeypatch):
         assert len(built) <= len(out.values), op.__name__
 
 
+
+@pytest.mark.parametrize("seed", [None, 3], ids=["one", "seeded"])
+def test_is_euler_builds_one_dyadic_per_failing_value(seed, monkeypatch):
+    k = join(corpus.rp2(), corpus.rp2())
+    phi = (ConstructibleFunction.one(k) if seed is None else
+           ConstructibleFunction(k, random.Random(seed).choices(
+               range(-3, 4), k=len(k))))
+    built = []
+    init = Dyadic.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Dyadic, "__init__", counting_init)
+    ok, bad = is_euler(phi)
+    assert not ok
+    distinct = {o.value for o in bad}
+    assert len({id(o.value) for o in bad}) == len(distinct) == len(built)
+    if seed is None:
+        assert (len(bad), len(distinct)) == (62, 1)
+    else:
+        assert len(bad) > 2 * len(distinct) > 2
+
+
 DIM3 = [name for name in corpus.corpus_names()
         if corpus.corpus_complex(name).dim <= 3]
 

@@ -42,8 +42,8 @@ def measured_link_coefficients(k):
     complex, and contributes (-1)^dim(cell).
     """
     sd = barycentric_subdivision(k)
-    barycenter_of = {v: s for v, s in sd.vertex_simplex.items()}
-    vertex_for = {s: v for v, s in sd.vertex_simplex.items()}
+    barycenter_of = {v: s for v, s in enumerate(sd.base.simplices)}
+    vertex_for = {s: v for v, s in enumerate(sd.base.simplices)}
     coef = {}
     for tau in k.simplices:
         lk = simplicial_link(sd.complex, Simplex((vertex_for[tau],)))

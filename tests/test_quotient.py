@@ -63,7 +63,7 @@ def _full_search(link, budget):
             continue
         expr = (op, *(exprs[i] for i in args))
         if odd >= 0:
-            witness = halving_witness(expr, simplices[odd], nums[odd], 0)
+            witness = halving_witness(expr, simplices[odd], nums[odd])
         elif sum(nums) & 1:
             witness = ExpressionWitness(
                 expr=expr, kind=KIND_ODD_INTEGRAL, location=None,

@@ -17,15 +17,12 @@ The script needs the standard library alone, so it runs under any
 supported interpreter, with or without pytest installed.
 """
 
-import argparse
 import contextlib
-import functools
 import hashlib
 import io
-import json
 import os
-import sys
 
+import pins
 from eulerlink import cli, corpus
 from eulerlink.fileio import read_complex
 
@@ -69,10 +66,7 @@ def test_runs_cover_the_corpus():
     assert len(_runs()) == 81
 
 
-@functools.cache
-def _pinned() -> dict:
-    with open(DIGESTS, encoding="utf-8") as fh:
-        return json.load(fh)
+_pinned = pins.loader(DIGESTS)
 
 
 def pytest_generate_tests(metafunc):
@@ -88,26 +82,6 @@ def test_report_bytes_are_pinned(argv, monkeypatch):
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(
-        description="Regenerate the pinned report digests.")
-    parser.add_argument("--check", action="store_true",
-                        help="write nothing; exit 1 if any digest changed")
-    args = parser.parse_args()
     os.chdir(ROOT)
-    table = {_key(argv): _digest(argv) for argv in _runs()}
-    try:
-        with open(DIGESTS, encoding="utf-8") as fh:
-            old = json.load(fh)
-    except FileNotFoundError:
-        old = {}
-    changed = [key for key in table if old.get(key) != table[key]]
-    print(f"{len(changed)} of {len(table)} digests changed"
-          + "".join(f"\n  {key}" for key in changed[:5])
-          + ("\n  ..." if len(changed) > 5 else ""), file=sys.stderr)
-    if args.check:
-        sys.exit(1 if changed else 0)
-    os.makedirs(os.path.dirname(DIGESTS), exist_ok=True)
-    with open(DIGESTS, "w", encoding="utf-8") as fh:
-        json.dump(table, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {len(table)} digests to {DIGESTS}", file=sys.stderr)
+    pins.main(DIGESTS, lambda: {_key(argv): _digest(argv) for argv in _runs()},
+              "digest", "Regenerate the pinned report digests.")
