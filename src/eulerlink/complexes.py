@@ -24,14 +24,14 @@ decompositions such as "boundary part / link part of a join" recoverable
 from the ids alone, which the function calculus relies on.
 
 The link of a simplex is read from its star, its row of the coface
-table, by one reader, ``_star_link``: the link vertices, ascending, and
-the link's rows on dense ids.  Those rows are the link key that decides a
-geometric link's shape (``_link_keys``; a link that is only points has its
-key read from the length of its coface row alone).  ``_link_simplices``
-joins a link's rows with the boundary of a simplex on ids above them:
-``_dense_link`` on a key's dense rows and the next dense ids, and
-``geometric_link`` on the same rows moved onto ``k``'s ids and fresh ids
-above ``k``'s, so each is one construction.
+table, by one reader, ``_star_link``: the link vertices, ascending
+(``_link_vertices``), and the link's rows on dense ids.  Those rows are
+the link key that decides a geometric link's shape (``_link_keys``; a
+link that is only points has its key read from the length of its coface
+row alone).  ``_link_simplices`` joins a link's rows with the boundary of
+a simplex on ids above them: ``_dense_link`` on a key's dense rows and the
+next dense ids, and ``geometric_link`` on the same rows moved onto ``k``'s
+ids and fresh ids above ``k``'s, so each is one construction.
 
 Two incidence tables are built on first use.  The coface table lists every
 strict coface of every simplex, and only stars read it: the links above,
@@ -70,22 +70,6 @@ class Simplex(tuple):
     @property
     def dim(self) -> int:
         return len(self) - 1
-
-    def boundary(self) -> tuple["Simplex", ...]:
-        """Codimension-one faces (empty for a vertex)."""
-        if len(self) == 1:
-            return ()
-        return tuple(_trusted(self[:i] + self[i + 1:]
-                              for i in range(len(self))))
-
-    def subfaces(self) -> tuple["Simplex", ...]:
-        """All nonempty faces, this simplex included, by size, then
-        lexicographically."""
-        return tuple(_trusted(chain.from_iterable(
-            map(combinations, repeat(self), range(1, len(self) + 1)))))
-
-    def contains(self, other: "Simplex") -> bool:
-        return set(other) <= set(self)
 
 
 def _trusted(tuples):
@@ -187,9 +171,6 @@ class SimplicialComplex:
         faces = set(chain.from_iterable(f for f, _ in self.face_pairs()))
         return tuple(compress(self.simplices, map(
             not_, map(faces.__contains__, range(len(self.simplices))))))
-
-    def is_downward_closed(self) -> bool:
-        return all(f in self._index for s in self.simplices for f in s.subfaces())
 
     def counts_by_dim(self) -> tuple[int, ...]:
         """The length of each dimension's block."""
@@ -300,15 +281,23 @@ def euler_characteristic(k: SimplicialComplex) -> int:
 # -- links -----------------------------------------------------------------
 
 
+def _link_vertices(star, tau) -> list[int]:
+    """The link vertices of ``tau``, ascending, from its star, the
+    simplices strictly containing it: the star's vertices outside tau.
+    Vertex j of tau's link rows is the j-th."""
+    return sorted(set(chain.from_iterable(star)).difference(tau))
+
+
 def _star_link(simplices, tau, row) -> tuple[list[int], tuple]:
     """The link of ``tau`` read from its star, the coface indices ``row``:
     ``s`` is disjoint from tau with ``s | tau`` in the complex exactly when
     ``s | tau`` is a strict coface of tau.  So the link vertices are the
-    star's vertices outside tau, ascending, and the link rows are the star
-    with tau's vertices dropped and the rest renumbered densely (vertex j
-    is the j-th link vertex), which keeps their canonical order."""
+    star's vertices outside tau, ascending (``_link_vertices``), and the
+    link rows are the star with tau's vertices dropped and the rest
+    renumbered densely (vertex j is the j-th link vertex), which keeps
+    their canonical order."""
     star = list(map(simplices.__getitem__, row))
-    verts = sorted(set(chain.from_iterable(star)).difference(tau))
+    verts = _link_vertices(star, tau)
     dense = dict(zip(verts, range(len(verts))))
     get, has = dense.__getitem__, dense.__contains__
     return verts, tuple([tuple(map(get, filter(has, s))) for s in star])
@@ -391,14 +380,6 @@ def _link_keys(k: SimplicialComplex):
             yield points[size]
             continue
         yield (len(tau) - 1, _star_link(simplices, tau, row)[1])
-
-
-def _link_vertices(k: SimplicialComplex, i: int) -> list[int]:
-    """The link vertices of simplex ``i``, ascending: the vertices of its
-    star outside it.  Vertex j of its link key's rows is the j-th."""
-    simplices = k.simplices
-    star = map(simplices.__getitem__, k.cofaces(i))
-    return sorted(set(chain.from_iterable(star)).difference(simplices[i]))
 
 
 def _link_simplices(d: int, rows, boundary) -> list[tuple[int, ...]]:
@@ -520,10 +501,8 @@ def barycentric_subdivision(k: SimplicialComplex) -> Subdivision:
         chains += level
         level = [c + (j,) for c in level for j in table[c[-1]]]
     # A vertex is named by its label, any other simplex as simplex_name.
-    names = k.simplex_names()
-    labels = dict(enumerate(names))
-    for i in range(k.n_vertices):
-        labels[i] = names[i][1:-1]
+    labels = dict(enumerate(k.simplex_names()))
+    labels.update(enumerate(map(k.label, k.vertex_ids)))
     sd = SimplicialComplex(_trusted(chains), labels=labels,
                            name=f"sd({k.name})" if k.name else None)
     return Subdivision(base=k, complex=sd)

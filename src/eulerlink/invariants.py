@@ -27,7 +27,7 @@ built once per link key, straight from the key, on dense ids and without
 labels: its simplex tuple is its shape.  A row whose witness names a
 simplex of the link has its text made on its own, with the location named
 from the labels of the row's own geometric link, and no link is built for
-it; only such a row reads its link vertices.
+it; only such a row reads its link vertices, from the coface row it holds.
 
 Sullivan's parities and the b-vector are computed on int lists, with the
 link operator of the functions module: the zeta sums over the complex's
@@ -62,9 +62,6 @@ class _InvariantVector(NamedTuple):
     b2: int
     b3: int
     b4: int
-
-    def as_tuple(self) -> tuple[int, int, int, int, int]:
-        return tuple(self)
 
     @property
     def is_zero(self) -> bool:
@@ -214,9 +211,10 @@ def _link_test_rows(k: SimplicialComplex, test_name: str, test, text):
     what it returns; where the result's witness names a simplex of the
     link (has a location), it runs once per row instead.  There ``label``
     names the tested link's vertices as the row's own geometric link does:
-    its link vertices (``complexes._link_vertices``) as named in ``k``,
-    then the boundary's fresh labels, worked out once per dimension.  Only
-    such a row reads its link vertices, and no link is built for it.
+    its link vertices as named in ``k``, then the boundary's fresh labels,
+    worked out once per dimension.  Only such a row reads its link
+    vertices, by ``complexes._link_vertices`` from the coface row in hand
+    (its star), and no link is built for it.
 
     A link's shape is its dense shape: its simplex tuple with the vertex
     ids relabelled densely in increasing order.  An increasing relabelling
@@ -236,8 +234,8 @@ def _link_test_rows(k: SimplicialComplex, test_name: str, test, text):
     shapes: dict[tuple, tuple] = {}  # dense shape -> (result, row or None)
     keys: dict[tuple, tuple] = {}  # link key -> its shape's entry
     boundary: dict[int, list[str]] = {}
-    for i, (tau, where, key) in enumerate(zip(k.simplices, k.simplex_names(),
-                                              _link_keys(k))):
+    for tau, where, key, cofaces in zip(k.simplices, k.simplex_names(),
+                                        _link_keys(k), k.coface_table()):
         got = keys.get(key)
         if got is None:
             link = _dense_link(key)
@@ -254,7 +252,8 @@ def _link_test_rows(k: SimplicialComplex, test_name: str, test, text):
         if row is None:
             if tau.dim not in boundary:
                 boundary[tau.dim] = _boundary_labels(k, tau.dim)
-            row = text(res, [*map(k.label, _link_vertices(k, i)),
+            star = map(k.simplices.__getitem__, cofaces)
+            row = text(res, [*map(k.label, _link_vertices(star, tau)),
                              *boundary[tau.dim]])
         rows.append(TestRow(test_name, tau, where, *row))
         results.append(res)

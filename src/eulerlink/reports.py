@@ -29,7 +29,7 @@ class RunConfig(NamedTuple):
             "command": self.command,
             "inputs": list(self.inputs),
             "format": self.output_format,
-            "budget": self.budget.as_dict(),
+            "budget": self.budget._asdict(),
             "search_forced": self.search_forced,
         }
 
@@ -60,7 +60,7 @@ def render_text(report: ObstructionReport, config: RunConfig) -> str:
         "config: " + " ".join(
             [f"format={config.output_format}",
              f"search_forced={config.search_forced}"]
-            + [f"budget.{k}={v}" for k, v in config.budget.as_dict().items()]),
+            + [f"budget.{k}={v}" for k, v in config.budget._asdict().items()]),
         "",
     ]
     if report.rows:

@@ -182,9 +182,6 @@ class _SearchBudget(NamedTuple):
     max_functions: int = 20000
     use_p: bool = True
 
-    def as_dict(self) -> dict:
-        return self._asdict()
-
 
 class SearchBudget(_SearchBudget):
     """The bounds of one closure search, checked on construction."""

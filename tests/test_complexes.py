@@ -195,7 +195,6 @@ def test_the_block_table_agrees_with_brute_force(k):
 def test_downward_closure_exhaustive_on_small_complexes():
     for k in [build_complex([Simplex((0, 1, 2, 3))]),
               corpus.theta(), corpus.sphere2()]:
-        assert k.is_downward_closed()
         present = set(k.simplices)
         for s in k.simplices:
             for r in range(1, len(s)):
@@ -473,11 +472,8 @@ def _assert_valid_simplices(k):
                          ids=lambda k: k.name or "complex")
 def test_internal_paths_build_valid_simplices(k):
     # build_complex, join and subdivision skip validation on the simplices
-    # they make, and so do faces, simplicial links and geometric links
+    # they make, and so do simplicial links and geometric links
     _assert_valid_simplices(k)
-    for s in k.simplices:
-        for face in s.boundary() + s.subfaces():
-            assert type(face) is Simplex and face in k
     for tau in k.simplices:
         _assert_valid_simplices(simplicial_link(k, tau))
         _assert_valid_simplices(geometric_link(k, tau))
@@ -527,7 +523,8 @@ def test_link_labels_name_the_dense_link_as_the_geometric_link(name):
     # names a witness's location without building the simplex's link.
     k = corpus.corpus_complex(name)
     for i, (tau, key) in enumerate(zip(k.simplices, _link_keys(k))):
-        label = [*map(k.label, _link_vertices(k, i)),
+        star = map(k.simplices.__getitem__, k.cofaces(i))
+        label = [*map(k.label, _link_vertices(star, tau)),
                  *_boundary_labels(k, tau.dim)]
         ref = ref_geometric_link(k, tau)
         assert len(label) == ref.n_vertices
@@ -641,6 +638,28 @@ def test_carrier_is_the_largest_simplex_of_the_chain():
                                         key=len)
         chains += len(sd.complex.simplices)
     assert chains == 45039
+
+
+def _subdivision_cases():
+    yield from ALL_CORPUS
+    # sparse ids, custom labels (one with parentheses) and one default label
+    yield build_complex([(3, 40), (7,), (3, 9, 200)], name="sparse",
+                        labels={3: "x", 9: "(y)", 40: "z w", 200: "v"})
+
+
+@pytest.mark.parametrize("k", _subdivision_cases(),
+                         ids=lambda k: k.name or "complex")
+def test_subdivision_vertices_are_named_from_the_base(k):
+    # Vertex i of sd(k) is the barycenter of k.simplices[i]: a base vertex
+    # keeps its label, any other simplex is named by its simplex name.
+    sd = barycentric_subdivision(k).complex
+    names = k.simplex_names()
+    assert sd.vertex_ids == tuple(range(len(k)))
+    for i in sd.vertex_ids:
+        if i < k.n_vertices:
+            assert sd.label(i) == k.label(k.vertex_ids[i]), i
+        else:
+            assert sd.label(i) == names[i], i
 
 
 # -- simplicial maps --------------------------------------------------------------

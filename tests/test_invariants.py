@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from conftest import (dense_shape, link_key, ref_geometric_link,
                       ref_simplicial_link, small_complexes)
 from eulerlink import cli, corpus, invariants, search
-from eulerlink.complexes import (Simplex, _dense_link, _link_keys,
-                                 _link_vertices, barycentric_subdivision,
-                                 build_complex, cone, disjoint_union,
+from eulerlink.complexes import (Simplex, SimplicialComplex, _dense_link,
+                                 _link_keys, _link_vertices,
+                                 barycentric_subdivision, build_complex,
+                                 cone, disjoint_union,
                                  euler_characteristic, geometric_link, join,
                                  point_complex, simplicial_link, suspension)
 from eulerlink.dyadic import Dyadic
@@ -196,7 +197,7 @@ def test_dim3_check_fails_at_cone_point_over_rp2():
 
 def test_akl_is_obstructed_beyond_parity(akl):
     assert akl.counts_by_dim() == (8, 22, 18)
-    assert b_vector(akl).as_tuple() == (0, 1, 1, 0, 1)
+    assert tuple(b_vector(akl)) == (0, 1, 1, 0, 1)
     assert sullivan_check(akl).passed
     rep = dim3_check(suspension(akl))
     assert rep.summary == {"dim3": "fail"}
@@ -293,7 +294,7 @@ def test_dim3_check_equals_per_simplex_b_vector_on_corpus():
             if isinstance(res, InvariantVector):
                 assert (row.verdict == "pass") == res.is_zero
                 assert row.value.startswith(f"b = {res}")
-                assert row.data == {"b": list(res.as_tuple())}
+                assert row.data == {"b": list(res)}
             else:
                 assert row.verdict == "fail"
                 assert row.value == \
@@ -481,7 +482,8 @@ def _assert_star_keys_exact(k):
         assert keys[i] == link_key(k, i), tau
         link = ref_simplicial_link(k, tau)
         _assert_same_complex(simplicial_link(k, tau), link, tau)
-        assert tuple(_link_vertices(k, i)) == link.vertex_ids, tau
+        star = map(k.simplices.__getitem__, k.cofaces(i))
+        assert tuple(_link_vertices(star, tau)) == link.vertex_ids, tau
         ref = ref_geometric_link(k, tau)
         _assert_same_complex(geometric_link(k, tau), ref, tau)
         assert _dense_link(keys[i]).simplices == dense_shape(ref), tau
@@ -553,20 +555,42 @@ def test_check_reads_link_vertices_only_for_located_rows(name, located,
     # fail, with half-link witnesses that name a simplex of the link.
     read = []
 
-    def counting_vertices(k, i):
-        read.append(k.simplex_name(k.simplices[i]))
-        return _link_vertices(k, i)
+    def counting_vertices(star, tau):
+        read.append(tau)
+        return _link_vertices(star, tau)
 
     monkeypatch.setattr(invariants, "_link_vertices", counting_vertices)
     out = tmp_path / "report.json"
-    code = cli.main(["check", "--json", "-o", str(out),
-                     os.path.join(ROOT, "corpus", f"{name}.cplx")])
+    path = os.path.join(ROOT, "corpus", f"{name}.cplx")
+    code = cli.main(["check", "--json", "-o", str(out), path])
     rows = json.loads(out.read_text(encoding="utf-8"))["tests"]
     named = [r["simplex"] for r in rows if "witness" in r
              and r["witness"]["location"] != "integral"]
     assert code == (0 if not located else 2)
-    assert read == named
+    assert [*map(read_complex(path).simplex_name, read)] == named
     assert len(read) == located
+
+
+@pytest.mark.parametrize("name, flags", [
+    ("window", []), ("susp_window", []),
+    ("susp_sphere3", ["--max-funcs", "50"])],
+    ids=["window", "susp_window", "susp_sphere3"])
+def test_check_calls_cofaces_once_per_complex(name, flags, tmp_path,
+                                              monkeypatch):
+    # The one call on a complex builds its coface table: a located row
+    # reads its link vertices from the table's row it already holds.
+    calls = {}
+    cofaces = SimplicialComplex.cofaces
+
+    def counting_cofaces(k, i):
+        calls[k] = calls.get(k, 0) + 1
+        return cofaces(k, i)
+
+    monkeypatch.setattr(SimplicialComplex, "cofaces", counting_cofaces)
+    cli.main(["check", "--json", "-o", str(tmp_path / "report.json"), *flags,
+              os.path.join(ROOT, "corpus", f"{name}.cplx")])
+    assert name in {k.name for k in calls}
+    assert set(calls.values()) == {1}
 
 
 @pytest.mark.parametrize("flags", [[], ["--search", "--max-funcs", "50"]],

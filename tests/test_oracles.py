@@ -59,7 +59,7 @@ def measured_link_coefficients(k):
 def expected_coefficient(tau, sigma):
     if sigma == tau:
         return 1 - (-1) ** (len(tau) - 1)
-    if tau.contains(sigma) is False and sigma.contains(tau):
+    if set(tau) < set(sigma):
         return (-1) ** len(sigma)  # = (-1)^(dim sigma + 1)
     return 0
 

@@ -3,7 +3,8 @@ either a standard-library module or relative to the package.  Start-up
 stays lean: no module imports ``dataclasses``, and importing the command
 line loads neither it nor ``inspect``, nor the corpus, which only the
 ``corpus`` subcommand uses.  A relative import names the module that
-defines the name, not one that imports it from elsewhere."""
+defines the name, not one that imports it from elsewhere.  Every private
+module-level helper is named somewhere in the package."""
 
 import ast
 import subprocess
@@ -90,3 +91,24 @@ def test_relative_imports_name_the_defining_module():
                 if alias.name not in defined[module]:
                     wrong.append((path.name, node.lineno, module, alias.name))
     assert wrong == []
+
+
+def test_every_private_helper_has_a_caller():
+    """Every module-level ``def _x`` or ``class _X`` of the package is
+    named (an ``ast.Name`` or ``ast.Attribute``) somewhere in it: a
+    private helper that nothing calls is dead code."""
+    private, named = set(), set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        private.update(node.name for node in tree.body
+                       if isinstance(node, (ast.FunctionDef,
+                                            ast.AsyncFunctionDef,
+                                            ast.ClassDef))
+                       and node.name.startswith("_"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    assert private, "no private helpers found"
+    assert sorted(private - named) == []
