@@ -56,9 +56,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_check(args) -> int:
-    budget = SearchBudget(max_depth=args.depth, max_functions=args.max_funcs,
-                          use_p=not args.no_p)
-    config = RunConfig(command="check", inputs=(args.path,),
+    budget = SearchBudget(max_depth=args.depth, max_functions=args.max_funcs)
+    config = RunConfig(inputs=(args.path,),
                        output_format="json" if args.json else "text",
                        budget=budget, search_forced=args.search)
     k = read_complex(args.path, max_dim=4)
@@ -165,8 +164,6 @@ def _check_arguments(c: argparse.ArgumentParser) -> None:
                    help="search: maximum expression depth (default %(default)s)")
     c.add_argument("--max-funcs", type=int, default=DEFAULT_BUDGET.max_functions,
                    help="search: distinct-function budget (default %(default)s)")
-    c.add_argument("--no-P", dest="no_p", action="store_true",
-                   help="search: drop the P operator from the closure")
     c.add_argument("--search", action="store_true",
                    help="force the per-simplex closure search below"
                         " dimension 4")

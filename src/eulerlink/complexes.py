@@ -48,6 +48,10 @@ from itertools import (chain, combinations, compress, product, repeat,
 from operator import add, not_, sub
 from typing import NamedTuple
 
+# The most simplices ``build_complex`` will build.  The second subdivision
+# of a corpus 3-complex, sd(sd(susp_torus)), has 70,394.
+MAX_SIMPLICES = 2 ** 20
+
 
 class Simplex(tuple):
     """A simplex as a strictly increasing tuple of vertex ids."""
@@ -256,7 +260,10 @@ def build_complex(facets, labels: dict[int, str] | None = None,
     size's generators and the ``combinations(sigma, size - 1)`` of every
     sigma a level up, sorted.  That is sum of |sigma| boundary tuples, where
     every face of every generator is sum of 2^|sigma| - 1, and the levels,
-    by increasing size, are in canonical order."""
+    by increasing size, are in canonical order.
+
+    That sum, plus the size's generators, bounds a level before it is
+    built, and a closure that could pass ``MAX_SIMPLICES`` is refused."""
     generators: dict[int, list[Simplex]] = {}
     for f in facets:
         s = Simplex(f)
@@ -264,10 +271,18 @@ def build_complex(facets, labels: dict[int, str] | None = None,
     if not generators:
         raise ValueError("empty complex")
     levels = [()]
+    built = 0
     for size in range(max(generators), 0, -1):
+        bound = (built + (size + 1) * len(levels[-1])
+                 + len(generators.get(size, ())))
+        if bound > MAX_SIMPLICES:
+            raise ValueError(
+                f"complex too large: up to {bound} simplices of {size} or"
+                f" more vertices, over the limit of {MAX_SIMPLICES}")
         boundary = map(combinations, levels[-1], repeat(size))
         levels.append(sorted({*chain.from_iterable(boundary),
                               *generators.get(size, ())}))
+        built += len(levels[-1])
     return SimplicialComplex(_trusted(chain.from_iterable(reversed(levels))),
                              labels=labels, name=name)
 

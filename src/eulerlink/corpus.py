@@ -14,10 +14,6 @@ from .complexes import (SimplicialComplex, Simplex, build_complex, cone,
                         full_subcomplex, suspension)
 
 
-def point() -> SimplicialComplex:
-    return build_complex([[0]], labels={0: "pt"}, name="point")
-
-
 def segment() -> SimplicialComplex:
     return build_complex([[0, 1]], labels={0: "s0", 1: "s1"}, name="segment")
 

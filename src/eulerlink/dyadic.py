@@ -63,14 +63,6 @@ class Dyadic:
     def is_integer(self) -> bool:
         return self.exp == 0
 
-    @property
-    def is_even_integer(self) -> bool:
-        return self.exp == 0 and self.num % 2 == 0
-
-    @property
-    def is_odd_integer(self) -> bool:
-        return self.exp == 0 and self.num % 2 != 0
-
     def two_adic_valuation(self) -> int | None:
         """Exponent of 2 in this value; None for zero (infinite valuation)."""
         if self.num == 0:

@@ -16,9 +16,8 @@ from .search import DEFAULT_BUDGET, SearchBudget
 
 
 class RunConfig(NamedTuple):
-    """Resolved invocation settings, echoed into every report."""
+    """Resolved ``check`` settings, echoed into every report."""
 
-    command: str
     inputs: tuple[str, ...] = ()
     output_format: str = "text"  # "text" | "json"
     budget: SearchBudget = DEFAULT_BUDGET
@@ -26,7 +25,7 @@ class RunConfig(NamedTuple):
 
     def as_dict(self) -> dict:
         return {
-            "command": self.command,
+            "command": "check",
             "inputs": list(self.inputs),
             "format": self.output_format,
             "budget": self.budget._asdict(),
@@ -55,7 +54,7 @@ def report_payload(report: ObstructionReport, config: RunConfig) -> dict:
 
 def render_text(report: ObstructionReport, config: RunConfig) -> str:
     lines = [
-        f"eulerlink {TOOL_VERSION}: {config.command} on"
+        f"eulerlink {TOOL_VERSION}: check on"
         f" {report.complex_name} (dimension {report.dimension})",
         "config: " + " ".join(
             [f"format={config.output_format}",

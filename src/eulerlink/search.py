@@ -2,7 +2,7 @@
 
 Starting from the indicator of a link, we close under pointwise ADD, SUB,
 MUL, the half link (HALFLINK: half of the link operator, applied without a
-parity precondition), and optionally POP (phi -> (phi^4 - phi^2)/2).  Any
+parity precondition), and POP (phi -> (phi^4 - phi^2)/2).  Any
 expression whose value is not integer-valued, or is integer-valued with an
 odd Euler integral, is an obstruction witness: on a space realizable as a
 real algebraic set, every function in this closure is an integer-valued
@@ -180,7 +180,6 @@ def replay_witness(witness: ExpressionWitness, link: SimplicialComplex) -> Dyadi
 class _SearchBudget(NamedTuple):
     max_depth: int = 6
     max_functions: int = 20000
-    use_p: bool = True
 
 
 class SearchBudget(_SearchBudget):
@@ -327,9 +326,8 @@ def _candidates(q: _Quotient, values: list[tuple[int, ...]],
             else:
                 yield depth, "HALFLINK", (j,), tuple(
                     a if a & 1 else a >> 1 for a in lam), odd
-        if budget.use_p:
-            for j in range(lo, hi):
-                yield depth, "POP", (j,), tuple(map(_pop, values[j])), -1
+        for j in range(lo, hi):
+            yield depth, "POP", (j,), tuple(map(_pop, values[j])), -1
         lo = hi
 
 

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from eulerlink import cli, corpus, fileio
+from eulerlink import cli, corpus, fileio, reports
 from eulerlink.complexes import Simplex, geometric_link
 from eulerlink.fileio import read_complex, save_complex, write_complex
 from eulerlink.functions import indicator_of_subcomplex
@@ -46,6 +46,23 @@ def test_validate_rejects_malformed(tmp_path, capsys):
     assert run(["validate", str(empty)]) == 1
 
     assert run(["validate", str(tmp_path / "missing.cplx")]) == 1
+
+
+def test_a_complex_over_the_simplex_limit_is_refused(tmp_path, capsys,
+                                                     monkeypatch):
+    # Three disjoint edges close to exactly 9 simplices, the bound; an
+    # isolated vertex more bounds the vertex level at 3 + 6 + 1 = 10.
+    from eulerlink import complexes
+    monkeypatch.setattr(complexes, "MAX_SIMPLICES", 9)
+    under, over = tmp_path / "under.cplx", tmp_path / "over.cplx"
+    under.write_text("complex v=6\na b\nc d\ne f\n", encoding="utf-8")
+    over.write_text("complex v=7\na b\nc d\ne f\ng\n", encoding="utf-8")
+    assert run(["validate", str(under)]) == 0
+    assert capsys.readouterr().out == "under: 6 vertices, 3 edges\n"
+    assert run(["validate", str(over)]) == 1
+    assert capsys.readouterr() == ("", "error: complex too large: up to 10"
+                                   " simplices of 1 or more vertices, over"
+                                   " the limit of 9\n")
 
 
 def test_check_exit_codes(tmp_path, theta_file, capsys):
@@ -107,8 +124,10 @@ def test_check_report_is_byte_identical_across_runs(tmp_path, theta_file):
     assert payload["config"]["budget"]["max_depth"] == 6
     assert set(payload["config"]) == {"budget", "command", "format", "inputs",
                                       "search_forced"}
-    assert set(payload["config"]["budget"]) == {"max_depth", "max_functions",
-                                                "use_p"}
+    assert payload["config"]["command"] == "check"
+    assert reports.RunConfig._fields == ("inputs", "output_format", "budget",
+                                         "search_forced")
+    assert set(payload["config"]["budget"]) == {"max_depth", "max_functions"}
     assert any("necessary conditions" in n for n in payload["notes"])
 
 
@@ -305,6 +324,8 @@ def at_root(monkeypatch):
      " 'corpus')"),
     (["check", "corpus/circle.cplx", "--seed", "0"],
      "eulerlink check: unrecognized arguments: --seed 0"),
+    (["check", "corpus/circle.cplx", "--no-P"],
+     "eulerlink check: unrecognized arguments: --no-P"),
     ([], "eulerlink: the following arguments are required: command"),
     (["--bogus", "check", "corpus/circle.cplx"],
      "eulerlink check: unrecognized arguments: --bogus"),
@@ -320,7 +341,7 @@ def at_root(monkeypatch):
      "eulerlink bounds: argument d: invalid int value: 'x'"),
     (["corpus", "--write"],
      "eulerlink corpus: argument --write: expected one argument"),
-], ids=["bad-int", "no-path", "no-command", "no-seed", "empty",
+], ids=["bad-int", "no-path", "no-command", "no-seed", "no-P", "empty",
         "option-before-command", "extra-argument", "no-option-value",
         "validate-no-path", "link-no-simplex", "bounds-bad-int",
         "corpus-no-dir"])
@@ -355,8 +376,7 @@ def test_main_builds_the_parser_once(monkeypatch, at_root):
 
 def test_check_defaults_are_the_default_budget():
     args = cli.build_parser().parse_args(["check", "x.cplx"])
-    budget = SearchBudget(max_depth=args.depth, max_functions=args.max_funcs,
-                          use_p=not args.no_p)
+    budget = SearchBudget(max_depth=args.depth, max_functions=args.max_funcs)
     assert budget == DEFAULT_BUDGET
 
 
@@ -392,7 +412,7 @@ options:
 """),
     "check": (["check", "--help"], """\
 usage: eulerlink check [-h] [--json] [--depth DEPTH] [--max-funcs MAX_FUNCS]
-                       [--no-P] [--search] [-o OUTPUT]
+                       [--search] [-o OUTPUT]
                        path
 
 positional arguments:
@@ -404,7 +424,6 @@ options:
   --depth DEPTH         search: maximum expression depth (default 6)
   --max-funcs MAX_FUNCS
                         search: distinct-function budget (default 20000)
-  --no-P                search: drop the P operator from the closure
   --search              force the per-simplex closure search below dimension 4
 """ + OUTPUT_OPTION),
     "validate": (["validate", "--help"], """\
@@ -439,15 +458,15 @@ SUBCOMMANDS = {
     "validate": (["validate", "corpus/torus.cplx"], 0,
                  "torus: 7 vertices, 21 edges, 14 triangles\n"),
     "check": (["check", "corpus/theta.cplx"], 2, "sha256:"
-              "cb587e240b394cdc84f25025aa42a97572cfdfc25cfd027b07fc1c38ba6ad762"),
+              "38ac44867fd4d6a8545ac94166b13aa3b3a5a7768b37c3f520984f93e922cca6"),
     "check-json": (["check", "corpus/theta.cplx", "--json"], 2, "sha256:"
-                   "94603e1cfa5f1dea853c8ace5edc2617488fe9fb057388b16a9a864e253da4b1"),
-    "check-search": (["check", "corpus/circle.cplx", "--no-P", "--search",
+                   "5b3ac547a4e245c1cd1628837a66f01f11c47a0b94dc147c2273052fa09cdfd7"),
+    "check-search": (["check", "corpus/circle.cplx", "--search",
                       "--depth", "3"], 0, "sha256:"
-                     "b6112d71df5a1ac2a408b17e85efc9f5f01e783e8ec13f66bdee3f02820380b1"),
+                     "5343af2bf9e8f3fee1f8b85bec72f9950527ab201f5162c906bf5e0ef7a6340d"),
     "check-dim4": (["check", "corpus/susp_sphere3.cplx", "--max-funcs", "50",
                     "--json"], 0, "sha256:"
-                   "9f0663c19d9025b3f2f4560ad0c351d9916ef1593dc5fc284206cd650f8f07fa"),
+                   "cc20f4c5b9435ff7065192be54c89e2a3d383ad8ded405288e702f239053ce4f"),
     "invariants": (["invariants", "corpus/rp2.cplx"], 0, "(1,0,0,0,0)\n"),
     "invariants-json": (["invariants", "corpus/theta.cplx", "--json"], 2,
                         "sha256:0a050346cedcdb9038f1f0ae15ec759c"

@@ -90,10 +90,8 @@ def test_parse_caps_the_exponent():
 
 
 def test_integer_predicates():
-    assert Dyadic(4).is_even_integer
-    assert Dyadic(3).is_odd_integer
+    assert Dyadic(4).is_integer and Dyadic(0).is_integer
     assert not Dyadic(3, 1).is_integer
-    assert Dyadic(0).is_even_integer
     assert int(Dyadic(-9)) == -9
     with pytest.raises(ValueError):
         int(Dyadic(1, 1))

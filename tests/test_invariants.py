@@ -62,7 +62,7 @@ def test_keyword_construction_is_validated_too():
         SearchBudget(max_functions=0)
     with pytest.raises(ValueError, match="dimension must be positive"):
         BoundQuery(d=0, k=1, delta=0)
-    assert SearchBudget(max_functions=50) == SearchBudget(6, 50, True)
+    assert SearchBudget(max_functions=50) == SearchBudget(6, 50)
 
 
 @pytest.mark.parametrize("record", [

@@ -44,10 +44,9 @@ def _full_search(link, budget):
                 lam, odd = _int_link(values[j], _star_sums(link, values[j]))
                 yield depth, "HALFLINK", (j,), tuple(
                     a if odd >= 0 and a & 1 else a >> 1 for a in lam), odd
-            if budget.use_p:
-                for j in range(lo, hi):
-                    yield depth, "POP", (j,), tuple(
-                        (x ** 4 - x ** 2) // 2 for x in values[j]), -1
+            for j in range(lo, hi):
+                yield depth, "POP", (j,), tuple(
+                    (x ** 4 - x ** 2) // 2 for x in values[j]), -1
             lo = hi
 
     candidates = guard_hits = 0
@@ -177,11 +176,10 @@ def drawn_links(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(drawn_links(), st.sampled_from([1, 20, 120]), st.booleans())
-def test_quotient_search_equals_full_search_on_drawn_links(link, funcs, use_p):
+@given(drawn_links(), st.sampled_from([1, 20, 120]))
+def test_quotient_search_equals_full_search_on_drawn_links(link, funcs):
     _assert_equitable(link, search._quotient(link))
-    _assert_same_search(link, SearchBudget(max_depth=4, max_functions=funcs,
-                                           use_p=use_p))
+    _assert_same_search(link, SearchBudget(max_depth=4, max_functions=funcs))
 
 
 @settings(max_examples=200, deadline=None)

@@ -25,7 +25,8 @@ def theta_junction(th):
 
 def test_default_budget():
     b = SearchBudget()
-    assert (b.max_depth, b.max_functions, b.use_p) == (6, 20000, True)
+    assert b._fields == ("max_depth", "max_functions")
+    assert tuple(b) == (6, 20000)
 
 
 def test_budget_validation():
