@@ -17,37 +17,80 @@ homeomorphic to a real algebraic set:
 * ``divisibility_certificate`` / ``bonnard_bounds`` — the sufficiency
   certificate via 2-adic valuation and the closed-form presentation bounds.
 
-Both link-based checks (``dim3_check`` and ``search_check``) make their rows
-in one loop, ``_link_test_rows``, which runs their local test once per link
-shape and reuses the result and its row text on every other simplex whose
-link has that shape.  A simplex's link key, read from its star in the
-coface table (from the length of its coface row alone when the link is only
-points), decides its link's shape without building the link.  A link is
-built once per link key, straight from the key, on dense ids and without
-labels: its simplex tuple is its shape.  A row whose witness names a
-simplex of the link has its text made on its own, with the location named
-from the labels of the row's own geometric link, and no link is built for
-it; only such a row reads its link vertices, from the coface row it holds.
+``search_check`` makes its rows in ``_link_test_rows``, which runs the
+closure search once per link shape and reuses the result and its row text
+on every other simplex whose link has that shape.  A simplex's link key,
+read from its star in the coface table (from the length of its coface row
+alone when the link is only points), decides its link's shape without
+building the link.  A link is built once per link key, straight from the
+key, on dense ids and without labels: its simplex tuple is its shape.  A
+row whose witness names a simplex of the link has its text made on its
+own, with the location named from the labels of the row's own geometric
+link, and no link is built for it; only such a row reads its link
+vertices, from the coface row it holds.
 
-Sullivan's parities and the b-vector are computed on int lists, with the
-link operator of the functions module: the zeta sums over the complex's
-codimension-one incidences (``_star_sums``), turned into the link and its
-first odd value by ``_int_link``, the same halving the closure search uses;
-a failed halving becomes the same witness.  Every value they handle is an
-integer, so an integral's parity is the parity of the sum of the values.
+``dim3_check`` builds no link at all: every geometric link's b-vector is
+read off link operators on ``k`` itself.  Let tau have dimension d and
+simplicial link L.  Its geometric link is G = boundary(Delta^d) * L, and
+every simplex g = b | rho of G (b a proper face of the boundary, possibly
+empty, rho in L or empty, not both empty) lies over the simplex
+sigma(g) = tau | rho of the closed star of tau.  For phi(g) = F(sigma(g)),
+
+    (Lambda_G phi)(g) = 2 F(sigma) - (Lambda_k F)(sigma),
+
+because the cofaces of g are the b' | rho' with b' >= b and rho' >= rho,
+and the sum of (-1)^|b'| over the proper faces b' >= b of the boundary,
+with the empty face when b is, is (-1)^d, while the cofaces of sigma in
+``k`` are the tau | rho'.  So with lambda = Lambda_k(1), the alpha, beta and
+gamma of ``b_vector`` on G are, over sigma, the functions
+alpha = (2 - lambda) / 2, beta = Lambda_k(alpha^2) / 2 and
+gamma = Lambda_k(alpha^3) / 2 on ``k``, and a halving fails on G exactly
+where 2F - Lambda_k F is odd on the closed star of tau, tau itself counting
+only when d >= 1 (a vertex has no g over it).  The halvings run on all of
+``k`` as floor shifts; a value made from an odd one is read only in rows
+whose simplex has failed that halving already.
+
+Over a strict coface sigma lie the 2^(d+1) - 1 simplices b | rho, an odd
+number; over tau itself the 2^(d+1) - 2 nonempty proper b, an even number.
+So a sum over G mod 2 is the sum over tau's strict cofaces mod 2: chi2 and
+b1..b4 are the parities of 1, alpha*beta, alpha*gamma, beta*gamma and
+alpha*beta*gamma summed there, which one zeta pass gives for every tau at
+once.
+
+A failed halving is located, as in ``b_vector``, at G's first odd simplex
+in canonical order.  The first simplex of G over a strict coface is its
+rho, and over tau the boundary vertex b0.  The rho of tau's strict cofaces
+are in the order of the cofaces, since the canonical order compares two
+sets of one size by the least element of their symmetric difference.  When
+d >= 1, an odd strict coface adds one vertex to tau, a link vertex, and
+those come before the boundary's: in dimension <= 3 a strict coface that
+adds two is a tetrahedron over an edge, which is maximal, and Lambda x is
+2x on a maximal simplex of dimension >= 1.  So the location is the rho of
+tau's first odd strict coface, and b0 when tau is odd (d >= 1) and has
+none.  Each odd sigma writes its index into its faces, the first in
+canonical order winning, so no coface table is read.
+
+Sullivan's parities, the b-vector and the dim3 rows are computed on int
+lists, with the link operator of the functions module: the zeta sums over
+the complex's codimension-one incidences (``_star_sums``), turned into the
+link and its first odd value by ``_int_link``, the same halving the closure
+search uses; a failed halving becomes the same witness.  Every value they
+handle is an integer, so an integral's parity is the parity of the sum of
+the values.
 
 A pass is never a realizability proof; reports carry that caveat.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
-from operator import mul, sub
+from itertools import chain, combinations, repeat
+from operator import and_, mul, sub
 from typing import NamedTuple
 
 from .complexes import (Simplex, SimplicialComplex, _boundary_labels,
                         _dense_link, _link_keys, _link_vertices)
-from .functions import ConstructibleFunction, _int_link, _star_sums
+from .functions import (ConstructibleFunction, _int_link, _signed,
+                        _star_sums)
 from .search import (DEFAULT_BUDGET, ExpressionWitness, ONE_EXPR,
                      SearchBudget, SearchResult, closure_search,
                      halving_witness, witness_text)
@@ -101,6 +144,13 @@ def _half_link_ints(k: SimplicialComplex, xs: list[int],
     return [a >> 1 for a in lam]
 
 
+# The three halvings of ``b_vector``, in order: alpha = HALFLINK(1), then
+# alpha^2 and alpha^3, whose corrections are beta and gamma.
+_ALPHA = ("HALFLINK", ONE_EXPR)
+_ALPHA_SQ = ("MUL", _ALPHA, _ALPHA)
+_ALPHA_CUBE = ("MUL", _ALPHA_SQ, _ALPHA)
+
+
 def b_vector(k: SimplicialComplex) -> InvariantVector | ExpressionWitness:
     """The (chi2, b1..b4) invariant vector of a complex of dimension <= 2.
 
@@ -112,13 +162,11 @@ def b_vector(k: SimplicialComplex) -> InvariantVector | ExpressionWitness:
     alpha = _half_link_ints(k, [1] * len(k.simplices), ONE_EXPR)
     if isinstance(alpha, ExpressionWitness):
         return alpha
-    alpha_expr = ("HALFLINK", ONE_EXPR)
-    asq_expr = ("MUL", alpha_expr, alpha_expr)
     asq = list(map(mul, alpha, alpha))
     acube = list(map(mul, asq, alpha))
     # beta and gamma: x minus half the link of x, for x = alpha^2, alpha^3
     corrections = []
-    for x, expr in ((asq, asq_expr), (acube, ("MUL", asq_expr, alpha_expr))):
+    for x, expr in ((asq, _ALPHA_SQ), (acube, _ALPHA_CUBE)):
         h = _half_link_ints(k, x, expr)
         if isinstance(h, ExpressionWitness):
             return h
@@ -204,7 +252,10 @@ def sullivan_check(k: SimplicialComplex) -> ObstructionReport:
 def _link_test_rows(k: SimplicialComplex, test_name: str, test, text):
     """Run the local test ``test`` on the geometric link of every simplex
     of ``k``, once per link shape, and return the rows of test
-    ``test_name``, in canonical order, and every simplex's result.
+    ``test_name``, in canonical order, and every simplex's result.  Only
+    ``search_check`` makes its rows here; ``dim3_check`` builds no link
+    (see the module docstring), and the tests run ``b_vector`` through
+    this loop as its reference.
 
     ``text(res, label)`` makes a row's verdict, value and data from a
     result.  It runs once per link shape, and the rows of that shape share
@@ -273,15 +324,92 @@ def _b_text(res, label) -> tuple[str, str, dict]:
             {"b": list(res)})
 
 
+def _lam(k: SimplicialComplex, xs: list[int]) -> list[int]:
+    """Lambda of the ints ``xs`` on ``k``."""
+    return _int_link(xs, _star_sums(k, xs))[0]
+
+
+def _first_odd_cofaces(k: SimplicialComplex, odd: list[int]) -> dict[int, int]:
+    """The index of the first strict coface, in canonical order, among the
+    simplices ``odd``, for every simplex that has one.  Each simplex of
+    ``odd`` writes its index into its proper faces, the last one first, so
+    the first one's write is the one that stays."""
+    simplices, index = k.simplices, k._index
+    first: dict[int, int] = {}
+    for j in reversed(odd):
+        s = simplices[j]
+        faces = chain.from_iterable(map(combinations, repeat(s),
+                                        range(1, len(s))))
+        first.update(zip(map(index.__getitem__, faces), repeat(j)))
+    return first
+
+
 def dim3_check(k: SimplicialComplex) -> ObstructionReport:
     """Vanishing of the b-vector of every simplex's geometric link.
 
-    A half-link witness names a simplex of the link, so its row is read
-    under the labels of the row's own link (``_link_test_rows``)."""
+    Every row is read off link operators on ``k`` itself (see the module
+    docstring), with the value, expression and halving order of
+    ``b_vector`` on the row's geometric link, and a half-link witness's
+    location named as ``geometric_link`` labels it."""
     if k.dim > 3:
         raise ValueError("dim3 check requires dimension <= 3")
-    rows, _ = _link_test_rows(k, "dim3", b_vector, _b_text)
-    return _report(k, "dim3", rows)
+    simplices = k.simplices
+    ones = [1] * len(simplices)
+    lam = _lam(k, ones)
+    alpha = [(2 - a) >> 1 for a in lam]
+    asq = list(map(mul, alpha, alpha))
+    acube = list(map(mul, asq, alpha))
+    halvings = [(_ALPHA, ones, lam)] + [
+        (("HALFLINK", expr), x, _lam(k, x))
+        for expr, x in ((_ALPHA_SQ, asq), (_ALPHA_CUBE, acube))]
+    # The first failed halving of each failing simplex: its expression,
+    # the odd value 2x - Lambda x and where it is, a strict coface or the
+    # simplex itself (a boundary vertex of the geometric link).
+    fails: dict[int, tuple] = {}
+    for expr, x, lx in halvings:
+        odd = [i for i, a in enumerate(lx) if a & 1]
+        first = _first_odd_cofaces(k, odd)
+        for i in odd:
+            if len(simplices[i]) > 1:  # odd itself, no odd coface: at b0
+                first.setdefault(i, i)
+        for i, j in first.items():
+            if i not in fails:
+                fails[i] = (expr, 2 * x[j] - lx[j], j)
+    # chi2 and b1..b4: the parities of 1, alpha*beta, alpha*gamma,
+    # beta*gamma and alpha*beta*gamma summed over each simplex's strict
+    # cofaces, from one zeta pass of those bits (beta and gamma mod 2)
+    # packed in fields of w bits, wide enough for any count.  The pass
+    # applies the signs again, so it sums without them.
+    beta, gamma = ([c >> 1 & 1 for c in lx] for _, _, lx in halvings[1:])
+    w = len(simplices).bit_length()
+    packed = [1 | (a & b) << w | (a & g) << 2 * w | (b & g) << 3 * w
+              | (a & b & g) << 4 * w for a, b, g in zip(alpha, beta, gamma)]
+    mask = sum(1 << (w * f) for f in range(5))
+    codes = map(and_, map(sub, _star_sums(k, _signed(k, packed)), packed),
+                repeat(mask))
+    texts: dict[int, tuple] = {}  # packed b-vector -> its row's text
+    names = None  # vertex labels, and the boundary's first at a fresh id
+    base = k.max_vertex_id() + 1
+    rows = []
+    for i, (tau, where, code) in enumerate(zip(simplices, k.simplex_names(),
+                                               codes)):
+        got = fails.get(i)
+        if got is None:
+            row = texts.get(code)
+            if row is None:
+                row = texts[code] = _b_text(InvariantVector(
+                    *[code >> (w * f) & 1 for f in range(5)]), None)
+        else:
+            if names is None:
+                names = k.labels
+                # b0, primed until fresh: the same for every dimension
+                names[base] = _boundary_labels(k, 1)[0]
+            expr, a, j = got
+            at = (base,) if j == i else [v for v in simplices[j]
+                                         if v not in tau]
+            row = _b_text(halving_witness(expr, Simplex(at), a), names)
+        rows.append(TestRow("dim3", tau, where, *row))
+    return _report(k, "dim3", tuple(rows))
 
 
 def _search_text(res: SearchResult, label) -> tuple[str, str, dict]:

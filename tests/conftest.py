@@ -16,6 +16,7 @@ from eulerlink.complexes import (Simplex, SimplicialComplex, SimplicialMap,
                                  build_complex, validate_map)
 from eulerlink.dyadic import Dyadic
 from eulerlink.functions import ConstructibleFunction
+from eulerlink.invariants import sullivan_check
 
 
 def random_complex(rng: random.Random, max_vertices: int = 8,
@@ -56,6 +57,23 @@ def small_complexes(draw):
                                     unique=True), min_size=1, max_size=4))
     k = build_complex(facets)
     assume(len(k) <= 20)
+    return k
+
+
+@st.composite
+def tetrahedron_sums(draw):
+    """Mod-2 sums of 1 to 5 tetrahedron boundaries on 5 to 9 vertices, the
+    generator that found ``akl``, kept where Sullivan's test passes."""
+    n = draw(st.integers(5, 9))
+    tetrahedra = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=4,
+                                        max_size=4, unique=True),
+                               min_size=1, max_size=5))
+    triangles = set()
+    for t in tetrahedra:
+        triangles ^= set(combinations(sorted(t), 3))
+    assume(triangles)
+    k = build_complex(sorted(triangles))
+    assume(sullivan_check(k).passed)
     return k
 
 

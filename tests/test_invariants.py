@@ -2,15 +2,13 @@
 
 import json
 import os
-from itertools import combinations
 
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
+from hypothesis import given, settings
 
 from conftest import (dense_shape, link_key, ref_geometric_link,
-                      ref_simplicial_link, small_complexes)
-from eulerlink import cli, corpus, invariants, search
+                      ref_simplicial_link, small_complexes, tetrahedron_sums)
+from eulerlink import cli, complexes, corpus, invariants, search
 from eulerlink.complexes import (Simplex, SimplicialComplex, _dense_link,
                                  _link_keys, _link_vertices,
                                  barycentric_subdivision, build_complex,
@@ -243,23 +241,6 @@ def test_akl_and_its_double_agree_with_the_search(akl):
         _assert_search_agrees_with_b_vector(k)
 
 
-@st.composite
-def tetrahedron_sums(draw):
-    """Mod-2 sums of 1 to 5 tetrahedron boundaries on 5 to 9 vertices, the
-    generator that found ``akl``, kept where Sullivan's test passes."""
-    n = draw(st.integers(5, 9))
-    tetrahedra = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=4,
-                                        max_size=4, unique=True),
-                               min_size=1, max_size=5))
-    triangles = set()
-    for t in tetrahedra:
-        triangles ^= set(combinations(sorted(t), 3))
-    assume(triangles)
-    k = build_complex(sorted(triangles))
-    assume(sullivan_check(k).passed)
-    return k
-
-
 @settings(max_examples=300, deadline=None)
 @given(tetrahedron_sums())
 def test_the_search_passes_exactly_where_the_b_vector_vanishes(k):
@@ -301,6 +282,47 @@ def test_dim3_check_equals_per_simplex_b_vector_on_corpus():
                     f"half-link obstruction: {res.describe(link.labels)}"
                 assert row.data == {"witness": res.as_dict(link.labels)}, \
                     (name, row.where)
+
+
+# dim3_check reads its rows off link operators on the complex itself; the
+# reference runs b_vector on every link shape's dense link instead.
+DIM3_CORPUS = [name for name in corpus.corpus_names()
+               if corpus.corpus_complex(name).dim <= 3]
+
+
+def _assert_dim3_rows_match_the_link_reference(k):
+    reference, _ = _link_test_rows(k, "dim3", b_vector, _b_text)
+    assert dim3_check(k).rows == reference
+
+
+@pytest.mark.parametrize("subdivided", [False, True], ids=["K", "sd"])
+@pytest.mark.parametrize("name", DIM3_CORPUS)
+def test_dim3_rows_match_the_link_reference_on_the_corpus(name, subdivided):
+    k = corpus.corpus_complex(name)
+    if subdivided:
+        k = barycentric_subdivision(k).complex
+    _assert_dim3_rows_match_the_link_reference(k)
+
+
+def test_dim3_rows_match_the_link_reference_on_the_akl_family(akl):
+    # akl's cone and suspension have nonzero b-vectors at the new vertices.
+    for k in (akl, cone(akl), suspension(akl),
+              barycentric_subdivision(akl).complex, disjoint_union(akl, akl)):
+        _assert_dim3_rows_match_the_link_reference(k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_complexes())
+def test_dim3_rows_match_the_link_reference_on_drawn_complexes(k):
+    # At most 4 vertices a facet: every drawn complex has dimension <= 3.
+    _assert_dim3_rows_match_the_link_reference(k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tetrahedron_sums())
+def test_dim3_rows_match_the_link_reference_on_euler_2_complexes(y):
+    for k in (y, cone(y), suspension(y)):
+        _assert_dim3_rows_match_the_link_reference(k)
 
 
 def _search_notes(k, results):
@@ -527,32 +549,12 @@ def test_search_check_builds_one_link_per_star_key(monkeypatch):
     assert len(searched) == 6
 
 
-def test_dim3_check_builds_one_link_per_link_key(monkeypatch):
-    # Rows with a located witness are named from the key's link, so they
-    # build no link of their own.
-    built = []
-
-    def counting_link(key):
-        built.append(key)
-        return _dense_link(key)
-
-    monkeypatch.setattr(invariants, "_dense_link", counting_link)
-    cw = corpus.corpus_complex("cone_window")
-    report = dim3_check(cw)
-    assert any("half-link obstruction" in r.value and " at (" in r.value
-               for r in report.rows)
-    keys = {(tau.dim, dense_shape(simplicial_link(cw, tau)))
-            for tau in cw.simplices}
-    assert len(built) == len(keys)
-
-
 @pytest.mark.parametrize("name, located", [
-    ("sphere3", 0), ("torus", 0), ("window", 32), ("susp_window", 98)])
+    ("sphere3", 0), ("torus", 0)])
 def test_check_reads_link_vertices_only_for_located_rows(name, located,
                                                          tmp_path,
                                                          monkeypatch):
-    # sphere3 and the torus pass every test; the window and its suspension
-    # fail, with half-link witnesses that name a simplex of the link.
+    # sphere3 and the torus pass every test.
     read = []
 
     def counting_vertices(star, tau):
@@ -571,10 +573,30 @@ def test_check_reads_link_vertices_only_for_located_rows(name, located,
     assert len(read) == located
 
 
+@pytest.mark.parametrize("name, located", [
+    ("window", 32), ("susp_window", 98), ("cone_window", 146)])
+def test_dim3_check_builds_no_link(name, located, tmp_path, monkeypatch):
+    # dim3_check reads every row off link operators on the complex, rows
+    # with a located half-link witness too: it runs no b_vector, builds no
+    # link, reads no link key, link vertices or coface table.
+    def unused(*args):
+        raise AssertionError("dim3_check read a link")
+
+    for module in (invariants, complexes):
+        for attr in ("_dense_link", "_link_keys", "_link_vertices"):
+            monkeypatch.setattr(module, attr, unused)
+    monkeypatch.setattr(invariants, "b_vector", unused)
+    monkeypatch.setattr(SimplicialComplex, "cofaces", unused)
+    out = tmp_path / "report.json"
+    path = os.path.join(ROOT, "corpus", f"{name}.cplx")
+    assert cli.main(["check", "--json", "-o", str(out), path]) == 2
+    rows = json.loads(out.read_text(encoding="utf-8"))["tests"]
+    assert sum("witness" in r and r["witness"]["location"] != "integral"
+               for r in rows) == located
+
+
 @pytest.mark.parametrize("name, flags", [
-    ("window", []), ("susp_window", []),
-    ("susp_sphere3", ["--max-funcs", "50"])],
-    ids=["window", "susp_window", "susp_sphere3"])
+    ("susp_sphere3", ["--max-funcs", "50"])], ids=["susp_sphere3"])
 def test_check_calls_cofaces_once_per_complex(name, flags, tmp_path,
                                               monkeypatch):
     # The one call on a complex builds its coface table: a located row

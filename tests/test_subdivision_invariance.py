@@ -7,15 +7,25 @@ or the half-link witness, and the search witness are read off the same
 space.  Only Sullivan's value, the Euler characteristic of the simplicial
 link, is not invariant; its parity is.
 
-A second relation: the tests are local, so the failing rows of a disjoint
+A stellar subdivision of one edge uv is a second homeomorphism, whose
+combinatorics differ from ``sd``: a new vertex w at the edge's midpoint
+replaces every simplex sigma containing uv by w joined with sigma - v,
+sigma - u and sigma - uv.  Each new simplex lies in the interior of that
+sigma, its carrier; every other simplex is its own carrier.
+
+Another relation: the tests are local, so the failing rows of a disjoint
 union are those of its two parts, when both parts run the same tests."""
 
 import os
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from conftest import small_complexes
 from eulerlink import corpus
-from eulerlink.complexes import barycentric_subdivision, disjoint_union
+from eulerlink.complexes import (SimplicialComplex, barycentric_subdivision,
+                                 disjoint_union)
 from eulerlink.fileio import read_complex
 from eulerlink.invariants import dim3_check, search_check, sullivan_check
 from eulerlink.search import SearchBudget
@@ -68,6 +78,42 @@ def test_a_subdivided_simplex_fails_what_its_carrier_fails(name):
         assert _invariant(row) == _invariant(carried), (
             f"{row.test} {row.where} in sd({name}): {row.value}; carrier"
             f" {carried.where}: {carried.value}")
+
+
+def stellar_subdivision(k, edge):
+    """The stellar subdivision of ``k`` at ``edge``, with the new vertex on
+    the id above ``k``'s, and the carrier in ``k`` of each of its
+    simplices."""
+    u, v = edge
+    w = k.max_vertex_id() + 1
+    carrier = {}
+    for sigma in k.simplices:
+        if u in sigma and v in sigma:
+            rest = [x for x in sigma if x not in edge]
+            for kept in ([u], [v], []):
+                carrier[tuple(sorted([*rest, *kept, w]))] = sigma
+        else:
+            carrier[sigma] = sigma
+    return SimplicialComplex(carrier, labels={**k.labels, w: "w"}), carrier
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_a_stellar_subdivision_fails_what_its_carrier_fails(data):
+    k = data.draw(small_complexes())
+    edges = [s for s in k.simplices if len(s) == 2]
+    assume(edges)
+    edge = data.draw(st.sampled_from(edges))
+    fine, carrier = stellar_subdivision(k, edge)
+    # Each simplex containing the edge gives way to three.
+    star = [s for s in k.simplices if set(edge) <= set(s)]
+    assert len(fine.simplices) == len(k.simplices) + 2 * len(star)
+    base, rows = _rows(k), _rows(fine)
+    for (test, rho), row in rows.items():
+        carried = base[test, carrier[rho]]
+        assert _invariant(row) == _invariant(carried), (
+            f"{row.test} {row.where}: {row.value}; carrier {carried.where}:"
+            f" {carried.value}")
 
 
 @pytest.mark.parametrize("a, b", [("theta", "window"), ("torus", "segment"),
