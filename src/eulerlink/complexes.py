@@ -24,14 +24,13 @@ decompositions such as "boundary part / link part of a join" recoverable
 from the ids alone, which the function calculus relies on.
 
 The link of a simplex is read from its star, its row of the coface
-table, by one reader, ``_star_link``: the link vertices, ascending
-(``_link_vertices``), and the link's rows on dense ids.  Those rows are
-the link key that decides a geometric link's shape (``_link_keys``; a
-link that is only points has its key read from the length of its coface
-row alone).  ``_link_simplices`` joins a link's rows with the boundary of
-a simplex on ids above them: ``_dense_link`` on a key's dense rows and the
-next dense ids, and ``geometric_link`` on the same rows moved onto ``k``'s
-ids and fresh ids above ``k``'s, so each is one construction.
+table, by one reader, ``_star_link``: the link vertices, ascending, and
+the link's rows on dense ids.  Those rows, with the simplex's dimension,
+are the link key that decides a geometric link's shape.
+``_link_simplices`` joins a link's rows with the boundary of a simplex on
+ids above them: ``_dense_link`` on a key's dense rows and the next dense
+ids, and ``geometric_link`` on the same rows moved onto ``k``'s ids and
+fresh ids above ``k``'s, so each is one construction.
 
 Two incidence tables are built on first use.  The coface table lists every
 strict coface of every simplex, and only stars read it: the links above,
@@ -296,23 +295,15 @@ def euler_characteristic(k: SimplicialComplex) -> int:
 # -- links -----------------------------------------------------------------
 
 
-def _link_vertices(star, tau) -> list[int]:
-    """The link vertices of ``tau``, ascending, from its star, the
-    simplices strictly containing it: the star's vertices outside tau.
-    Vertex j of tau's link rows is the j-th."""
-    return sorted(set(chain.from_iterable(star)).difference(tau))
-
-
 def _star_link(simplices, tau, row) -> tuple[list[int], tuple]:
     """The link of ``tau`` read from its star, the coface indices ``row``:
     ``s`` is disjoint from tau with ``s | tau`` in the complex exactly when
     ``s | tau`` is a strict coface of tau.  So the link vertices are the
-    star's vertices outside tau, ascending (``_link_vertices``), and the
-    link rows are the star with tau's vertices dropped and the rest
-    renumbered densely (vertex j is the j-th link vertex), which keeps
-    their canonical order."""
+    star's vertices outside tau, ascending, and the link rows are the star
+    with tau's vertices dropped and the rest renumbered densely (vertex j
+    is the j-th link vertex), which keeps their canonical order."""
     star = list(map(simplices.__getitem__, row))
-    verts = _link_vertices(star, tau)
+    verts = sorted(set(chain.from_iterable(star)).difference(tau))
     dense = dict(zip(verts, range(len(verts))))
     get, has = dense.__getitem__, dense.__contains__
     return verts, tuple([tuple(map(get, filter(has, s))) for s in star])
@@ -371,33 +362,6 @@ def geometric_link(k: SimplicialComplex, tau) -> SimplicialComplex:
                              labels=labels)
 
 
-def _link_keys(k: SimplicialComplex):
-    """Yield the link key ``(dim tau, rows)`` of every simplex tau of
-    ``k``, in canonical order: tau's link rows, renumbered densely in
-    ascending order.
-
-    The link is only points when tau's coface row is empty or its last
-    coface has size |tau| + 1 (55 of the 153 simplices of the corpus
-    4-complexes, whose ``check`` runs the search).  Then its m cofaces add
-    the link vertices in ascending order (tau | {v} is lexicographic in v),
-    so the key is ``(dim tau, ((0,), ..., (m - 1,)))``, built once per
-    ``(dim tau, m)`` without reading the star.  Any other key's rows are
-    read from the star, the coface row in hand, by ``_star_link``.
-    ``geometric_link`` is the key's dense link (``_dense_link``),
-    relabelled in increasing order, so equal keys give geometric links of
-    equal dense shape."""
-    simplices = k.simplices
-    points: dict[tuple[int, int], tuple] = {}
-    for tau, row in zip(simplices, k.coface_table()):
-        if not row or len(simplices[row[-1]]) == len(tau) + 1:
-            size = (len(tau), len(row))
-            if size not in points:
-                points[size] = (len(tau) - 1, tuple(zip(range(len(row)))))
-            yield points[size]
-            continue
-        yield (len(tau) - 1, _star_link(simplices, tau, row)[1])
-
-
 def _link_simplices(d: int, rows, boundary) -> list[tuple[int, ...]]:
     """The simplices of a geometric link, unsorted: the link ``rows``, the
     boundary of a ``d``-simplex on the ids ``boundary`` (no faces for
@@ -408,10 +372,11 @@ def _link_simplices(d: int, rows, boundary) -> list[tuple[int, ...]]:
 
 
 def _dense_link(key: tuple) -> SimplicialComplex:
-    """The geometric link of link key ``key`` (``_link_keys``) on dense ids,
-    without labels: the key's rows on ``0 .. n-1`` and the boundary on
-    ``n .. n+d`` (``_link_simplices``).  Its ``simplices`` are the dense
-    shape of the geometric link of every simplex with this key."""
+    """The geometric link of link key ``key``, a simplex's dimension d and
+    its link rows from ``_star_link``, on dense ids and without labels: the
+    rows on ``0 .. n-1`` and the boundary on ``n .. n+d``
+    (``_link_simplices``).  Its ``simplices`` are the dense shape of the
+    geometric link of every simplex with this key."""
     d, rows = key
     n = [*map(len, rows)].count(1)
     return SimplicialComplex(_trusted(
@@ -421,7 +386,8 @@ def _dense_link(key: tuple) -> SimplicialComplex:
 def _boundary_labels(k: SimplicialComplex, d: int) -> list[str]:
     """The labels of the boundary vertices of a ``d``-simplex's geometric
     link in ``k``: ``b0 .. bd``, each primed until it is fresh in ``k``
-    (none for a vertex).  They depend on ``k`` and ``d`` alone."""
+    (none for a vertex).  No ``bi`` primed is a ``bj``, so each label
+    depends on ``k`` alone, and the list for d starts every longer one."""
     return _fresh_labels(k, [f"b{i}" for i in range(d + 1)]) if d else []
 
 

@@ -17,17 +17,16 @@ homeomorphic to a real algebraic set:
 * ``divisibility_certificate`` / ``bonnard_bounds`` — the sufficiency
   certificate via 2-adic valuation and the closed-form presentation bounds.
 
-``search_check`` makes its rows in ``_link_test_rows``, which runs the
-closure search once per link shape and reuses the result and its row text
-on every other simplex whose link has that shape.  A simplex's link key,
-read from its star in the coface table (from the length of its coface row
-alone when the link is only points), decides its link's shape without
-building the link.  A link is built once per link key, straight from the
-key, on dense ids and without labels: its simplex tuple is its shape.  A
-row whose witness names a simplex of the link has its text made on its
-own, with the location named from the labels of the row's own geometric
-link, and no link is built for it; only such a row reads its link
-vertices, from the coface row it holds.
+``search_check`` runs the closure search once per link shape and reuses
+the result and its row text on every other simplex whose link has that
+shape.  It is the one test that reads links.  A simplex's link key, its
+dimension and its link rows read from its star in the coface table
+(``complexes._star_link``), decides its link's shape without building
+the link.  A link is built once per link key, straight from the key, on
+dense ids and without labels: its simplex tuple is its shape.  A row
+whose witness names a simplex of the link has its text made on its own,
+with the location named from the labels of the row's own geometric link:
+the link vertices that the same star read gave, then the boundary's.
 
 ``dim3_check`` builds no link at all: every geometric link's b-vector is
 read off link operators on ``k`` itself.  Let tau have dimension d and
@@ -88,7 +87,7 @@ from operator import and_, mul, sub
 from typing import NamedTuple
 
 from .complexes import (Simplex, SimplicialComplex, _boundary_labels,
-                        _dense_link, _link_keys, _link_vertices)
+                        _dense_link, _star_link)
 from .functions import (ConstructibleFunction, _int_link, _signed,
                         _star_sums)
 from .search import (DEFAULT_BUDGET, ExpressionWitness, ONE_EXPR,
@@ -228,8 +227,8 @@ def sullivan_check(k: SimplicialComplex) -> ObstructionReport:
 
     A row's verdict, value and ``data`` are made once per link Euler
     characteristic, not once per simplex, and the rows of one Euler
-    characteristic share them, as the rows of one link shape do in the
-    link tests.  The rows are read from those tables by maps, in C."""
+    characteristic share them, as the rows of one link shape do in
+    ``search_check``.  The rows are read from those tables by maps, in C."""
     ones = [1] * len(k.simplices)
     lam, odd = _int_link(ones, _star_sums(k, ones))
     chis = set(lam)
@@ -247,68 +246,6 @@ def sullivan_check(k: SimplicialComplex) -> ObstructionReport:
         notes.append("realizable (dim <= 2 criterion): even link parity is"
                      " sufficient in dimension <= 2")
     return _report(k, "sullivan", rows, notes, passed)
-
-
-def _link_test_rows(k: SimplicialComplex, test_name: str, test, text):
-    """Run the local test ``test`` on the geometric link of every simplex
-    of ``k``, once per link shape, and return the rows of test
-    ``test_name``, in canonical order, and every simplex's result.  Only
-    ``search_check`` makes its rows here; ``dim3_check`` builds no link
-    (see the module docstring), and the tests run ``b_vector`` through
-    this loop as its reference.
-
-    ``text(res, label)`` makes a row's verdict, value and data from a
-    result.  It runs once per link shape, and the rows of that shape share
-    what it returns; where the result's witness names a simplex of the
-    link (has a location), it runs once per row instead.  There ``label``
-    names the tested link's vertices as the row's own geometric link does:
-    its link vertices as named in ``k``, then the boundary's fresh labels,
-    worked out once per dimension.  Only such a row reads its link
-    vertices, by ``complexes._link_vertices`` from the coface row in hand
-    (its star), and no link is built for it.
-
-    A link's shape is its dense shape: its simplex tuple with the vertex
-    ids relabelled densely in increasing order.  An increasing relabelling
-    keeps the canonical simplex order, so every index-based computation
-    (value vectors, first violations, search counts) is the same on all
-    links of one shape.
-
-    The memo has two levels.  The link key (``complexes._link_keys``) is
-    read from the coface table, and the first simplex of each link key
-    builds the key's dense link (``complexes._dense_link``), the geometric
-    link on dense ids; its ``simplices`` are its dense shape, which keys
-    the results of ``test``.  Two link keys can share a dense shape (a
-    vertex link and an edge link, say), so ``test`` still runs once per
-    dense shape.
-    """
-    rows, results = [], []
-    shapes: dict[tuple, tuple] = {}  # dense shape -> (result, row or None)
-    keys: dict[tuple, tuple] = {}  # link key -> its shape's entry
-    boundary: dict[int, list[str]] = {}
-    for tau, where, key, cofaces in zip(k.simplices, k.simplex_names(),
-                                        _link_keys(k), k.coface_table()):
-        got = keys.get(key)
-        if got is None:
-            link = _dense_link(key)
-            got = shapes.get(link.simplices)
-            if got is None:
-                res = test(link)
-                w = res.witness if isinstance(res, SearchResult) else res
-                located = (isinstance(w, ExpressionWitness)
-                           and w.location is not None)
-                got = shapes[link.simplices] = (
-                    res, None if located else text(res, None))
-            keys[key] = got
-        res, row = got
-        if row is None:
-            if tau.dim not in boundary:
-                boundary[tau.dim] = _boundary_labels(k, tau.dim)
-            star = map(k.simplices.__getitem__, cofaces)
-            row = text(res, [*map(k.label, _link_vertices(star, tau)),
-                             *boundary[tau.dim]])
-        rows.append(TestRow(test_name, tau, where, *row))
-        results.append(res)
-    return tuple(rows), results
 
 
 def _b_text(res, label) -> tuple[str, str, dict]:
@@ -429,11 +366,53 @@ def search_check(k: SimplicialComplex,
                  budget: SearchBudget = DEFAULT_BUDGET) -> ObstructionReport:
     """Closure search at every simplex; report assembled in canonical order.
 
+    The search runs once per link shape, and the rows of one shape share
+    its result and, unless its witness has a location, its row text.  A
+    link's shape is its dense shape: its simplex tuple with the vertex ids
+    relabelled densely in increasing order.  An increasing relabelling
+    keeps the canonical simplex order, so the search, which works by
+    simplex index, does the same on every link of one shape.
+
+    The memo has two levels.  The first simplex of each link key builds
+    the key's dense link (``_dense_link``), whose ``simplices`` are its
+    dense shape; two link keys can share a dense shape (a vertex link and
+    an edge link, say), so the search still runs once per dense shape.
+    A row whose witness has a location names it as the row's own
+    geometric link does: its link vertices as named in ``k``, then the
+    boundary's fresh labels, read once per complex.
+
     The notes hold for every row: the completeness of the weakest pass row
     (fewest complete levels, first in canonical order on a tie), and the
     guard hits summed over all rows."""
-    rows, results = _link_test_rows(
-        k, "search", lambda link: closure_search(link, budget), _search_text)
+    simplices = k.simplices
+    rows, results = [], []
+    shapes: dict[tuple, tuple] = {}  # dense shape -> (result, text or None)
+    keys: dict[tuple, tuple] = {}  # link key -> its shape's entry
+    boundary = None  # b0, b1, ..., primed until fresh in k
+    for tau, where, cofaces in zip(simplices, k.simplex_names(),
+                                   k.coface_table()):
+        verts, link_rows = _star_link(simplices, tau, cofaces)
+        key = (tau.dim, link_rows)
+        got = keys.get(key)
+        if got is None:
+            link = _dense_link(key)
+            got = shapes.get(link.simplices)
+            if got is None:
+                res = closure_search(link, budget)
+                located = (res.witness is not None
+                           and res.witness.location is not None)
+                got = shapes[link.simplices] = (
+                    res, None if located else _search_text(res, None))
+            keys[key] = got
+        res, text = got
+        if text is None:
+            if boundary is None:
+                boundary = _boundary_labels(k, k.dim)
+            # A vertex's geometric link has no boundary: tau.dim is 0.
+            text = _search_text(res, [*map(k.label, verts),
+                                      *boundary[:tau.dim and len(tau)]])
+        rows.append(TestRow("search", tau, where, *text))
+        results.append(res)
     notes = [NECESSARY_ONLY]
     weakest = min(((row.where, res) for row, res in zip(rows, results)
                    if res.passed),

@@ -10,8 +10,8 @@ from conftest import (closure, ref_geometric_link, small_complexes,
                       small_or_empty_complexes)
 from eulerlink import corpus
 from eulerlink.complexes import (Simplex, SimplicialComplex, SimplicialMap,
-                                 _boundary_labels, _dense_link, _link_keys,
-                                 _link_vertices, build_complex,
+                                 _boundary_labels, _dense_link, _star_link,
+                                 build_complex,
                                  barycentric_subdivision, cone,
                                  disjoint_union, euler_characteristic,
                                  geometric_link, join, point_complex,
@@ -520,17 +520,29 @@ def test_link_labels_name_the_dense_link_as_the_geometric_link(name):
     # Vertex j of a link key's dense link is named like vertex j of the
     # simplex's geometric link, built by brute force: the link vertices as
     # named in k, then the boundary's fresh labels.  That is how a report
-    # names a witness's location without building the simplex's link.
+    # names a witness's location without building the simplex's link.  The
+    # boundary's labels are read once per complex and cut to tau's.
     k = corpus.corpus_complex(name)
-    for i, (tau, key) in enumerate(zip(k.simplices, _link_keys(k))):
-        star = map(k.simplices.__getitem__, k.cofaces(i))
-        label = [*map(k.label, _link_vertices(star, tau)),
-                 *_boundary_labels(k, tau.dim)]
+    boundary = _boundary_labels(k, k.dim)
+    for i, tau in enumerate(k.simplices):
+        verts, rows = _star_link(k.simplices, tau, k.cofaces(i))
+        label = [*map(k.label, verts), *boundary[:tau.dim and len(tau)]]
         ref = ref_geometric_link(k, tau)
         assert len(label) == ref.n_vertices
         assert tuple("(" + " ".join(map(label.__getitem__, s)) + ")"
-                     for s in _dense_link(key).simplices) == \
+                     for s in _dense_link((tau.dim, rows)).simplices) == \
             ref.simplex_names(), tau
+
+
+def test_boundary_labels_of_a_dimension_start_every_longer_list():
+    # b0, b1, ... are each primed past k's labels alone, so the labels of
+    # a d-simplex's boundary are the first d + 1 of any higher dimension's.
+    k = build_complex([(0, 1, 2), (2, 3)],
+                      labels={0: "b0", 1: "b1", 2: "b0'", 3: "b2''"})
+    assert _boundary_labels(k, 0) == []
+    assert _boundary_labels(k, 3) == ["b0''", "b1'", "b2", "b3"]
+    for d in range(1, 4):
+        assert _boundary_labels(k, d) == _boundary_labels(k, 3)[:d + 1]
 
 
 # -- join, cone, suspension, union ----------------------------------------------

@@ -10,9 +10,8 @@ from conftest import (dense_shape, link_key, ref_geometric_link,
                       ref_simplicial_link, small_complexes, tetrahedron_sums)
 from eulerlink import cli, complexes, corpus, invariants, search
 from eulerlink.complexes import (Simplex, SimplicialComplex, _dense_link,
-                                 _link_keys, _link_vertices,
-                                 barycentric_subdivision, build_complex,
-                                 cone, disjoint_union,
+                                 _star_link, barycentric_subdivision,
+                                 build_complex, cone, disjoint_union,
                                  euler_characteristic, geometric_link, join,
                                  point_complex, simplicial_link, suspension)
 from eulerlink.dyadic import Dyadic
@@ -22,7 +21,7 @@ from eulerlink.fileio import read_complex
 from eulerlink.invariants import (MAX_BOUND_DIMENSION, MAX_BOUND_RANGE,
                                   NECESSARY_ONLY,
                                   BoundQuery, InvariantVector, ZERO_VECTOR,
-                                  _b_text, _link_test_rows, _search_text,
+                                  _b_text, _search_text,
                                   b_vector,
                                   bonnard_bounds, dim3_check,
                                   divisibility_certificate, merge_reports,
@@ -261,6 +260,15 @@ def test_dim3_check_apex_iff_base_vector_vanishes():
 # -- one local test per link shape --------------------------------------------------
 
 
+def _dim3_reference(k):
+    """Yield every simplex of ``k`` with its geometric link and the link's
+    ``b_vector``: the per-simplex reference of ``dim3_check``, which reads
+    its rows off link operators on ``k`` itself and builds no link."""
+    for tau in k.simplices:
+        link = geometric_link(k, tau)
+        yield tau, link, b_vector(link)
+
+
 def test_dim3_check_equals_per_simplex_b_vector_on_corpus():
     for name in corpus.corpus_names():
         k = corpus.corpus_complex(name)
@@ -268,9 +276,7 @@ def test_dim3_check_equals_per_simplex_b_vector_on_corpus():
             continue
         rows = dim3_check(k).rows
         assert [r.simplex for r in rows] == list(k.simplices), name
-        for row, tau in zip(rows, k.simplices):
-            link = geometric_link(k, tau)
-            res = b_vector(link)
+        for row, (tau, link, res) in zip(rows, _dim3_reference(k)):
             assert row.where == k.simplex_name(tau)
             if isinstance(res, InvariantVector):
                 assert (row.verdict == "pass") == res.is_zero
@@ -284,15 +290,17 @@ def test_dim3_check_equals_per_simplex_b_vector_on_corpus():
                     (name, row.where)
 
 
-# dim3_check reads its rows off link operators on the complex itself; the
-# reference runs b_vector on every link shape's dense link instead.
 DIM3_CORPUS = [name for name in corpus.corpus_names()
                if corpus.corpus_complex(name).dim <= 3]
 
 
 def _assert_dim3_rows_match_the_link_reference(k):
-    reference, _ = _link_test_rows(k, "dim3", b_vector, _b_text)
-    assert dim3_check(k).rows == reference
+    # Every field of every row, a witness's location named with the labels
+    # of the row's own geometric link.
+    assert dim3_check(k).rows == tuple(
+        invariants.TestRow("dim3", tau, k.simplex_name(tau),
+                           *_b_text(res, link.labels))
+        for tau, link, res in _dim3_reference(k))
 
 
 @pytest.mark.parametrize("subdivided", [False, True], ids=["K", "sd"])
@@ -421,58 +429,78 @@ def _is_located(res) -> bool:
     return isinstance(w, ExpressionWitness) and w.location is not None
 
 
-def test_search_runs_once_per_link_shape():
+def _dense_results(k, local):
+    """``local`` on the dense link of every simplex's link key, run once
+    per key: a witness found there names a simplex of the dense link."""
+    memo = {}
+    for i, tau in enumerate(k.simplices):
+        key = (tau.dim, _star_link(k.simplices, tau, k.cofaces(i))[1])
+        if key not in memo:
+            memo[key] = local(_dense_link(key))
+        yield memo[key]
+
+
+def test_search_runs_once_per_link_shape(monkeypatch):
     k = corpus.corpus_complex("susp_sphere3")
     searched, texts = [], []
 
-    def search(link):
-        searched.append(link)
-        return closure_search(link, SearchBudget(max_depth=1))
+    def search(link, budget):
+        res = closure_search(link, budget)
+        searched.append((link.simplices, res))
+        return res
 
     def text(res, label):
         texts.append(label)
         return _search_text(res, label)
 
-    rows, results = _link_test_rows(k, "search", search, text)
-    assert len(rows) == len(results) == len(k.simplices) == 92
+    monkeypatch.setattr(invariants, "closure_search", search)
+    monkeypatch.setattr(invariants, "_search_text", text)
+    rows = search_check(k, SearchBudget(max_depth=1)).rows
+    assert len(rows) == len(k.simplices) == 92
     assert len(searched) == 6
     assert texts == [None] * 6  # every witness is an odd integral
-    for tau, row, res in zip(k.simplices, rows, results):
+    results = dict(searched)  # dense shape -> its search
+    assert len(results) == 6
+    for tau, row in zip(k.simplices, rows):
         assert row.simplex == tau and row.test == "search"
-        assert any(res.link is link for link in searched)
-        assert dense_shape(res.link) == dense_shape(geometric_link(k, tau))
+        res = results[dense_shape(geometric_link(k, tau))]
+        assert row[3:] == _search_text(res, None)
 
 
-def test_located_witness_rows_are_named_as_on_their_own_link():
-    # A located witness's text is made once per row, named under the row's
-    # own link; every other text once per link shape, without labels.
+def test_located_witness_rows_are_named_as_on_their_own_link(monkeypatch):
+    # A located search witness's text is made once per row, named under
+    # the row's own link; every other text once per link shape, without
+    # labels.  A located dim3 witness is named as on its own link too.
     budget = SearchBudget(max_functions=50)
-    cases = [(corpus.corpus_complex("cone_window"), "dim3", b_vector,
-              _b_text),
-             (suspension(_bowtie()), "search",
-              lambda link: closure_search(link, budget), _search_text)]
-    for k, test, local, make in cases:
-        texts = []
+    texts = []
 
-        def text(res, label):
-            texts.append(label)
-            return make(res, label)
+    def text(res, label):
+        texts.append(label)
+        return _search_text(res, label)
 
-        rows, results = _link_test_rows(k, test, local, text)
-        located = 0
-        for tau, row, res in zip(k.simplices, rows, results):
+    monkeypatch.setattr(invariants, "_search_text", text)
+    sb = suspension(_bowtie())
+    cw = corpus.corpus_complex("cone_window")
+    cases = [(sb, search_check(sb, budget),
+              lambda link: closure_search(link, budget)),
+             (cw, dim3_check(cw), b_vector)]
+    located = {}
+    for k, report, local in cases:
+        located[k] = 0
+        for tau, row, res in zip(k.simplices, report.rows,
+                                 _dense_results(k, local)):
             if _is_located(res):
-                located += 1
+                located[k] += 1
                 own = geometric_link(k, tau)
-                w = res.witness if test == "search" else res
+                w = res.witness if isinstance(res, SearchResult) else res
                 # the dense link's simplex at the same index of own
                 at = own.simplices[dense_shape(own).index(tuple(w.location))]
                 named = w._replace(location=at).as_dict(own.labels)
                 assert row.data["witness"] == named, tau
                 assert row.value.endswith(f" at {own.simplex_name(at)}")
-        assert located > 1
-        assert len([x for x in texts if x is not None]) == located
-        assert None in texts
+    assert located[sb] == 3 and located[cw] > 1
+    assert len([x for x in texts if x is not None]) == located[sb]
+    assert None in texts
 
 
 def _star_key_cases():
@@ -498,17 +526,16 @@ def _assert_star_keys_exact(k):
     labels and names; and the dense link built from the key has the
     reference geometric link's dense shape, so simplices with equal keys
     have links of equal shape."""
-    keys = list(_link_keys(k))
-    assert len(keys) == len(k.simplices)
     for i, tau in enumerate(k.simplices):
-        assert keys[i] == link_key(k, i), tau
+        verts, rows = _star_link(k.simplices, tau, k.cofaces(i))
+        key = (tau.dim, rows)
+        assert key == link_key(k, i), tau
         link = ref_simplicial_link(k, tau)
         _assert_same_complex(simplicial_link(k, tau), link, tau)
-        star = map(k.simplices.__getitem__, k.cofaces(i))
-        assert tuple(_link_vertices(star, tau)) == link.vertex_ids, tau
+        assert tuple(verts) == link.vertex_ids, tau
         ref = ref_geometric_link(k, tau)
         _assert_same_complex(geometric_link(k, tau), ref, tau)
-        assert _dense_link(keys[i]).simplices == dense_shape(ref), tau
+        assert _dense_link(key).simplices == dense_shape(ref), tau
 
 
 @pytest.mark.parametrize("k", _star_key_cases(),
@@ -556,15 +583,16 @@ def test_check_reads_link_vertices_only_for_located_rows(name, located,
                                                          monkeypatch):
     # sphere3 and the torus pass every test; the window and its suspension
     # fail, with half-link witnesses that name a simplex of the link.  Only
-    # a located row that builds its link reads link vertices: dim3 rows are
-    # read off link operators on the complex and read none.
+    # the search reads a star, the link vertices with the link key: dim3
+    # rows, located ones too, are read off link operators on the complex
+    # and read none.
     read = []
 
-    def counting_vertices(star, tau):
+    def counting_star_link(simplices, tau, row):
         read.append(tau)
-        return _link_vertices(star, tau)
+        return _star_link(simplices, tau, row)
 
-    monkeypatch.setattr(invariants, "_link_vertices", counting_vertices)
+    monkeypatch.setattr(invariants, "_star_link", counting_star_link)
     out = tmp_path / "report.json"
     path = os.path.join(ROOT, "corpus", f"{name}.cplx")
     code = cli.main(["check", "--json", "-o", str(out), path])
@@ -582,12 +610,12 @@ def test_check_reads_link_vertices_only_for_located_rows(name, located,
 def test_dim3_check_builds_no_link(name, located, tmp_path, monkeypatch):
     # dim3_check reads every row off link operators on the complex, rows
     # with a located half-link witness too: it runs no b_vector, builds no
-    # link, reads no link key, link vertices or coface table.
+    # link, reads no star or coface table.
     def unused(*args):
         raise AssertionError("dim3_check read a link")
 
     for module in (invariants, complexes):
-        for attr in ("_dense_link", "_link_keys", "_link_vertices"):
+        for attr in ("_dense_link", "_star_link"):
             monkeypatch.setattr(module, attr, unused)
     monkeypatch.setattr(invariants, "b_vector", unused)
     monkeypatch.setattr(SimplicialComplex, "cofaces", unused)
@@ -605,9 +633,9 @@ def test_dim3_check_builds_no_link(name, located, tmp_path, monkeypatch):
     ids=["window", "susp_window", "susp_sphere3"])
 def test_check_calls_cofaces_once_per_complex(name, flags, once, tmp_path,
                                               monkeypatch):
-    # The one call on a complex builds its coface table: a located row
-    # reads its link vertices from the table's row it already holds.  The
-    # check of a complex of dimension <= 3 builds no table at all.
+    # The one call on a complex builds its coface table, whose rows are
+    # the stars the search reads its links from.  The check of a complex
+    # of dimension <= 3 builds no table at all.
     calls = {}
     cofaces = SimplicialComplex.cofaces
 
@@ -666,21 +694,21 @@ def test_reused_witnesses_replay_on_their_own_links():
     def local(link):
         return closure_search(link, budget)
 
-    _, results = _link_test_rows(ball, "search", local, _search_text)
-    searched = [(tau, res.witness) for tau, res in zip(ball.simplices, results)
+    searched = [(tau, res.witness) for tau, res
+                in zip(ball.simplices, _dense_results(ball, local))
                 if res.witness is not None]
     assert len(searched) == 30
     # half-link witnesses of the cone over the window, and of the
     # suspended bowtie's search, sit at a simplex, which moves from link
     # to link
     cw = corpus.corpus_complex("cone_window")
-    _, results = _link_test_rows(cw, "dim3", b_vector, _b_text)
-    halved = [(tau, res) for tau, res in zip(cw.simplices, results)
+    halved = [(tau, res) for tau, res
+              in zip(cw.simplices, _dense_results(cw, b_vector))
               if isinstance(res, ExpressionWitness)]
     assert len({w.location for _, w in halved}) > 1
     sb = suspension(_bowtie())
-    _, results = _link_test_rows(sb, "search", local, _search_text)
-    located = [(tau, res.witness) for tau, res in zip(sb.simplices, results)
+    located = [(tau, res.witness) for tau, res
+               in zip(sb.simplices, _dense_results(sb, local))
                if _is_located(res)]
     assert len(located) == 3
     for k, found, report in ((ball, searched, search_check(ball, budget)),

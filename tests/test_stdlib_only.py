@@ -4,9 +4,11 @@ stays lean: no module imports ``dataclasses``, and importing the command
 line loads neither it nor ``inspect``, nor the corpus, which only the
 ``corpus`` subcommand uses.  A relative import names the module that
 defines the name, not one that imports it from elsewhere.  Every private
-module-level helper is named somewhere in the package."""
+module-level helper is named somewhere in the package, and every private
+name that the package's docs cite is defined in it."""
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +16,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "eulerlink"
+README = PACKAGE.parent.parent / "README.md"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -112,3 +115,41 @@ def test_every_private_helper_has_a_caller():
                 named.add(node.attr)
     assert private, "no private helpers found"
     assert sorted(private - named) == []
+
+
+def defined_names(path: Path) -> set[str]:
+    """Every name that a module binds at any depth: its functions, classes
+    and methods, and the targets of its assignments, attributes such as
+    ``self._index`` and class fields included."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                           ast.Store):
+            names.add(node.attr)
+    return names
+
+
+# A private name in backticks, single or double: ``_x``, or ``owner._x``
+# where the owner is a module or a class.  Dunder names are not private.
+CITED = re.compile(r"`+(?:([A-Za-z]\w*)\.)?(_(?!_)\w*)`+")
+
+
+def test_every_cited_private_name_is_defined():
+    """A private name cited in backticks in a module's text (its
+    docstrings and comments) or in README.md is defined in the package;
+    one cited as ``module._x`` is defined in that module."""
+    defined = {p.stem: defined_names(p) for p in MODULES}
+    everywhere = set().union(*defined.values())
+    stale = []
+    for path in [*MODULES, README]:
+        for owner, name in CITED.findall(path.read_text(encoding="utf-8")):
+            if name not in defined.get(owner, everywhere):
+                stale.append((path.name, f"{owner}.{name}" if owner
+                              else name))
+    assert stale == []
