@@ -7,9 +7,9 @@ homeomorphic to a real algebraic set:
   characteristic (evaluated as parity of the link operator on 1).
 * ``b_vector`` — the five mod-2 invariants (chi2, b1..b4) of a compact
   complex of dimension at most 2, computed from alpha = half-link of 1,
-  beta and gamma as its polynomial corrections.  A parity failure while
-  halving is returned as a first-class expression witness: the failure is
-  itself an obstruction.
+  beta and gamma as its polynomial corrections.  When alpha's halving
+  fails, the witness ``HALFLINK(ONE)`` is returned instead: the failure is
+  itself an obstruction, and no other halving can fail.
 * ``dim3_check`` — for dimension at most 3, the b-vector of every
   simplex's geometric link must vanish.
 * ``search_check`` — the bounded operator-closure search of the search
@@ -40,14 +40,24 @@ sigma(g) = tau | rho of the closed star of tau.  For phi(g) = F(sigma(g)),
 because the cofaces of g are the b' | rho' with b' >= b and rho' >= rho,
 and the sum of (-1)^|b'| over the proper faces b' >= b of the boundary,
 with the empty face when b is, is (-1)^d, while the cofaces of sigma in
-``k`` are the tau | rho'.  So with lambda = Lambda_k(1), the alpha, beta and
-gamma of ``b_vector`` on G are, over sigma, the functions
-alpha = (2 - lambda) / 2, beta = Lambda_k(alpha^2) / 2 and
-gamma = Lambda_k(alpha^3) / 2 on ``k``, and a halving fails on G exactly
-where 2F - Lambda_k F is odd on the closed star of tau, tau itself counting
-only when d >= 1 (a vertex has no g over it).  The halvings run on all of
-``k`` as floor shifts; a value made from an odd one is read only in rows
-whose simplex has failed that halving already.
+``k`` are the tau | rho'.  Write Lambda_k x = x + S(x), S being the
+signed star sums ``_star_sums``; then G's operator pulled back to ``k`` is
+2x - Lambda_k x = x - S(x).  So one routine, ``_b_fields``, makes alpha,
+beta and gamma for both tests from the operator L x = x + S(x) or
+x - S(x): alpha = L(1) / 2, and beta and gamma are x - L(x) / 2 for
+x = alpha^2 and alpha^3, on ``k`` itself for ``b_vector`` and, over sigma,
+on every geometric link at once for ``dim3_check``.  The halving of 1
+fails on G exactly where L(1) = 2 - Lambda_k(1) is odd on the closed star
+of tau, tau itself counting only when d >= 1 (a vertex has no g over it).
+
+That is the only halving checked, because the other two cannot fail.
+Lambda o Lambda = 2 Lambda, so wherever alpha = Lambda(1) / 2 exists,
+Lambda(alpha) = Lambda(1).  Lambda mod 2 sees only its input mod 2, and
+alpha^2 = alpha^3 = alpha mod 2, so Lambda(alpha^2) and Lambda(alpha^3)
+are Lambda(1) mod 2: even.  This holds for Lambda_G as for Lambda_k, and
+at a simplex it needs alpha on the simplex's star only.  The two other
+halvings run as floor shifts, on all of ``k``, and a value that a failed
+halving of 1 makes wrong is read only in rows that report that failure.
 
 Over a strict coface sigma lie the 2^(d+1) - 1 simplices b | rho, an odd
 number; over tau itself the 2^(d+1) - 2 nonempty proper b, an even number.
@@ -56,16 +66,16 @@ b1..b4 are the parities of 1, alpha*beta, alpha*gamma, beta*gamma and
 alpha*beta*gamma summed there, which one zeta pass gives for every tau at
 once.
 
-A failed halving is located, as in ``b_vector``, at G's first odd simplex
-in canonical order.  The first simplex of G over a strict coface is its
-rho, and over tau the boundary vertex b0.  The rho of tau's strict cofaces
-are in the order of the cofaces, since the canonical order compares two
-sets of one size by the least element of their symmetric difference.  When
-d >= 1, an odd strict coface adds one vertex to tau, a link vertex, and
-those come before the boundary's: in dimension <= 3 a strict coface that
-adds two is a tetrahedron over an edge, which is maximal, and Lambda x is
-2x on a maximal simplex of dimension >= 1.  So the location is the rho of
-tau's first odd strict coface, and b0 when tau is odd (d >= 1) and has
+A failed halving of 1 is located, as in ``b_vector``, at G's first odd
+simplex in canonical order.  The first simplex of G over a strict coface is
+its rho, and over tau the boundary vertex b0.  The rho of tau's strict
+cofaces are in the order of the cofaces, since the canonical order compares
+two sets of one size by the least element of their symmetric difference.
+When d >= 1, an odd strict coface adds one vertex to tau, a link vertex,
+and those come before the boundary's: in dimension <= 3 a strict coface
+that adds two is a tetrahedron over an edge, which is maximal, and Lambda x
+is 2x on a maximal simplex of dimension >= 1.  So the location is the rho
+of tau's first odd strict coface, and b0 when tau is odd (d >= 1) and has
 none.  Each odd sigma writes its index into its faces, the first in
 canonical order winning, so no coface table is read.
 
@@ -83,7 +93,7 @@ A pass is never a realizability proof; reports carry that caveat.
 from __future__ import annotations
 
 from itertools import chain, combinations, repeat
-from operator import and_, mul, sub
+from operator import and_, mul, neg, sub
 from typing import NamedTuple
 
 from .complexes import (Simplex, SimplicialComplex, _boundary_labels,
@@ -133,52 +143,56 @@ class InvariantVector(_InvariantVector):
 ZERO_VECTOR = InvariantVector(0, 0, 0, 0, 0)
 
 
-def _half_link_ints(k: SimplicialComplex, xs: list[int],
-                    expr) -> list[int] | ExpressionWitness:
-    """Half the link of the ints ``xs``, the value of ``expr``, or the
-    witness of its first odd link value."""
-    lam, odd = _int_link(xs, _star_sums(k, xs))
-    if odd >= 0:
-        return halving_witness(("HALFLINK", expr), k.simplices[odd], lam[odd])
-    return [a >> 1 for a in lam]
-
-
-# The three halvings of ``b_vector``, in order: alpha = HALFLINK(1), then
-# alpha^2 and alpha^3, whose corrections are beta and gamma.
+# alpha, the one halving of the b-vector that can fail (module docstring).
 _ALPHA = ("HALFLINK", ONE_EXPR)
-_ALPHA_SQ = ("MUL", _ALPHA, _ALPHA)
-_ALPHA_CUBE = ("MUL", _ALPHA_SQ, _ALPHA)
+
+
+def _b_fields(k: SimplicialComplex,
+              sign: int) -> tuple[list[int], int, list[int], int]:
+    """alpha, beta and gamma of the b-vector under the link operator
+    L x = x + sign * S(x) on ``k``, S being ``_star_sums``: Lambda_k for
+    ``sign`` 1, and for -1 the operator of every geometric link pulled
+    back to ``k`` (module docstring).  alpha = L(1) / 2, and beta and gamma
+    are x - L(x) / 2 for x = alpha^2 and alpha^3.  Only L(1) is checked for
+    parity: the other two halvings cannot fail where alpha exists.
+
+    Returns L(1), the index of its first odd value (-1 if none), and the
+    parities of 1, alpha*beta, alpha*gamma, beta*gamma and alpha*beta*gamma
+    of each simplex, packed in fields of the returned width, which holds
+    any sum of them over ``k``."""
+    def link(xs):
+        sums = _star_sums(k, xs)
+        return _int_link(xs, sums if sign > 0 else list(map(neg, sums)))
+
+    lam, odd = link([1] * len(k.simplices))
+    alpha = [a >> 1 for a in lam]
+    asq = list(map(mul, alpha, alpha))
+    beta, gamma = ([(2 * a - b) >> 1 & 1 for a, b in zip(x, link(x)[0])]
+                   for x in (asq, list(map(mul, asq, alpha))))
+    w = len(lam).bit_length()
+    packed = [1 | (a & b) << w | (a & g) << 2 * w | (b & g) << 3 * w
+              | (a & b & g) << 4 * w for a, b, g in zip(alpha, beta, gamma)]
+    return lam, odd, packed, w
+
+
+def _b_of(code: int, w: int) -> InvariantVector:
+    """The b-vector whose bits are the low bits of the fields of ``code``."""
+    return InvariantVector(*[code >> (w * f) & 1 for f in range(5)])
 
 
 def b_vector(k: SimplicialComplex) -> InvariantVector | ExpressionWitness:
     """The (chi2, b1..b4) invariant vector of a complex of dimension <= 2.
 
-    If a half-link application hits a parity obstruction, that obstruction
-    is returned as an ExpressionWitness over the complex instead.
+    If alpha's halving hits a parity obstruction, the witness
+    ``HALFLINK(ONE)`` at its first odd simplex is returned instead: no
+    other halving of the b-vector can fail.
     """
     if k.dim > 2:
         raise ValueError("b-vector requires dimension <= 2")
-    alpha = _half_link_ints(k, [1] * len(k.simplices), ONE_EXPR)
-    if isinstance(alpha, ExpressionWitness):
-        return alpha
-    asq = list(map(mul, alpha, alpha))
-    acube = list(map(mul, asq, alpha))
-    # beta and gamma: x minus half the link of x, for x = alpha^2, alpha^3
-    corrections = []
-    for x, expr in ((asq, _ALPHA_SQ), (acube, _ALPHA_CUBE)):
-        h = _half_link_ints(k, x, expr)
-        if isinstance(h, ExpressionWitness):
-            return h
-        corrections.append(list(map(sub, x, h)))
-    beta, gamma = corrections
-    ab = list(map(mul, alpha, beta))
-    return InvariantVector(
-        len(k.simplices) & 1,  # chi mod 2: every simplex adds +-1
-        sum(ab) & 1,
-        sum(map(mul, alpha, gamma)) & 1,
-        sum(map(mul, beta, gamma)) & 1,
-        sum(map(mul, ab, gamma)) & 1,
-    )
+    lam, odd, packed, w = _b_fields(k, 1)
+    if odd >= 0:
+        return halving_witness(_ALPHA, k.simplices[odd], lam[odd])
+    return _b_of(sum(packed), w)
 
 
 # -- reports -------------------------------------------------------------------
@@ -261,11 +275,6 @@ def _b_text(res, label) -> tuple[str, str, dict]:
             {"b": list(res)})
 
 
-def _lam(k: SimplicialComplex, xs: list[int]) -> list[int]:
-    """Lambda of the ints ``xs`` on ``k``."""
-    return _int_link(xs, _star_sums(k, xs))[0]
-
-
 def _first_odd_cofaces(k: SimplicialComplex, odd: list[int]) -> dict[int, int]:
     """The index of the first strict coface, in canonical order, among the
     simplices ``odd``, for every simplex that has one.  Each simplex of
@@ -285,42 +294,24 @@ def dim3_check(k: SimplicialComplex) -> ObstructionReport:
     """Vanishing of the b-vector of every simplex's geometric link.
 
     Every row is read off link operators on ``k`` itself (see the module
-    docstring), with the value, expression and halving order of
-    ``b_vector`` on the row's geometric link, and a half-link witness's
-    location named as ``geometric_link`` labels it."""
+    docstring), with the value or witness of ``b_vector`` on the row's
+    geometric link, a witness's location named as ``geometric_link``
+    labels it."""
     if k.dim > 3:
         raise ValueError("dim3 check requires dimension <= 3")
     simplices = k.simplices
-    ones = [1] * len(simplices)
-    lam = _lam(k, ones)
-    alpha = [(2 - a) >> 1 for a in lam]
-    asq = list(map(mul, alpha, alpha))
-    acube = list(map(mul, asq, alpha))
-    halvings = [(_ALPHA, ones, lam)] + [
-        (("HALFLINK", expr), x, _lam(k, x))
-        for expr, x in ((_ALPHA_SQ, asq), (_ALPHA_CUBE, acube))]
-    # The first failed halving of each failing simplex: its expression,
-    # the odd value 2x - Lambda x and where it is, a strict coface or the
-    # simplex itself (a boundary vertex of the geometric link).
-    fails: dict[int, tuple] = {}
-    for expr, x, lx in halvings:
-        odd = [i for i, a in enumerate(lx) if a & 1]
-        first = _first_odd_cofaces(k, odd)
-        for i in odd:
-            if len(simplices[i]) > 1:  # odd itself, no odd coface: at b0
-                first.setdefault(i, i)
-        for i, j in first.items():
-            if i not in fails:
-                fails[i] = (expr, 2 * x[j] - lx[j], j)
-    # chi2 and b1..b4: the parities of 1, alpha*beta, alpha*gamma,
-    # beta*gamma and alpha*beta*gamma summed over each simplex's strict
-    # cofaces, from one zeta pass of those bits (beta and gamma mod 2)
-    # packed in fields of w bits, wide enough for any count.  The pass
-    # applies the signs again, so it sums without them.
-    beta, gamma = ([c >> 1 & 1 for c in lx] for _, _, lx in halvings[1:])
-    w = len(simplices).bit_length()
-    packed = [1 | (a & b) << w | (a & g) << 2 * w | (b & g) << 3 * w
-              | (a & b & g) << 4 * w for a, b, g in zip(alpha, beta, gamma)]
+    lam, _, packed, w = _b_fields(k, -1)
+    # Where alpha's halving fails, with lam = 2 - Lambda_k(1): the first
+    # odd strict coface of each simplex, or the simplex itself, when odd
+    # with no odd coface (a boundary vertex of the geometric link).
+    odd = [i for i, a in enumerate(lam) if a & 1]
+    fails = _first_odd_cofaces(k, odd)
+    for i in odd:
+        if len(simplices[i]) > 1:  # a vertex has no boundary vertex b0
+            fails.setdefault(i, i)
+    # chi2 and b1..b4 of each simplex's geometric link: the fields summed
+    # over its strict cofaces by one zeta pass, which applies the signs
+    # again, so it sums without them.
     mask = sum(1 << (w * f) for f in range(5))
     codes = map(and_, map(sub, _star_sums(k, _signed(k, packed)), packed),
                 repeat(mask))
@@ -330,21 +321,19 @@ def dim3_check(k: SimplicialComplex) -> ObstructionReport:
     rows = []
     for i, (tau, where, code) in enumerate(zip(simplices, k.simplex_names(),
                                                codes)):
-        got = fails.get(i)
-        if got is None:
+        j = fails.get(i)
+        if j is None:
             row = texts.get(code)
             if row is None:
-                row = texts[code] = _b_text(InvariantVector(
-                    *[code >> (w * f) & 1 for f in range(5)]), None)
+                row = texts[code] = _b_text(_b_of(code, w), None)
         else:
             if names is None:
                 names = k.labels
                 # b0, primed until fresh: the same for every dimension
                 names[base] = _boundary_labels(k, 1)[0]
-            expr, a, j = got
             at = (base,) if j == i else [v for v in simplices[j]
                                          if v not in tau]
-            row = _b_text(halving_witness(expr, Simplex(at), a), names)
+            row = _b_text(halving_witness(_ALPHA, Simplex(at), lam[j]), names)
         rows.append(TestRow("dim3", tau, where, *row))
     return _report(k, "dim3", tuple(rows))
 

@@ -503,6 +503,35 @@ def test_located_witness_rows_are_named_as_on_their_own_link(monkeypatch):
     assert None in texts
 
 
+@pytest.mark.parametrize("k", [
+    corpus.corpus_complex("susp_sphere3"),
+    build_complex([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)],
+                  labels={0: "b0", 1: "b1", 2: "x", 3: "y"})],
+    ids=["susp_sphere3", "primed_sphere2"])
+def test_located_search_witness_on_the_boundary_is_named(k, monkeypatch):
+    # No search in the corpus finds a witness on a boundary vertex, so every
+    # search here reports one at its dense link's last vertex, which is the
+    # last boundary vertex when the simplex is not a vertex.  Each row names
+    # it as its own geometric link names its last vertex: on the sphere, b0
+    # and b1 are primed past the complex's own labels.
+    def search(link, budget):
+        last = Simplex((link.vertex_ids[-1],))
+        return closure_search(link, budget)._replace(
+            witness=halving_witness(("HALFLINK", ONE_EXPR), last, 1))
+
+    monkeypatch.setattr(invariants, "closure_search", search)
+    rows = search_check(k, SearchBudget(max_functions=50)).rows
+    assert len(rows) == len(k.simplices)
+    for tau, row in zip(k.simplices, rows):
+        own = geometric_link(k, tau)
+        where = f"({own.label(own.vertex_ids[-1])})"
+        assert row.data["witness"]["location"] == where, tau
+        assert row.value.endswith(f" at {where}"), tau
+    assert {row.data["witness"]["location"] for row in rows
+            if row.simplex.dim} == (
+        {"(b1')", "(b2)"} if k.dim == 2 else {"(b1)", "(b2)", "(b3)", "(b4)"})
+
+
 def _star_key_cases():
     for name in corpus.corpus_names():
         yield corpus.corpus_complex(name)
@@ -576,16 +605,14 @@ def test_search_check_builds_one_link_per_star_key(monkeypatch):
     assert len(searched) == 6
 
 
-@pytest.mark.parametrize("name, located", [
-    ("sphere3", 0), ("torus", 0), ("window", 32), ("susp_window", 98)])
+@pytest.mark.parametrize("name, located", [("window", 32), ("susp_window", 98)])
 def test_check_reads_link_vertices_only_for_located_rows(name, located,
                                                          tmp_path,
                                                          monkeypatch):
-    # sphere3 and the torus pass every test; the window and its suspension
-    # fail, with half-link witnesses that name a simplex of the link.  Only
-    # the search reads a star, the link vertices with the link key: dim3
-    # rows, located ones too, are read off link operators on the complex
-    # and read none.
+    # The window and its suspension fail, with half-link witnesses that name
+    # a simplex of the link.  Only the search reads a star, the link vertices
+    # with the link key: dim3 rows, located ones too, are read off link
+    # operators on the complex and read none.
     read = []
 
     def counting_star_link(simplices, tau, row):
@@ -600,17 +627,23 @@ def test_check_reads_link_vertices_only_for_located_rows(name, located,
     witnessed = [r for r in rows if "witness" in r
                  and r["witness"]["location"] != "integral"]
     named = [r["simplex"] for r in witnessed if r["test"] != "dim3"]
-    assert code == (0 if not located else 2)
+    assert code == 2
     assert [*map(read_complex(path).simplex_name, read)] == named
     assert len(witnessed) == located
 
 
-@pytest.mark.parametrize("name, located", [
-    ("window", 32), ("susp_window", 98), ("cone_window", 146)])
-def test_dim3_check_builds_no_link(name, located, tmp_path, monkeypatch):
+@pytest.mark.parametrize("name, code, located", [
+    ("window", 2, 32), ("susp_window", 2, 98), ("cone_window", 2, 146),
+    ("sphere3", 0, 0), ("torus", 0, 0)],
+    ids=["window-32", "susp_window-98", "cone_window-146", "sphere3-0",
+         "torus-0"])
+def test_dim3_check_builds_no_link(name, code, located, tmp_path,
+                                   monkeypatch):
     # dim3_check reads every row off link operators on the complex, rows
     # with a located half-link witness too: it runs no b_vector, builds no
-    # link, reads no star or coface table.
+    # link, reads no star or coface table.  sphere3 and the torus pass
+    # every test; the window and its cone and suspension fail, with
+    # half-link witnesses that name a simplex of the link.
     def unused(*args):
         raise AssertionError("dim3_check read a link")
 
@@ -621,7 +654,7 @@ def test_dim3_check_builds_no_link(name, located, tmp_path, monkeypatch):
     monkeypatch.setattr(SimplicialComplex, "cofaces", unused)
     out = tmp_path / "report.json"
     path = os.path.join(ROOT, "corpus", f"{name}.cplx")
-    assert cli.main(["check", "--json", "-o", str(out), path]) == 2
+    assert cli.main(["check", "--json", "-o", str(out), path]) == code
     rows = json.loads(out.read_text(encoding="utf-8"))["tests"]
     assert sum("witness" in r and r["witness"]["location"] != "integral"
                for r in rows) == located

@@ -14,6 +14,7 @@ If either oracle disagrees with the library the formula is wrong, not the
 oracle, so keep these free of library internals.
 """
 
+import functools
 from fractions import Fraction
 from itertools import product
 
@@ -164,7 +165,12 @@ def all_simplicial_maps(k, l):
             yield f
 
 
-def test_pushforward_matches_fiber_oracle_on_all_small_maps():
+@functools.cache
+def pushforward_oracle_run() -> int:
+    """Check the pushforward against the fiber oracle over every map of the
+    small family; the number of functions checked.  The run is exhaustive
+    and slow, so it is made once per session, for this test and the
+    acceptance criterion both; a failed run raises on every call."""
     family = small_family()
     checked = 0
     for k in family:
@@ -178,4 +184,8 @@ def test_pushforward_matches_fiber_oracle_on_all_small_maps():
                     checked += 1
                 assert euler_integral(pushforward(f, mixed)) == \
                     euler_integral(mixed)
-    assert checked > 10000  # the family really was exhaustive
+    return checked
+
+
+def test_pushforward_matches_fiber_oracle_on_all_small_maps():
+    assert pushforward_oracle_run() > 10000  # the family was exhaustive

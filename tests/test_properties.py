@@ -1,20 +1,23 @@
 """Randomized, exact operator identities on small complexes.
 
 Every suite runs at least 100 seeded cases on complexes with at most 8
-vertices and dimension at most 3, values drawn from the integers in
-[-3, 3]. Failures reproduce from the seed in the first line of each test.
+vertices and dimension at most 3 (4 for the Euler cycles), values drawn
+from the integers in [-3, 3]. Failures reproduce from the seed in the
+first line of each test.
 """
 
 import random
+from itertools import combinations
 
 from eulerlink.complexes import (SimplicialMap, barycentric_subdivision,
-                                 euler_characteristic, full_subcomplex,
-                                 validate_map)
+                                 build_complex, euler_characteristic,
+                                 full_subcomplex, validate_map)
 from eulerlink.dyadic import Dyadic
 from eulerlink.functions import (ConstructibleFunction, dual, euler_integral,
                                  half_link, indicator_of_subcomplex,
-                                 link_operator, pullback, pushforward,
-                                 restrict_to_link, subdivide_function)
+                                 is_euler, link_operator, pullback,
+                                 pushforward, restrict_to_link,
+                                 subdivide_function)
 
 from conftest import random_complex, random_function, random_simplicial_map
 
@@ -34,6 +37,43 @@ def test_link_is_idempotent_up_to_factor_two():
         phi = random_function(rng, random_complex(rng))
         lam = link_operator(phi)
         assert link_operator(lam) == lam + lam
+
+
+def euler_cycle(rng: random.Random):
+    """A mod-2 sum of boundaries of (d+1)-simplices, d from 1 to 4, on at
+    most 8 vertices, or None when it is empty or not Euler: Lambda(1) is
+    odd somewhere."""
+    d = rng.randint(1, 4)
+    n = rng.randint(d + 2, 8)
+    faces = set()
+    for _ in range(rng.randint(1, 5)):
+        faces ^= set(combinations(sorted(rng.sample(range(n), d + 2)), d + 1))
+    if not faces:
+        return None
+    k = build_complex(sorted(faces))
+    return k if is_euler(ConstructibleFunction.one(k))[0] else None
+
+
+def test_only_the_halving_of_one_can_fail():
+    # b_vector and dim3_check check alpha = L(1) / 2 for parity, but not the
+    # halvings of alpha^2 and alpha^3 that give beta and gamma: L o L = 2L,
+    # and L mod 2 reads its input mod 2 only, so L(alpha^2) = L(alpha^3) =
+    # L(alpha) = L(1) mod 2 wherever alpha exists.  L is Lambda, or a
+    # geometric link's operator pulled back, 2x - Lambda x = x + dual(x).
+    rng = random.Random(114)
+    seen = set()  # values of alpha
+    for _ in range(2 * CASES):
+        k = None
+        while k is None:
+            k = euler_cycle(rng)
+        one = ConstructibleFunction.one(k)
+        for link in (link_operator, lambda phi: phi + dual(phi)):
+            alpha = link(one).scale(Dyadic(1, 1))
+            seen.update(alpha.values)
+            asq = alpha * alpha
+            for x in (asq, asq * alpha):
+                assert all(v.num % 2 == 0 for v in link(x).values), k
+    assert {Dyadic(-1), Dyadic(2)} <= seen  # alpha^2 is not alpha
 
 
 def test_dual_is_an_involution():
