@@ -27,14 +27,12 @@ The link of a simplex is read from its star, its row of the coface
 table, by one reader, ``_star_link``: the link vertices, ascending, and
 the link's rows on dense ids.  Those rows, with the simplex's dimension,
 are the link key that decides a geometric link's shape.
-``_link_simplices`` joins a link's rows with the boundary of a simplex on
-ids above them: ``_dense_link`` on a key's dense rows and the next dense
-ids, and ``geometric_link`` on the same rows moved onto ``k``'s ids and
-fresh ids above ``k``'s, so each is one construction.
+``geometric_link`` joins the rows, moved onto ``k``'s ids, with the
+boundary of a simplex on fresh ids above ``k``'s, in one construction.
 
 Two incidence tables are built on first use.  The coface table lists every
 strict coface of every simplex, and only stars read it: the links above,
-the order complex of a subdivision and the closure search's quotient.
+the order complex of a subdivision and the closure search's cells.
 ``face_pairs`` lists the codimension-one incidences alone, which is all
 that ``facets`` and the link operator of the functions module need.
 """
@@ -348,39 +346,18 @@ def geometric_link(k: SimplicialComplex, tau) -> SimplicialComplex:
     vertex ids above ``k``'s maximum) with the simplicial link of ``tau``.
 
     For a vertex this is the ordinary vertex link; for a maximal simplex of
-    top dimension d it is the boundary sphere of a d-simplex.  It is built
-    as ``tau``'s dense link with its rows moved onto ``k``'s ids and the
-    boundary onto the fresh ones (``_link_simplices``), in one
-    construction.
+    top dimension d it is the boundary sphere of a d-simplex.  Its
+    simplices, ``tau``'s link rows on ``k``'s ids, the boundary's faces
+    and their joins, are built in one construction.
     """
     tau, verts, rows = _link_rows(k, tau)
     base = k.max_vertex_id() + 1
     fresh = range(base, base + len(tau))
     labels = dict(zip(verts, map(k.label, verts)))
     labels.update(zip(fresh, _boundary_labels(k, tau.dim)))
-    return SimplicialComplex(_trusted(_link_simplices(tau.dim, rows, fresh)),
-                             labels=labels)
-
-
-def _link_simplices(d: int, rows, boundary) -> list[tuple[int, ...]]:
-    """The simplices of a geometric link, unsorted: the link ``rows``, the
-    boundary of a ``d``-simplex on the ids ``boundary`` (no faces for
-    ``d = 0``), all above the rows' ids, and their join, whose rows
-    ascend."""
-    bfaces = [c for r in range(1, d + 1) for c in combinations(boundary, r)]
-    return [*bfaces, *rows, *starmap(add, product(rows, bfaces))]
-
-
-def _dense_link(key: tuple) -> SimplicialComplex:
-    """The geometric link of link key ``key``, a simplex's dimension d and
-    its link rows from ``_star_link``, on dense ids and without labels: the
-    rows on ``0 .. n-1`` and the boundary on ``n .. n+d``
-    (``_link_simplices``).  Its ``simplices`` are the dense shape of the
-    geometric link of every simplex with this key."""
-    d, rows = key
-    n = [*map(len, rows)].count(1)
+    bfaces = [c for r in range(1, len(tau)) for c in combinations(fresh, r)]
     return SimplicialComplex(_trusted(
-        _link_simplices(d, rows, range(n, n + d + 1))))
+        [*bfaces, *rows, *starmap(add, product(rows, bfaces))]), labels=labels)
 
 
 def _boundary_labels(k: SimplicialComplex, d: int) -> list[str]:

@@ -62,7 +62,7 @@ and lets ``face_pairs`` build each as a slice.
 Lambda on ints is written once, in ``_int_link``: from the values and their
 closed-star sums, it returns lam and the index of its first odd value.  A
 complex feeds it the zeta sums (``_star_sums``); the closure search's
-quotient of a link feeds it sums along the rows of its cell table, whose
+cells of a star feed it sums along the rows of their cell table, whose
 rows are multisets of cells, which the zeta form does not fit.  Every local
 test halves through it: the closure search's HALFLINK, ``b_vector`` and
 ``sullivan_check`` work on int lists alone and never build a Dyadic for a

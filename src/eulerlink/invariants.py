@@ -17,16 +17,15 @@ homeomorphic to a real algebraic set:
 * ``divisibility_certificate`` / ``bonnard_bounds`` — the sufficiency
   certificate via 2-adic valuation and the closed-form presentation bounds.
 
-``search_check`` runs the closure search once per link shape and reuses
-the result and its row text on every other simplex whose link has that
-shape.  It is the one test that reads links.  A simplex's link key, its
-dimension and its link rows read from its star in the coface table
-(``complexes._star_link``), decides its link's shape without building
-the link.  A link is built once per link key, straight from the key, on
-dense ids and without labels: its simplex tuple is its shape.  A row
-whose witness names a simplex of the link has its text made on its own,
-with the location named from the labels of the row's own geometric link:
-the link vertices that the same star read gave, then the boundary's.
+``search_check`` runs the closure search once per link key and reuses
+the result and its row text on every other simplex with that key.  A
+simplex's link key is its dimension and its link rows, read from its
+star in the coface table (``complexes._star_link``); the search runs on
+that star (the ``search`` module docstring), so one memo level, by link
+key, is all there is, and no link is built.  A row whose witness names a
+simplex of the link has its text made on its own, with the location
+named from the labels of the row's own geometric link: the link vertices
+that the same star read gave, then the boundary's.
 
 ``dim3_check`` builds no link at all: every geometric link's b-vector is
 read off link operators on ``k`` itself.  Let tau have dimension d and
@@ -97,12 +96,12 @@ from operator import and_, mul, neg, sub
 from typing import NamedTuple
 
 from .complexes import (Simplex, SimplicialComplex, _boundary_labels,
-                        _dense_link, _star_link)
+                        _star_link)
 from .functions import (ConstructibleFunction, _int_link, _signed,
                         _star_sums)
 from .search import (DEFAULT_BUDGET, ExpressionWitness, ONE_EXPR,
-                     SearchBudget, SearchResult, closure_search,
-                     halving_witness, witness_text)
+                     SearchBudget, SearchResult, _search, halving_witness,
+                     witness_text)
 
 NECESSARY_ONLY = ("all checks are necessary conditions for homeomorphism to"
                   " a real algebraic set; passing is not a realizability proof")
@@ -241,7 +240,7 @@ def sullivan_check(k: SimplicialComplex) -> ObstructionReport:
 
     A row's verdict, value and ``data`` are made once per link Euler
     characteristic, not once per simplex, and the rows of one Euler
-    characteristic share them, as the rows of one link shape do in
+    characteristic share them, as the rows of one link key do in
     ``search_check``.  The rows are read from those tables by maps, in C."""
     ones = [1] * len(k.simplices)
     lam, odd = _int_link(ones, _star_sums(k, ones))
@@ -355,44 +354,27 @@ def search_check(k: SimplicialComplex,
                  budget: SearchBudget = DEFAULT_BUDGET) -> ObstructionReport:
     """Closure search at every simplex; report assembled in canonical order.
 
-    The search runs once per link shape, and the rows of one shape share
-    its result and, unless its witness has a location, its row text.  A
-    link's shape is its dense shape: its simplex tuple with the vertex ids
-    relabelled densely in increasing order.  An increasing relabelling
-    keeps the canonical simplex order, so the search, which works by
-    simplex index, does the same on every link of one shape.
-
-    The memo has two levels.  The first simplex of each link key builds
-    the key's dense link (``_dense_link``), whose ``simplices`` are its
-    dense shape; two link keys can share a dense shape (a vertex link and
-    an edge link, say), so the search still runs once per dense shape.
-    A row whose witness has a location names it as the row's own
-    geometric link does: its link vertices as named in ``k``, then the
-    boundary's fresh labels, read once per complex.
+    One memo level, by link key: the search runs once per key, on the star
+    of its first simplex (``search._search``), and the key's rows share its
+    result and row text, unless its witness is located (module docstring).
 
     The notes hold for every row: the completeness of the weakest pass row
     (fewest complete levels, first in canonical order on a tie), and the
     guard hits summed over all rows."""
     simplices = k.simplices
     rows, results = [], []
-    shapes: dict[tuple, tuple] = {}  # dense shape -> (result, text or None)
-    keys: dict[tuple, tuple] = {}  # link key -> its shape's entry
+    keys: dict[tuple, tuple] = {}  # link key -> (result, text or None)
     boundary = None  # b0, b1, ..., primed until fresh in k
-    for tau, where, cofaces in zip(simplices, k.simplex_names(),
-                                   k.coface_table()):
+    for i, (tau, where, cofaces) in enumerate(zip(
+            simplices, k.simplex_names(), k.coface_table())):
         verts, link_rows = _star_link(simplices, tau, cofaces)
         key = (tau.dim, link_rows)
         got = keys.get(key)
         if got is None:
-            link = _dense_link(key)
-            got = shapes.get(link.simplices)
-            if got is None:
-                res = closure_search(link, budget)
-                located = (res.witness is not None
-                           and res.witness.location is not None)
-                got = shapes[link.simplices] = (
-                    res, None if located else _search_text(res, None))
-            keys[key] = got
+            res = _search(k, i, link_rows, budget)
+            w = res.witness
+            got = keys[key] = (res, None if w and w.location
+                               else _search_text(res, None))
         res, text = got
         if text is None:
             if boundary is None:

@@ -22,36 +22,48 @@ minimal depth, and a pass that stops at the function budget has explored
 every level below the one it stopped in.  An empty level has no deeper
 one, so it ends the search as if at the depth limit.
 
-The search runs on the link's quotient, one value per cell.  The cells are
-the coarsest partition of the link's simplices, refined from dimension,
-in which every simplex of a cell has as many strict cofaces in each cell
-as any other simplex of that cell (colour refinement along cofaces).  The
-constant 1 is constant on cells, ADD, SUB, MUL and POP act value by value,
-and the link operator reads only a simplex's own value and those of its
-cofaces, so every function of the closure is constant on cells and is
-kept as one value per cell: on cell a, with ``s = (-1)^(dim + 1)`` (the
-quotient keeps one sign per cell),
+The search runs on tau's star in K, one value per cell, and builds no
+link.  Let tau have dimension d and geometric link G.  Each simplex of G
+lies over one of rel(tau): tau's strict cofaces, and tau when d >= 1.
+G's link operator on F pulled back from rel(tau) is L F pulled back, with
+L x = 2x - Lambda_K x = x - S(x) (the ``invariants`` module docstring),
+and ADD, SUB, MUL and POP act value by value, so every function of the
+closure of 1 on G is pulled back from exactly one F on rel(tau).  G's
+Euler integral is the sum of w(sigma) F(sigma), w = (-1)^|sigma| on strict
+cofaces and 1 + (-1)^|tau| on tau (|sigma| counts vertices).  A link is
+searched as the star of a cone apex: d = 0, w = (-1)^dim.
 
-    (lam y)_a = y_a + s_a * y_a + sum over sigma > (first simplex of a)
-                of s_(cell of sigma) * y_(cell of sigma).
+The cells are the coarsest partition of rel(tau), refined from size (tau
+is alone in its size), in which every simplex of a cell has as many
+strict cofaces in each cell as any other (colour refinement along
+cofaces).  L reads a simplex's own value and its cofaces', so every
+function of the closure is kept as one value per cell: on cell a, with
+``s = (-1)^(|sigma| + 1)``,
+
+    (L y)_a = y_a + sum over sigma >= (first simplex of a)
+              of s_(cell of sigma) * y_(cell of sigma).
 
 Two functions are equal exactly when their cell values are, and a value
-is reached on some simplex exactly when it is some cell's value, so the
-levels, counts, guard hits and stop are those of a search on one value per
-simplex (the vertex link of ``susp_sphere3``: 44 simplices, 6 cells).  Cells
-are numbered in the order of their first simplex, so a halving witness is
-located at the first simplex of its first odd cell, which is the link's
-first simplex with an odd link value.
+is reached on G exactly when it is some cell's value, so the levels,
+counts, guard hits and stop are those of a search on one value per
+simplex of G (the vertex link of ``susp_sphere3``: 44 simplices, 6
+cells).  A failed halving names G's first odd simplex.  Over a strict
+coface sigma, G starts at rho = sigma - tau, the rho in the order of their
+sigma; over tau, at the boundary vertex b0, after the link's vertices and
+before every larger rho.  So the cells are numbered in the order of G's
+first simplex over them, and the first odd cell names the rho of tau's
+first odd strict coface, or b0 when tau is odd and that rho is missing or
+has two or more vertices: on the dense ids of the link rows
+(``complexes._star_link``), b0 the next.
 
 Every kept value is integer-valued with an even integral, since anything
 else is a witness and ends the search.  So values are plain int tuples:
 ADD, SUB and MUL map over two tuples, POP is ``(x^4 - x^2) >> 1``, the
-integral's parity is that of the sum of the values weighted by the cell
-sizes, and HALFLINK halves the link operator's ints
-(``functions._int_link`` on the sums along the cell table's rows, the
-halving ``b_vector`` uses on the zeta sums of one value per simplex), its
-first odd value being a non-integer witness.  A Dyadic is built only for a
-witness.
+integral is the sum of the values weighted by w and the cell sizes, and
+HALFLINK halves L's ints (``functions._int_link`` on the sums along the
+cell table's rows, the halving ``b_vector`` uses on the zeta sums of one
+value per simplex), its first odd value being a non-integer witness.  A
+Dyadic is built only for a witness.
 
 The value-growth guard drops a candidate with a value whose canonical
 numerator exceeds 2**GUARD_BITS in absolute value, and counts it as a guard
@@ -205,7 +217,7 @@ GUARD_BITS = 128  # the value-growth guard (see the module docstring)
 class SearchResult(NamedTuple):
     verdict: str  # "pass" | "witness"
     witness: ExpressionWitness | None
-    link: SimplicialComplex
+    link: SimplicialComplex | None  # None for a search on a star
     explored: int = 0  # distinct functions admitted to the table
     candidates: int = 0  # expression evaluations attempted
     guard_hits: int = 0
@@ -245,29 +257,45 @@ def _pop(x: int) -> int:
 
 
 class _Quotient(NamedTuple):
-    """A link's cells (see the module docstring), numbered in the order of
-    their first simplex."""
+    """The cells of a star (see the module docstring), numbered in the
+    order of G's first simplex over them."""
 
-    cells: tuple[int, ...]  # the cell of each link simplex
-    simplices: tuple[Simplex, ...]  # the first simplex of each cell
+    cells: tuple[int, ...]  # the cell of each simplex of rel(tau), so ordered
+    simplices: tuple[Simplex, ...]  # G's first simplex over each cell
     # The cells of the strict cofaces of each cell's first simplex, repeats
     # kept: the rows that ``_cell_star_sums`` sums along.
     table: tuple[tuple[int, ...], ...]
     sizes: tuple[int, ...]  # simplices per cell
-    signs: tuple[int, ...]  # (-1)^(dim + 1) of each cell's simplices
+    signs: tuple[int, ...]  # s = (-1)^(|sigma| + 1) of each cell's simplices
+    weights: tuple[int, ...]  # w times the size: each cell's integral weight
 
 
-def _quotient(link: SimplicialComplex) -> _Quotient:
-    """Refine the partition by dimension until each cell's simplices agree
-    on the cells of their cofaces, counted with multiplicity."""
-    table = link.coface_table()
-    cells = [len(s) for s in link.simplices]
+def _quotient(k: SimplicialComplex, tau: int = -1, rows=()) -> _Quotient:
+    """The cells of rel(tau) in ``k`` for its simplex of index ``tau``, with
+    link rows ``rows`` (``complexes._star_link``), or with no ``tau``, of
+    the link ``k`` as the star of a cone apex: the partition by size,
+    refined until each cell's simplices agree on the cells of their
+    cofaces, counted with multiplicity."""
+    table = k.coface_table()
+    if tau < 0:
+        d, members, firsts = 0, range(len(table)), k.simplices
+    else:
+        d, members, firsts = len(k.simplices[tau]) - 1, table[tau], rows
+    lens = [*map(len, firsts)]  # |rho| = |sigma| - d - 1
+    if d:  # over tau, G starts at b0, after the link's nv vertices
+        nv = lens.count(1)
+        members = [*members[:nv], tau, *members[nv:]]
+        firsts = [*firsts[:nv], (nv,), *firsts[nv:]]
+        lens[nv:nv] = [0]
+    pos = dict(zip(members, range(len(members))))
+    star = [[*map(pos.__getitem__, table[j])] for j in members]
+    cells = lens
     n = len(set(cells))
     while True:
         old = cells.__getitem__
         ids: dict[tuple, int] = {}
         cells = [ids.setdefault((c, tuple(sorted(map(old, row)))), len(ids))
-                 for c, row in zip(cells, table)]
+                 for c, row in zip(cells, star)]
         if len(ids) == n:
             break  # no cell split: the partition is stable
         n = len(ids)
@@ -276,13 +304,16 @@ def _quotient(link: SimplicialComplex) -> _Quotient:
     for i, c in enumerate(cells):
         first.setdefault(c, i)
         sizes[c] += 1
-    simplices = tuple(link.simplices[i] for i in first.values())
+    heads = [*first.values()]
+    signs = tuple(-1 if (lens[i] + d) & 1 else 1 for i in heads)
     return _Quotient(
         cells=tuple(cells),
-        simplices=simplices,
-        table=tuple(tuple(cells[j] for j in table[i]) for i in first.values()),
+        simplices=tuple(firsts[i] for i in heads),
+        table=tuple(tuple(cells[j] for j in star[i]) for i in heads),
         sizes=tuple(sizes),
-        signs=tuple(-1 if len(s) % 2 else 1 for s in simplices))
+        signs=signs,
+        weights=tuple((lens[i] == 0) - s * z
+                      for i, s, z in zip(heads, signs, sizes)))
 
 
 def _cell_star_sums(q: _Quotient, xs: tuple[int, ...]) -> list[int]:
@@ -331,10 +362,12 @@ def _candidates(q: _Quotient, values: list[tuple[int, ...]],
         lo = hi
 
 
-def closure_search(link: SimplicialComplex,
-                   budget: SearchBudget = DEFAULT_BUDGET) -> SearchResult:
-    """Search the operator closure of the link's indicator for a violation."""
-    q = _quotient(link)
+def _search(k: SimplicialComplex, tau: int, rows,
+            budget: SearchBudget) -> SearchResult:
+    """The level search on the cells ``_quotient(k, tau, rows)``.  On a
+    star, a witness is located on the dense ids of the link rows (b0 the
+    next id), and the result has no link."""
+    q = _quotient(k, tau, rows)
     guard = 1 << GUARD_BITS
     values: list[tuple[int, ...]] = []
     exprs: list[Expression] = []
@@ -353,9 +386,9 @@ def closure_search(link: SimplicialComplex,
             continue
         expr = (op, *(exprs[i] for i in args))
         if odd >= 0:
-            witness = halving_witness(expr, q.simplices[odd], nums[odd])
-        elif sum(map(mul, q.sizes, nums)) & 1:
-            integral = -sum(map(mul, q.sizes, map(mul, q.signs, nums)))
+            witness = halving_witness(expr, Simplex(q.simplices[odd]),
+                                      nums[odd])
+        elif (integral := sum(map(mul, q.weights, nums))) & 1:
             witness = ExpressionWitness(
                 expr=expr, kind=KIND_ODD_INTEGRAL, location=None,
                 value=Dyadic(integral), depth=depth,
@@ -375,10 +408,16 @@ def closure_search(link: SimplicialComplex,
             if after is not None:
                 stop, complete = "max-functions", after[0] - 1
             break
-    return SearchResult("witness" if witness else "pass", witness, link,
+    return SearchResult("witness" if witness else "pass", witness, None,
                         explored=len(values), candidates=candidates,
                         guard_hits=guard_hits, stop=stop, budget=budget,
                         levels=tuple(levels[:complete + 1]))
+
+
+def closure_search(link: SimplicialComplex,
+                   budget: SearchBudget = DEFAULT_BUDGET) -> SearchResult:
+    """Search the operator closure of the link's indicator for a violation."""
+    return _search(link, -1, (), budget)._replace(link=link)
 
 
 def dim4_local_search(k: SimplicialComplex, tau,

@@ -1,5 +1,5 @@
 """Shared generators for the randomized suites, and the closure,
-dense-shape, link-key and link references.
+dense-shape, dense-link, link-key and link references.
 
 Every generator takes an explicit random.Random so a failing case can be
 reproduced from the seed alone.
@@ -13,7 +13,8 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from eulerlink.complexes import (Simplex, SimplicialComplex, SimplicialMap,
-                                 build_complex, validate_map)
+                                 build_complex, cone, suspension,
+                                 validate_map)
 from eulerlink.dyadic import Dyadic
 from eulerlink.functions import ConstructibleFunction
 from eulerlink.invariants import sullivan_check
@@ -61,6 +62,18 @@ def small_complexes(draw):
 
 
 @st.composite
+def cones_and_suspensions(draw):
+    """Complexes of dimension 4 and 5: one or two cones or suspensions of a
+    ``small_complexes()`` complex of dimension 2 or 3."""
+    k = draw(small_complexes())
+    assume(k.dim >= 2)
+    for op in draw(st.lists(st.sampled_from([cone, suspension]),
+                            min_size=4 - k.dim, max_size=2)):
+        k = op(k)
+    return k
+
+
+@st.composite
 def tetrahedron_sums(draw):
     """Mod-2 sums of 1 to 5 tetrahedron boundaries on 5 to 9 vertices, the
     generator that found ``akl``, kept where Sullivan's test passes."""
@@ -97,6 +110,20 @@ def dense_shape(link: SimplicialComplex) -> tuple:
     increasing order: what the link-shape memo keys its results by."""
     dense = {v: i for i, v in enumerate(link.vertex_ids)}
     return tuple(tuple(dense[v] for v in s) for s in link.simplices)
+
+
+def dense_link(key: tuple) -> SimplicialComplex:
+    """The geometric link of link key ``key``, a simplex's dimension d and
+    its link rows, on dense ids and without labels: the rows on
+    ``0 .. n-1``, the boundary of a d-simplex on ``n .. n+d`` (no faces for
+    d = 0), and their join.  Its ``simplices`` are the dense shape of the
+    geometric link of every simplex with this key."""
+    d, rows = key
+    n = [*map(len, rows)].count(1)
+    bfaces = [c for r in range(1, d + 1)
+              for c in combinations(range(n, n + d + 1), r)]
+    return SimplicialComplex([Simplex(s) for s in (
+        *bfaces, *rows, *(r + b for r in rows for b in bfaces))])
 
 
 def link_key(k: SimplicialComplex, i: int) -> tuple:

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (closure, ref_geometric_link, small_complexes,
-                      small_or_empty_complexes)
+from conftest import (closure, dense_link, ref_geometric_link,
+                      small_complexes, small_or_empty_complexes)
 from eulerlink import corpus
 from eulerlink.complexes import (Simplex, SimplicialComplex, SimplicialMap,
-                                 _boundary_labels, _dense_link, _star_link,
+                                 _boundary_labels, _star_link,
                                  build_complex,
                                  barycentric_subdivision, cone,
                                  disjoint_union, euler_characteristic,
@@ -530,7 +530,7 @@ def test_link_labels_name_the_dense_link_as_the_geometric_link(name):
         ref = ref_geometric_link(k, tau)
         assert len(label) == ref.n_vertices
         assert tuple("(" + " ".join(map(label.__getitem__, s)) + ")"
-                     for s in _dense_link((tau.dim, rows)).simplices) == \
+                     for s in dense_link((tau.dim, rows)).simplices) == \
             ref.simplex_names(), tau
 
 

@@ -6,11 +6,11 @@ import os
 import pytest
 from hypothesis import given, settings
 
-from conftest import (dense_shape, link_key, ref_geometric_link,
+from conftest import (dense_link, dense_shape, link_key, ref_geometric_link,
                       ref_simplicial_link, small_complexes, tetrahedron_sums)
 from eulerlink import cli, complexes, corpus, invariants, search
-from eulerlink.complexes import (Simplex, SimplicialComplex, _dense_link,
-                                 _star_link, barycentric_subdivision,
+from eulerlink.complexes import (Simplex, SimplicialComplex, _star_link,
+                                 barycentric_subdivision,
                                  build_complex, cone, disjoint_union,
                                  euler_characteristic, geometric_link, join,
                                  point_complex, simplicial_link, suspension)
@@ -257,7 +257,7 @@ def test_dim3_check_apex_iff_base_vector_vanishes():
         assert (apex_rows[0].verdict == "pass") == base_ok, name
 
 
-# -- one local test per link shape --------------------------------------------------
+# -- one local test per link key ----------------------------------------------------
 
 
 def _dim3_reference(k):
@@ -436,35 +436,34 @@ def _dense_results(k, local):
     for i, tau in enumerate(k.simplices):
         key = (tau.dim, _star_link(k.simplices, tau, k.cofaces(i))[1])
         if key not in memo:
-            memo[key] = local(_dense_link(key))
+            memo[key] = local(dense_link(key))
         yield memo[key]
 
 
-def test_search_runs_once_per_link_shape(monkeypatch):
+def test_search_runs_once_per_link_key(monkeypatch):
     k = corpus.corpus_complex("susp_sphere3")
     searched, texts = [], []
 
-    def search(link, budget):
-        res = closure_search(link, budget)
-        searched.append((link.simplices, res))
+    def star_search(k, i, rows, budget):
+        res = search._search(k, i, rows, budget)
+        searched.append((link_key(k, i), res))
         return res
 
     def text(res, label):
         texts.append(label)
         return _search_text(res, label)
 
-    monkeypatch.setattr(invariants, "closure_search", search)
+    monkeypatch.setattr(invariants, "_search", star_search)
     monkeypatch.setattr(invariants, "_search_text", text)
     rows = search_check(k, SearchBudget(max_depth=1)).rows
     assert len(rows) == len(k.simplices) == 92
-    assert len(searched) == 6
-    assert texts == [None] * 6  # every witness is an odd integral
-    results = dict(searched)  # dense shape -> its search
-    assert len(results) == 6
-    for tau, row in zip(k.simplices, rows):
+    assert len(searched) == 8
+    assert texts == [None] * 8  # every witness is an odd integral
+    results = dict(searched)  # link key -> its search
+    assert len(results) == 8
+    for i, (tau, row) in enumerate(zip(k.simplices, rows)):
         assert row.simplex == tau and row.test == "search"
-        res = results[dense_shape(geometric_link(k, tau))]
-        assert row[3:] == _search_text(res, None)
+        assert row[3:] == _search_text(results[link_key(k, i)], None)
 
 
 def test_located_witness_rows_are_named_as_on_their_own_link(monkeypatch):
@@ -514,12 +513,14 @@ def test_located_search_witness_on_the_boundary_is_named(k, monkeypatch):
     # last boundary vertex when the simplex is not a vertex.  Each row names
     # it as its own geometric link names its last vertex: on the sphere, b0
     # and b1 are primed past the complex's own labels.
-    def search(link, budget):
-        last = Simplex((link.vertex_ids[-1],))
-        return closure_search(link, budget)._replace(
+    def star_search(k, i, rows, budget):
+        # The dense link has its n link vertices, then the boundary's d + 1.
+        n, d = [*map(len, rows)].count(1), k.simplices[i].dim
+        last = Simplex((n + d if d else n - 1,))
+        return search._search(k, i, rows, budget)._replace(
             witness=halving_witness(("HALFLINK", ONE_EXPR), last, 1))
 
-    monkeypatch.setattr(invariants, "closure_search", search)
+    monkeypatch.setattr(invariants, "_search", star_search)
     rows = search_check(k, SearchBudget(max_functions=50)).rows
     assert len(rows) == len(k.simplices)
     for tau, row in zip(k.simplices, rows):
@@ -564,7 +565,7 @@ def _assert_star_keys_exact(k):
         assert tuple(verts) == link.vertex_ids, tau
         ref = ref_geometric_link(k, tau)
         _assert_same_complex(geometric_link(k, tau), ref, tau)
-        assert _dense_link(key).simplices == dense_shape(ref), tau
+        assert dense_link(key).simplices == dense_shape(ref), tau
 
 
 @pytest.mark.parametrize("k", _star_key_cases(),
@@ -585,24 +586,33 @@ def test_sullivan_rows_match_the_per_row_reference_on_drawn_complexes(k):
     _assert_sullivan_rows(k)
 
 
-def test_search_check_builds_one_link_per_star_key(monkeypatch):
-    built, searched = [], []
+def test_search_check_builds_no_link(monkeypatch):
+    # The search runs on each link key's star in k: it builds no complex,
+    # so no link and no link coface table, and reads k's coface table.
+    def unused(*args, **kwargs):
+        raise AssertionError("search_check built a link")
 
-    def counting_link(key):
-        built.append(key)
-        return _dense_link(key)
-
-    def counting_search(link, budget):
-        searched.append(link)
-        return closure_search(link, budget)
-
-    monkeypatch.setattr(invariants, "_dense_link", counting_link)
-    monkeypatch.setattr(invariants, "closure_search", counting_search)
     k = corpus.corpus_complex("susp_sphere3")
+    for module in (complexes, search):
+        monkeypatch.setattr(module, "geometric_link", unused)
+    monkeypatch.setattr(SimplicialComplex, "__init__", unused)
+    searched, tables = [], set()
+    star_search, cofaces = search._search, SimplicialComplex.cofaces
+
+    def counting_search(k, i, rows, budget):
+        searched.append(i)
+        return star_search(k, i, rows, budget)
+
+    def counting_cofaces(k, i):
+        tables.add(k)
+        return cofaces(k, i)
+
+    monkeypatch.setattr(invariants, "_search", counting_search)
+    monkeypatch.setattr(SimplicialComplex, "cofaces", counting_cofaces)
     report = search_check(k, SearchBudget(max_functions=50))
     assert len(report.rows) == 92
-    assert len(built) == 8
-    assert len(searched) == 6
+    assert tables == {k}
+    assert len(searched) == 8  # one per link key
 
 
 @pytest.mark.parametrize("name, located", [("window", 32), ("susp_window", 98)])
@@ -648,8 +658,8 @@ def test_dim3_check_builds_no_link(name, code, located, tmp_path,
         raise AssertionError("dim3_check read a link")
 
     for module in (invariants, complexes):
-        for attr in ("_dense_link", "_star_link"):
-            monkeypatch.setattr(module, attr, unused)
+        monkeypatch.setattr(module, "_star_link", unused)
+    monkeypatch.setattr(complexes, "geometric_link", unused)
     monkeypatch.setattr(invariants, "b_vector", unused)
     monkeypatch.setattr(SimplicialComplex, "cofaces", unused)
     out = tmp_path / "report.json"
@@ -688,7 +698,7 @@ def test_check_calls_cofaces_once_per_complex(name, flags, once, tmp_path,
 @pytest.mark.parametrize("name", ["window", "susp_window"])
 def test_check_renders_each_witness_once(name, flags, tmp_path, monkeypatch):
     # One top-level expression_str per located witness row, and one per
-    # link shape whose witness has no location; recursive calls are not
+    # link key whose witness has no location; recursive calls are not
     # counted.
     calls, depth = [], [0]
     render = search.expression_str
@@ -708,15 +718,18 @@ def test_check_renders_each_witness_once(name, flags, tmp_path, monkeypatch):
     assert cli.main(["check", "--json", "-o", str(out), path, *flags]) == 2
     rows = json.loads(out.read_text(encoding="utf-8"))["tests"]
     k = read_complex(path)
-    by_name = dict(zip(k.simplex_names(), k.simplices))
+    index = dict(zip(k.simplex_names(), range(len(k))))
     located = [r for r in rows
                if "witness" in r and r["witness"]["location"] != "integral"]
-    shapes = {(r["test"], dense_shape(geometric_link(k, by_name[r["simplex"]])))
-              for r in rows
-              if "witness" in r and r["witness"]["location"] == "integral"}
+    keys = {(r["test"], link_key(k, index[r["simplex"]]))
+            for r in rows
+            if "witness" in r and r["witness"]["location"] == "integral"}
     assert located
-    assert bool(shapes) == bool(flags)
-    assert len(calls) == len(located) + len(shapes)
+    assert bool(keys) == bool(flags)
+    assert len(calls) == len(located) + len(keys) == {
+        ("window", False): 32, ("window", True): 37,
+        ("susp_window", False): 98, ("susp_window", True): 108}[
+            name, bool(flags)]
 
 
 def test_reused_witnesses_replay_on_their_own_links():
