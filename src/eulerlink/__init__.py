@@ -23,7 +23,7 @@ from .invariants import (BonnardBounds, BoundQuery, DivisibilityCertificate,
                          divisibility_certificate, merge_reports,
                          search_check, sullivan_check)
 from .search import (ExpressionWitness, SearchBudget, SearchResult,
-                     closure_search, dim4_local_search, replay_witness)
+                     closure_search, replay_witness)
 
 __all__ = [
     "Dyadic",
@@ -41,5 +41,5 @@ __all__ = [
     "bonnard_bounds", "dim3_check", "divisibility_certificate",
     "merge_reports", "search_check", "sullivan_check",
     "ExpressionWitness", "SearchBudget", "SearchResult", "closure_search",
-    "dim4_local_search", "replay_witness",
+    "replay_witness",
 ]

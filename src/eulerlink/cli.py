@@ -23,7 +23,7 @@ from .invariants import (BoundQuery, InvariantVector, b_vector, bonnard_bounds,
                          dim3_check, merge_reports, search_check,
                          sullivan_check)
 from .reports import RunConfig, exit_code_for, render
-from .search import DEFAULT_BUDGET, SearchBudget
+from .search import DEFAULT_BUDGET, SearchBudget, witness_text
 
 
 def _dim_word(d: int, count: int) -> str:
@@ -81,7 +81,8 @@ def cmd_invariants(args) -> int:
         sys.stdout.write(json_text({"complex": k.name, **found,
                                     "exit_code": code}))
     else:
-        print(res if code == 0 else f"obstruction: {res.describe(k.labels)}")
+        print(res if code == 0
+              else f"obstruction: {witness_text(res.as_dict(k.labels))}")
     return code
 
 

@@ -67,15 +67,16 @@ def _check_label(label: str, line: int | None = None) -> str:
     return label
 
 
-def _label_text(token) -> str:
-    """A label as read: a string, or a JSON integer (not a bool) in
-    decimal.  Any other JSON value is a bad label."""
+def _token_text(token, error: str, line: int | None = None) -> str:
+    """A JSON label or value as read: a string, or an integer (not a bool)
+    in decimal.  Any other JSON value raises ``error`` followed by the
+    value as JSON writes it."""
     t = type(token)
     if t is str:
         return token
     if t is int:
         return int.__repr__(token)
-    raise ParseError(f"bad vertex label {json.dumps(token)}")
+    raise ParseError(error + json.dumps(token), line)
 
 
 def _load_json(text: str):
@@ -86,13 +87,8 @@ def _load_json(text: str):
 
 
 def _parse_value(token, line: int | None = None) -> Dyadic:
-    """A value as read: a string, or a JSON integer (not a bool) in
-    decimal.  Any other JSON value is named as JSON writes it."""
-    t = type(token)
-    if t is int:
-        token = int.__repr__(token)
-    elif t is not str:
-        raise ParseError(f"not a dyadic rational: {json.dumps(token)}", line)
+    """A value as read (``_token_text``), as a dyadic rational."""
+    token = _token_text(token, "not a dyadic rational: ", line)
     try:
         return Dyadic.parse(token)
     except ValueError as e:
@@ -241,7 +237,7 @@ def _complex_from_obj(obj, name: str | None,
     for f in raw:
         if not isinstance(f, list) or not f:
             raise ParseError("each facet must be a nonempty array of labels")
-        facets.append([*map(_label_text, f)])
+        facets.append([_token_text(t, "bad vertex label ") for t in f])
     got = obj.get("name")
     if got is not None and not isinstance(got, str):
         raise ParseError("'name' must be a string")
@@ -410,7 +406,8 @@ def _json_entries(values):
                              " 'simplex' and 'value' fields")
         if not isinstance(entry["simplex"], list) or not entry["simplex"]:
             raise ParseError("'simplex' must be a nonempty array of labels")
-        yield [*map(_label_text, entry["simplex"])], entry["value"], None
+        yield ([_token_text(t, "bad vertex label ") for t in entry["simplex"]],
+               entry["value"], None)
 
 
 def read_function(path: str, k: SimplicialComplex) -> ConstructibleFunction:

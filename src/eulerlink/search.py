@@ -79,7 +79,7 @@ from __future__ import annotations
 from operator import add, mul, sub
 from typing import NamedTuple
 
-from .complexes import Simplex, SimplicialComplex, geometric_link
+from .complexes import Simplex, SimplicialComplex
 from .dyadic import Dyadic
 from .functions import (ConstructibleFunction, _int_link, euler_integral,
                         half_link_total, p_operator)
@@ -141,10 +141,6 @@ class ExpressionWitness(NamedTuple):
     value: Dyadic
     depth: int
     size: int
-
-    def describe(self, label) -> str:
-        """The one-line description of ``as_dict(label)``."""
-        return witness_text(self.as_dict(label))
 
     def as_dict(self, label) -> dict:
         """The witness as a report writes it, its location named as the
@@ -217,7 +213,6 @@ GUARD_BITS = 128  # the value-growth guard (see the module docstring)
 class SearchResult(NamedTuple):
     verdict: str  # "pass" | "witness"
     witness: ExpressionWitness | None
-    link: SimplicialComplex | None  # None for a search on a star
     explored: int = 0  # distinct functions admitted to the table
     candidates: int = 0  # expression evaluations attempted
     guard_hits: int = 0
@@ -226,17 +221,13 @@ class SearchResult(NamedTuple):
     # Functions per complete level, depth 0 up.  An empty level ends the
     # closure, so empty levels are left out.
     levels: tuple[int, ...] = ()
+    # Every expression of depth <= this was evaluated: the depth limit, or
+    # one less than the depth of the witness or of the budget stop.
+    depth_complete: int = -1
 
     @property
     def passed(self) -> bool:
         return self.verdict == "pass"
-
-    @property
-    def depth_complete(self) -> int:
-        """Every expression of depth <= this was evaluated."""
-        if self.stop == "depth-limit":
-            return self.budget.max_depth
-        return len(self.levels) - 1
 
     def completeness(self) -> str:
         """What a pass explored: the complete levels, and where the search
@@ -366,7 +357,7 @@ def _search(k: SimplicialComplex, tau: int, rows,
             budget: SearchBudget) -> SearchResult:
     """The level search on the cells ``_quotient(k, tau, rows)``.  On a
     star, a witness is located on the dense ids of the link rows (b0 the
-    next id), and the result has no link."""
+    next id)."""
     q = _quotient(k, tau, rows)
     guard = 1 << GUARD_BITS
     values: list[tuple[int, ...]] = []
@@ -408,19 +399,16 @@ def _search(k: SimplicialComplex, tau: int, rows,
             if after is not None:
                 stop, complete = "max-functions", after[0] - 1
             break
-    return SearchResult("witness" if witness else "pass", witness, None,
+    return SearchResult("witness" if witness else "pass", witness,
                         explored=len(values), candidates=candidates,
                         guard_hits=guard_hits, stop=stop, budget=budget,
-                        levels=tuple(levels[:complete + 1]))
+                        levels=tuple(levels[:complete + 1]),
+                        depth_complete=complete)
 
 
 def closure_search(link: SimplicialComplex,
                    budget: SearchBudget = DEFAULT_BUDGET) -> SearchResult:
-    """Search the operator closure of the link's indicator for a violation."""
-    return _search(link, -1, (), budget)._replace(link=link)
-
-
-def dim4_local_search(k: SimplicialComplex, tau,
-                      budget: SearchBudget = DEFAULT_BUDGET) -> SearchResult:
-    """Run the closure search over the geometric link of ``tau`` in ``k``."""
-    return closure_search(geometric_link(k, tau), budget)
+    """Search the operator closure of a built link's indicator for a
+    violation: the star search of a cone apex.  A witness is located on
+    the link's own simplices."""
+    return _search(link, -1, (), budget)

@@ -30,6 +30,16 @@ def random_complex(rng: random.Random, max_vertices: int = 8,
     return build_complex(facets)
 
 
+def boundary_sum(rng: random.Random, d: int,
+                 n: int) -> SimplicialComplex | None:
+    """A mod-2 sum of one to five boundaries of (d+1)-simplices on the
+    vertices 0..n-1, or None when it is empty."""
+    faces = set()
+    for _ in range(rng.randint(1, 5)):
+        faces ^= set(combinations(sorted(rng.sample(range(n), d + 2)), d + 1))
+    return build_complex(sorted(faces)) if faces else None
+
+
 def random_function(rng: random.Random, k: SimplicialComplex,
                     lo: int = -3, hi: int = 3) -> ConstructibleFunction:
     return ConstructibleFunction(k, [Dyadic(rng.randint(lo, hi))

@@ -21,7 +21,7 @@ from eulerlink.invariants import (InvariantVector, ZERO_VECTOR, b_vector,
                                   divisibility_certificate)
 from eulerlink.fileio import save_complex
 from eulerlink.search import (ExpressionWitness, SearchBudget,
-                              dim4_local_search, replay_witness)
+                              closure_search, replay_witness)
 
 import test_oracles
 import test_properties
@@ -183,11 +183,11 @@ def test_criterion_08_search_consistency(capsys):
                 if not nonzero:
                     continue
                 flagged += 1
-                res = dim4_local_search(k, tau, budget)
+                res = closure_search(link, budget)
                 assert res.verdict == "witness", \
                     (k.name, k.simplex_name(tau))
                 w = res.witness
-                assert replay_witness(w, res.link) == w.value
+                assert replay_witness(w, link) == w.value
         assert flagged > 0
 
 

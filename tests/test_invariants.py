@@ -27,8 +27,8 @@ from eulerlink.invariants import (MAX_BOUND_DIMENSION, MAX_BOUND_RANGE,
                                   divisibility_certificate, merge_reports,
                                   search_check, sullivan_check)
 from eulerlink.search import (ONE_EXPR, ExpressionWitness, SearchBudget,
-                              SearchResult, closure_search, dim4_local_search,
-                              halving_witness, replay_witness)
+                              SearchResult, closure_search, halving_witness,
+                              replay_witness, witness_text)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DIM2_CORPUS = ["theta", "segment", "circle", "sphere2", "torus", "klein",
@@ -64,7 +64,7 @@ def test_keyword_construction_is_validated_too():
 
 @pytest.mark.parametrize("record", [
     invariants.TestRow("dim3", None, "(a)", "pass", "b = (0,0,0,0,0)"),
-    SearchResult("pass", None, corpus.theta()),
+    SearchResult("pass", None),
     halving_witness(("HALFLINK", ONE_EXPR), Simplex((0,)), 1),
     SearchBudget(),
     InvariantVector(0, 1, 0, 1, 0),
@@ -207,7 +207,7 @@ def test_akl_search_finds_the_depth_four_witness(akl):
     res = closure_search(akl)
     assert res.stop == "witness" and res.levels == (1, 3, 15, 218)
     w = res.witness
-    assert w.describe(akl.labels) == (
+    assert witness_text(w.as_dict(akl.labels)) == (
         "MUL(HALFLINK(ONE), HALFLINK(MUL(HALFLINK(ONE), HALFLINK(ONE))))"
         " -> odd Euler integral 1")
     assert (w.depth, w.location, w.value) == (4, None, Dyadic(1))
@@ -284,10 +284,10 @@ def test_dim3_check_equals_per_simplex_b_vector_on_corpus():
                 assert row.data == {"b": list(res)}
             else:
                 assert row.verdict == "fail"
+                d = res.as_dict(link.labels)
                 assert row.value == \
-                    f"half-link obstruction: {res.describe(link.labels)}"
-                assert row.data == {"witness": res.as_dict(link.labels)}, \
-                    (name, row.where)
+                    f"half-link obstruction: {witness_text(d)}"
+                assert row.data == {"witness": d}, (name, row.where)
 
 
 DIM3_CORPUS = [name for name in corpus.corpus_names()
@@ -379,14 +379,15 @@ def test_search_check_equals_per_simplex_search(name):
     expected = []
     results = []
     for tau in k.simplices:
-        res = dim4_local_search(k, tau, budget)
+        link = geometric_link(k, tau)
+        res = closure_search(link, budget)
         results.append(res)
         w = res.witness
         if w is not None:
-            labels = res.link.labels
-            expected.append((k.simplex_name(tau), "fail", w.describe(labels),
-                             {"witness": w.as_dict(labels),
-                              "explored": res.explored, "stop": res.stop}))
+            d = w.as_dict(link.labels)
+            expected.append((k.simplex_name(tau), "fail", witness_text(d),
+                             {"witness": d, "explored": res.explored,
+                              "stop": res.stop}))
         else:
             expected.append((k.simplex_name(tau), "pass",
                              f"no witness within budget ({res.explored}"
@@ -410,7 +411,8 @@ def test_search_notes_hold_for_every_row(monkeypatch):
     k = disjoint_union(corpus.sphere2(), suspension(fig8))
     monkeypatch.setattr(search, "GUARD_BITS", 8)
     budget = SearchBudget(max_functions=50)
-    results = [dim4_local_search(k, tau, budget) for tau in k.simplices]
+    results = [closure_search(geometric_link(k, tau), budget)
+               for tau in k.simplices]
     report = search_check(k, budget)
     passes = [(r, res) for r, res in zip(report.rows, results) if res.passed]
     depths = [res.depth_complete for _, res in passes]
@@ -593,8 +595,7 @@ def test_search_check_builds_no_link(monkeypatch):
         raise AssertionError("search_check built a link")
 
     k = corpus.corpus_complex("susp_sphere3")
-    for module in (complexes, search):
-        monkeypatch.setattr(module, "geometric_link", unused)
+    monkeypatch.setattr(complexes, "geometric_link", unused)
     monkeypatch.setattr(SimplicialComplex, "__init__", unused)
     searched, tables = [], set()
     star_search, cofaces = search._search, SimplicialComplex.cofaces
@@ -615,14 +616,21 @@ def test_search_check_builds_no_link(monkeypatch):
     assert len(searched) == 8  # one per link key
 
 
-@pytest.mark.parametrize("name, located", [("window", 32), ("susp_window", 98)])
-def test_check_reads_link_vertices_only_for_located_rows(name, located,
-                                                         tmp_path,
-                                                         monkeypatch):
-    # The window and its suspension fail, with half-link witnesses that name
-    # a simplex of the link.  Only the search reads a star, the link vertices
-    # with the link key: dim3 rows, located ones too, are read off link
-    # operators on the complex and read none.
+@pytest.mark.parametrize("name, flags, code, located", [
+    ("window", [], 2, 32), ("susp_window", [], 2, 98),
+    ("susp_sphere3", ["--max-funcs", "50"], 0, 0),
+    ("window", ["--search", "--max-funcs", "50"], 2, 32)],
+    ids=["window-32", "susp_window-98", "susp_sphere3-search",
+         "window-search-32"])
+def test_check_reads_each_star_once_only_when_it_searches(name, flags, code,
+                                                          located, tmp_path,
+                                                          monkeypatch):
+    # Only the search reads a star (the link vertices with the link key):
+    # once per simplex, in canonical order.  dim3 rows, located ones too,
+    # are read off link operators on the complex and read none.  The
+    # window and its suspension fail, with half-link witnesses that name a
+    # simplex of the link; the 4-sphere and the searched window run the
+    # search.
     read = []
 
     def counting_star_link(simplices, tau, row):
@@ -632,13 +640,14 @@ def test_check_reads_link_vertices_only_for_located_rows(name, located,
     monkeypatch.setattr(invariants, "_star_link", counting_star_link)
     out = tmp_path / "report.json"
     path = os.path.join(ROOT, "corpus", f"{name}.cplx")
-    code = cli.main(["check", "--json", "-o", str(out), path])
+    got = cli.main(["check", "--json", "-o", str(out), *flags, path])
     rows = json.loads(out.read_text(encoding="utf-8"))["tests"]
     witnessed = [r for r in rows if "witness" in r
                  and r["witness"]["location"] != "integral"]
-    named = [r["simplex"] for r in witnessed if r["test"] != "dim3"]
-    assert code == 2
-    assert [*map(read_complex(path).simplex_name, read)] == named
+    searched = any(r["test"] == "search" for r in rows)
+    assert got == code
+    assert searched == (name == "susp_sphere3" or "--search" in flags)
+    assert read == (list(read_complex(path).simplices) if searched else [])
     assert len(witnessed) == located
 
 

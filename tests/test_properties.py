@@ -7,11 +7,10 @@ first line of each test.
 """
 
 import random
-from itertools import combinations
 
 from eulerlink.complexes import (SimplicialMap, barycentric_subdivision,
-                                 build_complex, euler_characteristic,
-                                 full_subcomplex, validate_map)
+                                 euler_characteristic, full_subcomplex,
+                                 validate_map)
 from eulerlink.dyadic import Dyadic
 from eulerlink.functions import (ConstructibleFunction, dual, euler_integral,
                                  half_link, indicator_of_subcomplex,
@@ -19,7 +18,8 @@ from eulerlink.functions import (ConstructibleFunction, dual, euler_integral,
                                  pushforward, restrict_to_link,
                                  subdivide_function)
 
-from conftest import random_complex, random_function, random_simplicial_map
+from conftest import (boundary_sum, random_complex, random_function,
+                      random_simplicial_map)
 
 CASES = 100
 
@@ -44,14 +44,10 @@ def euler_cycle(rng: random.Random):
     most 8 vertices, or None when it is empty or not Euler: Lambda(1) is
     odd somewhere."""
     d = rng.randint(1, 4)
-    n = rng.randint(d + 2, 8)
-    faces = set()
-    for _ in range(rng.randint(1, 5)):
-        faces ^= set(combinations(sorted(rng.sample(range(n), d + 2)), d + 1))
-    if not faces:
+    k = boundary_sum(rng, d, rng.randint(d + 2, 8))
+    if k is None or not is_euler(ConstructibleFunction.one(k))[0]:
         return None
-    k = build_complex(sorted(faces))
-    return k if is_euler(ConstructibleFunction.one(k))[0] else None
+    return k
 
 
 def test_only_the_halving_of_one_can_fail():

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (AKL_TRIANGLES, cones_and_suspensions, dense_link,
-                      dense_shape, link_key, random_complex,
+from conftest import (AKL_TRIANGLES, boundary_sum, cones_and_suspensions,
+                      dense_link, dense_shape, link_key, random_complex,
                       small_or_empty_complexes)
 from eulerlink import corpus, search
 from eulerlink.complexes import (Simplex, _star_link, build_complex, cone,
@@ -90,10 +90,14 @@ def _full_search(link, budget):
             if after is not None:
                 stop, complete = "max-functions", after[0] - 1
             break
-    return SearchResult("witness" if witness else "pass", witness, link,
+    levels = tuple(levels[:complete + 1])
+    # Read off the stop and the complete levels, not kept from the loop.
+    depth_complete = (budget.max_depth if stop == "depth-limit"
+                      else len(levels) - 1)
+    return SearchResult("witness" if witness else "pass", witness,
                         explored=len(values), candidates=candidates,
                         guard_hits=guard_hits, stop=stop, budget=budget,
-                        levels=tuple(levels[:complete + 1]))
+                        levels=levels, depth_complete=depth_complete)
 
 
 def _corpus_links():
@@ -235,7 +239,6 @@ def _assert_star_search_is_link_search(k, budget) -> list:
         key = link_key(k, i)
         if key not in results:
             res = results[key] = search._search(k, i, key[1], budget)
-            assert res.link is None
             assert _fields(res) == \
                 _fields(closure_search(dense_link(key), budget)), tau
     return [*results.values()]
@@ -365,3 +368,33 @@ def test_star_location_rule_cases_all_occur():
             for _ in range(3):
                 cases[_check_star_against_link(k, i, rng)] += 1
     assert cases["b0"] and cases["b0 | rho >= 2"] and cases["rho"]
+
+
+def _boundary_sums():
+    """Seeded mod-2 sums of boundaries of 5- and 6-simplices on d + 3
+    vertices: cycles of dimension d = 4 and 5, not cones or suspensions."""
+    rng = random.Random(0)
+    sums = []
+    while len(sums) < 12:
+        d = 4 + len(sums) % 2
+        k = boundary_sum(rng, d, d + 3)
+        if k is not None:
+            sums.append(k)
+    return sums
+
+
+BOUNDARY_SUMS = _boundary_sums()
+
+
+def test_star_location_rule_on_boundary_sums():
+    # One draw of F per simplex: all three location cases occur.
+    rng = random.Random(1)
+    cases = Counter(_check_star_against_link(k, i, rng)
+                    for k in BOUNDARY_SUMS for i in range(len(k)))
+    assert cases["b0"] and cases["b0 | rho >= 2"] and cases["rho"], cases
+
+
+def test_star_search_equals_link_search_on_boundary_sums():
+    budget = SearchBudget(max_functions=50)
+    for k in BOUNDARY_SUMS:
+        _assert_star_search_is_link_search(k, budget)

@@ -15,8 +15,8 @@ from eulerlink.complexes import (Simplex, SimplicialComplex, build_complex,
 from eulerlink.dyadic import Dyadic
 from eulerlink.fileio import read_complex, save_complex
 from eulerlink.search import (ExpressionWitness, SearchBudget, closure_search,
-                              dim4_local_search, expression_depth,
-                              expression_size, replay_witness)
+                              expression_depth, expression_size,
+                              replay_witness, witness_text)
 
 
 def theta_junction(th):
@@ -67,15 +67,17 @@ def test_an_empty_level_ends_the_search():
 
 def test_odd_link_integral_is_a_depth_zero_witness():
     th = corpus.theta()
-    res = dim4_local_search(th, theta_junction(th))
+    link = geometric_link(th, theta_junction(th))
+    res = closure_search(link)
     assert res.verdict == "witness"
     w = res.witness
     assert w.kind == "odd Euler integral"
     assert w.location is None
     assert w.value == Dyadic(3)
     assert w.depth == 0 and w.size == 1
-    assert w.describe(res.link.labels) == "ONE -> odd Euler integral 3"
-    assert replay_witness(w, res.link) == Dyadic(3)
+    assert witness_text(w.as_dict(link.labels)) == \
+        "ONE -> odd Euler integral 3"
+    assert replay_witness(w, link) == Dyadic(3)
 
 
 def test_half_integer_witness_needs_one_operator():
@@ -88,9 +90,9 @@ def test_half_integer_witness_needs_one_operator():
     assert w.kind == "non-integer value"
     assert w.depth == 1 and w.size == 2
     assert w.value == Dyadic(3, 1)
-    assert w.describe(res.link.labels) == \
+    assert witness_text(w.as_dict(link.labels)) == \
         "HALFLINK(ONE) -> non-integer value 3/2^1 at (a)"
-    assert replay_witness(w, res.link) == Dyadic(3, 1)
+    assert replay_witness(w, link) == Dyadic(3, 1)
     assert res.stop == "witness"
 
 
@@ -121,8 +123,8 @@ def test_budget_exhaustion_is_reported_never_silent():
 
 def test_witness_serialization():
     th = corpus.theta()
-    res = dim4_local_search(th, theta_junction(th))
-    d = res.witness.as_dict(res.link.labels)
+    link = geometric_link(th, theta_junction(th))
+    d = closure_search(link).witness.as_dict(link.labels)
     assert d == {"expr": "ONE", "kind": "odd Euler integral",
                  "location": "integral", "value": "3", "depth": 0, "size": 1}
 
@@ -139,7 +141,7 @@ def test_dim4_search_over_whole_suspension_stays_clean():
     k = corpus.corpus_complex("susp_sphere3")
     budget = SearchBudget(max_depth=2, max_functions=300)
     for tau in k.simplices[:10]:
-        assert dim4_local_search(k, tau, budget).passed
+        assert closure_search(geometric_link(k, tau), budget).passed
 
 
 # -- a brute-force oracle of the levels ------------------------------------------

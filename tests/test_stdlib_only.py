@@ -5,7 +5,8 @@ line loads neither it nor ``inspect``, nor the corpus, which only the
 ``corpus`` subcommand uses.  A relative import names the module that
 defines the name, not one that imports it from elsewhere.  Every private
 module-level helper is named somewhere in the package, and every private
-name that the package's docs cite is defined in it."""
+name that the package's docs cite is defined in it.  ``__all__`` lists
+exactly the public names that ``__init__`` imports, and each resolves."""
 
 import ast
 import re
@@ -56,6 +57,20 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
                           str(PACKAGE.parent)],
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_all_is_exactly_the_public_names_the_package_imports():
+    # A name removed from a submodule cannot linger in ``__all__`` and
+    # break ``from eulerlink import *``.
+    import eulerlink
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = [a.asname or a.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for a in node.names if not a.name.startswith("_")]
+    assert sorted(eulerlink.__all__) == sorted(imported)
+    namespace = {}
+    exec("from eulerlink import *", namespace)
+    assert all(namespace[n] is getattr(eulerlink, n) for n in imported)
 
 
 def top_level_names(path: Path) -> set[str]:
