@@ -112,6 +112,7 @@ class SimplicialComplex:
         self._labels = dict(labels) if labels else {}
         self._cofaces: tuple[tuple[int, ...], ...] | None = None
         self._pairs: tuple[tuple[tuple[int, ...], range], ...] | None = None
+        self._lam1 = None  # invariants._lambda_one
         self._names: tuple[str, ...] | None = None
 
     # -- basic queries ---------------------------------------------------
@@ -251,19 +252,19 @@ def build_complex(facets, labels: dict[int, str] | None = None,
                   name: str | None = None) -> SimplicialComplex:
     """Build the downward closure of the given generating simplices.
 
-    Each generator is validated once, by ``Simplex``; its faces are then
-    strictly increasing by construction.  The closure is built a level at
-    a time, from the largest size down: the simplices of one size are that
-    size's generators and the ``combinations(sigma, size - 1)`` of every
-    sigma a level up, sorted.  That is sum of |sigma| boundary tuples, where
-    every face of every generator is sum of 2^|sigma| - 1, and the levels,
-    by increasing size, are in canonical order.
+    Each generator not yet a ``Simplex`` is validated once; its faces are
+    then strictly increasing by construction.  The closure is built a level
+    at a time, from the largest size down: the simplices of one size are
+    that size's generators and the ``combinations(sigma, size - 1)`` of
+    every sigma a level up, sorted.  That is sum of |sigma| boundary
+    tuples, where every face of every generator is sum of 2^|sigma| - 1,
+    and the levels, by increasing size, are in canonical order.
 
     That sum, plus the size's generators, bounds a level before it is
     built, and a closure that could pass ``MAX_SIMPLICES`` is refused."""
     generators: dict[int, list[Simplex]] = {}
     for f in facets:
-        s = Simplex(f)
+        s = f if type(f) is Simplex else Simplex(f)
         generators.setdefault(len(s), []).append(s)
     if not generators:
         raise ValueError("empty complex")

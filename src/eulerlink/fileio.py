@@ -32,7 +32,7 @@ from json.encoder import encode_basestring_ascii
 from itertools import chain, repeat
 from operator import itemgetter, ne
 
-from .complexes import Simplex, SimplicialComplex, build_complex
+from .complexes import Simplex, SimplicialComplex, _trusted, build_complex
 from .dyadic import Dyadic, ZERO
 from .functions import ConstructibleFunction
 
@@ -273,7 +273,7 @@ def _from_label_facets(facets, name, max_dim: int | None, lines=None,
                          f" <= {max_dim})")
     ids = dict(zip(labels, range(len(labels))))
     get = ids.__getitem__
-    return build_complex([sorted(map(get, f)) for f in facets],
+    return build_complex([*_trusted(sorted(map(get, f)) for f in facets)],
                          labels=dict(enumerate(labels)), name=name)
 
 

@@ -7,9 +7,8 @@ homeomorphic to a real algebraic set:
   characteristic (evaluated as parity of the link operator on 1).
 * ``b_vector`` — the five mod-2 invariants (chi2, b1..b4) of a compact
   complex of dimension at most 2, computed from alpha = half-link of 1,
-  beta and gamma as its polynomial corrections.  When alpha's halving
-  fails, the witness ``HALFLINK(ONE)`` is returned instead: the failure is
-  itself an obstruction, and no other halving can fail.
+  beta and gamma as its polynomial corrections, or the witness
+  ``HALFLINK(ONE)`` where alpha's halving fails.
 * ``dim3_check`` — for dimension at most 3, the b-vector of every
   simplex's geometric link must vanish.
 * ``search_check`` — the bounded operator-closure search of the search
@@ -17,15 +16,12 @@ homeomorphic to a real algebraic set:
 * ``divisibility_certificate`` / ``bonnard_bounds`` — the sufficiency
   certificate via 2-adic valuation and the closed-form presentation bounds.
 
-``search_check`` runs the closure search once per link key and reuses
-the result and its row text on every other simplex with that key.  A
-simplex's link key is its dimension and its link rows, read from its
-star in the coface table (``complexes._star_link``); the search runs on
-that star (the ``search`` module docstring), so one memo level, by link
-key, is all there is, and no link is built.  A row whose witness names a
-simplex of the link has its text made on its own, with the location
-named from the labels of the row's own geometric link: the link vertices
-that the same star read gave, then the boundary's.
+``search_check`` runs the closure search once per link key, a simplex's
+dimension and link rows (``complexes._star_link``), on the star of its
+first simplex (the ``search`` module docstring), and builds no link.  The
+key's rows share its result and row text, except that a witness located
+on a link simplex is named with the labels of the row's own geometric
+link: the star's link vertices, then the boundary's.
 
 ``dim3_check`` builds no link at all: every geometric link's b-vector is
 read off link operators on ``k`` itself.  Let tau have dimension d and
@@ -78,13 +74,14 @@ of tau's first odd strict coface, and b0 when tau is odd (d >= 1) and has
 none.  Each odd sigma writes its index into its faces, the first in
 canonical order winning, so no coface table is read.
 
-Sullivan's parities, the b-vector and the dim3 rows are computed on int
-lists, with the link operator of the functions module: the zeta sums over
-the complex's codimension-one incidences (``_star_sums``), turned into the
-link and its first odd value by ``_int_link``, the same halving the closure
-search uses; a failed halving becomes the same witness.  Every value they
-handle is an integer, so an integral's parity is the parity of the sum of
-the values.
+All of it runs on int lists and the zeta sums ``_star_sums``, and one
+pass per complex gives the Lambda_k(1) that Sullivan's test and the
+b-vectors share (``_lambda_one``).  A failed halving of 1 has the value
+a / 2, a = lam at the odd simplex, so ``dim3_check`` makes the witness and
+its row text's head once per a, by ``halving_witness``, and a located row
+carries the one witness of its halving value with its own location, b0 or
+rho.  The other rows are read from a text per b-vector, as Sullivan's are
+from a text per link chi (``_rows``).
 
 A pass is never a realizability proof; reports carry that caveat.
 """
@@ -92,7 +89,7 @@ A pass is never a realizability proof; reports carry that caveat.
 from __future__ import annotations
 
 from itertools import chain, combinations, repeat
-from operator import and_, mul, neg, sub
+from operator import add, and_, mul, sub
 from typing import NamedTuple
 
 from .complexes import (Simplex, SimplicialComplex, _boundary_labels,
@@ -149,29 +146,37 @@ _ALPHA = ("HALFLINK", ONE_EXPR)
 def _b_fields(k: SimplicialComplex,
               sign: int) -> tuple[list[int], int, list[int], int]:
     """alpha, beta and gamma of the b-vector under the link operator
-    L x = x + sign * S(x) on ``k``, S being ``_star_sums``: Lambda_k for
-    ``sign`` 1, and for -1 the operator of every geometric link pulled
-    back to ``k`` (module docstring).  alpha = L(1) / 2, and beta and gamma
-    are x - L(x) / 2 for x = alpha^2 and alpha^3.  Only L(1) is checked for
-    parity: the other two halvings cannot fail where alpha exists.
+    L x = x + sign * S(x) on ``k`` (module docstring): Lambda_k for
+    ``sign`` 1, every geometric link's pulled back to ``k`` for -1.  L(1)
+    is Lambda_k(1) (``_lambda_one``) or 2 - Lambda_k(1), the only halving
+    checked, and x - L(x) / 2 = (x - sign * S(x)) / 2.
 
     Returns L(1), the index of its first odd value (-1 if none), and the
     parities of 1, alpha*beta, alpha*gamma, beta*gamma and alpha*beta*gamma
     of each simplex, packed in fields of the returned width, which holds
     any sum of them over ``k``."""
-    def link(xs):
-        sums = _star_sums(k, xs)
-        return _int_link(xs, sums if sign > 0 else list(map(neg, sums)))
-
-    lam, odd = link([1] * len(k.simplices))
+    lam, odd = _lambda_one(k)
+    if sign < 0:
+        lam = [2 - a for a in lam]
     alpha = [a >> 1 for a in lam]
     asq = list(map(mul, alpha, alpha))
-    beta, gamma = ([(2 * a - b) >> 1 & 1 for a, b in zip(x, link(x)[0])]
+    beta, gamma = ([y >> 1 & 1 for y in map(sub if sign > 0 else add, x,
+                                             _star_sums(k, x))]
                    for x in (asq, list(map(mul, asq, alpha))))
     w = len(lam).bit_length()
     packed = [1 | (a & b) << w | (a & g) << 2 * w | (b & g) << 3 * w
               | (a & b & g) << 4 * w for a, b, g in zip(alpha, beta, gamma)]
     return lam, odd, packed, w
+
+
+def _lambda_one(k: SimplicialComplex) -> tuple[list[int], int]:
+    """Lambda_k(1) and the index of its first odd value (``_int_link``),
+    made by one zeta pass on the first call and kept on ``k`` beside its
+    ``face_pairs``: Sullivan's test and the b-vectors both read it."""
+    if k._lam1 is None:
+        ones = [1] * len(k.simplices)
+        k._lam1 = _int_link(ones, _star_sums(k, ones))
+    return k._lam1
 
 
 def _b_of(code: int, w: int) -> InvariantVector:
@@ -235,39 +240,36 @@ def _report(k: SimplicialComplex, test: str, rows: tuple[TestRow, ...],
         summary={test: "pass" if passed else "fail"}, notes=tuple(notes))
 
 
+def _rows(k: SimplicialComplex, test: str, keys: list,
+          texts: dict) -> list[TestRow]:
+    """The rows of ``test`` on ``k``: simplex i's verdict, value and data
+    are ``texts[keys[i]]``, shared by the rows of one key as in
+    ``search_check``, and read by maps, in C, skipping TestRow's __new__."""
+    fields = map(add, zip(repeat(test), k.simplices, k.simplex_names()),
+                 map(texts.__getitem__, keys))
+    return list(map(tuple.__new__, repeat(TestRow), fields))
+
+
 def sullivan_check(k: SimplicialComplex) -> ObstructionReport:
     """Per-simplex parity of the link's Euler characteristic.
 
     A row's verdict, value and ``data`` are made once per link Euler
-    characteristic, not once per simplex, and the rows of one Euler
-    characteristic share them, as the rows of one link key do in
-    ``search_check``.  The rows are read from those tables by maps, in C."""
-    ones = [1] * len(k.simplices)
-    lam, odd = _int_link(ones, _star_sums(k, ones))
-    chis = set(lam)
-    verdict = {chi: "fail" if chi & 1 else "pass" for chi in chis}
-    value = {chi: f"link chi = {chi}" for chi in chis}
-    data = {chi: {"link_chi": chi} for chi in chis}
-    fields = zip(repeat("sullivan"), k.simplices, k.simplex_names(),
-                 map(verdict.__getitem__, lam), map(value.__getitem__, lam),
-                 map(data.__getitem__, lam))
-    # The fields are in place: skip TestRow's __new__.
-    rows = tuple(map(tuple.__new__, repeat(TestRow), fields))
+    characteristic, not once per simplex (``_rows``)."""
+    lam, odd = _lambda_one(k)
+    rows = _rows(k, "sullivan", lam, {
+        chi: ("fail" if chi & 1 else "pass", f"link chi = {chi}",
+              {"link_chi": chi}) for chi in set(lam)})
     passed = odd < 0
     notes = [NECESSARY_ONLY]
     if passed and k.dim <= 2:
         notes.append("realizable (dim <= 2 criterion): even link parity is"
                      " sufficient in dimension <= 2")
-    return _report(k, "sullivan", rows, notes, passed)
+    return _report(k, "sullivan", tuple(rows), notes, passed)
 
 
-def _b_text(res, label) -> tuple[str, str, dict]:
+def _b_text(res: InvariantVector) -> tuple[str, str, dict]:
     """The verdict, value and data of a dim3 row whose link has b-vector
-    or half-link witness ``res``."""
-    if isinstance(res, ExpressionWitness):
-        d = res.as_dict(label)
-        return ("fail", f"half-link obstruction: {witness_text(d)}",
-                {"witness": d})
+    ``res``."""
     bad = [name for name, c in zip(("chi2", "b1", "b2", "b3", "b4"), res) if c]
     return ("pass" if res.is_zero else "fail",
             f"b = {res}" + (f", nonzero: {' '.join(bad)}" if bad else ""),
@@ -276,9 +278,8 @@ def _b_text(res, label) -> tuple[str, str, dict]:
 
 def _first_odd_cofaces(k: SimplicialComplex, odd: list[int]) -> dict[int, int]:
     """The index of the first strict coface, in canonical order, among the
-    simplices ``odd``, for every simplex that has one.  Each simplex of
-    ``odd`` writes its index into its proper faces, the last one first, so
-    the first one's write is the one that stays."""
+    simplices ``odd``, for every simplex that has one: each writes its
+    index into its proper faces, the last first, so the first one's stays."""
     simplices, index = k.simplices, k._index
     first: dict[int, int] = {}
     for j in reversed(odd):
@@ -292,10 +293,10 @@ def _first_odd_cofaces(k: SimplicialComplex, odd: list[int]) -> dict[int, int]:
 def dim3_check(k: SimplicialComplex) -> ObstructionReport:
     """Vanishing of the b-vector of every simplex's geometric link.
 
-    Every row is read off link operators on ``k`` itself (see the module
-    docstring), with the value or witness of ``b_vector`` on the row's
-    geometric link, a witness's location named as ``geometric_link``
-    labels it."""
+    Every row is read off link operators on ``k`` itself, with the value
+    or witness of ``b_vector`` on the row's geometric link, named as
+    ``geometric_link`` labels it; a located row carries the one witness of
+    its halving value (module docstring)."""
     if k.dim > 3:
         raise ValueError("dim3 check requires dimension <= 3")
     simplices = k.simplices
@@ -312,28 +313,26 @@ def dim3_check(k: SimplicialComplex) -> ObstructionReport:
     # over its strict cofaces by one zeta pass, which applies the signs
     # again, so it sums without them.
     mask = sum(1 << (w * f) for f in range(5))
-    codes = map(and_, map(sub, _star_sums(k, _signed(k, packed)), packed),
-                repeat(mask))
-    texts: dict[int, tuple] = {}  # packed b-vector -> its row's text
-    names = None  # vertex labels, and the boundary's first at a fresh id
-    base = k.max_vertex_id() + 1
-    rows = []
-    for i, (tau, where, code) in enumerate(zip(simplices, k.simplex_names(),
-                                               codes)):
-        j = fails.get(i)
-        if j is None:
-            row = texts.get(code)
-            if row is None:
-                row = texts[code] = _b_text(_b_of(code, w), None)
-        else:
-            if names is None:
-                names = k.labels
-                # b0, primed until fresh: the same for every dimension
-                names[base] = _boundary_labels(k, 1)[0]
-            at = (base,) if j == i else [v for v in simplices[j]
-                                         if v not in tau]
-            row = _b_text(halving_witness(_ALPHA, Simplex(at), lam[j]), names)
-        rows.append(TestRow("dim3", tau, where, *row))
+    codes = list(map(and_, map(sub, _star_sums(k, _signed(k, packed)),
+                               packed), repeat(mask)))
+    rows = _rows(k, "dim3", codes,
+                 {code: _b_text(_b_of(code, w)) for code in set(codes)})
+    if fails:
+        heads = {}  # halving value -> witness dict, its row text's head
+        for a in {lam[j] for j in fails.values()}:
+            # located nowhere, the witness's text is the head alone
+            d = halving_witness(_ALPHA, None, a).as_dict(None)
+            heads[a] = d, f"half-link obstruction: {witness_text(d)} at "
+        label = k.labels.__getitem__
+        b0 = _boundary_labels(k, 1)[:1]  # primed until fresh in k
+        for i, j in fails.items():
+            tau = simplices[i]  # located at rho = sigma_j - tau, or at b0
+            where = "(" + " ".join(b0 if j == i else [
+                label(v) for v in simplices[j] if v not in tau]) + ")"
+            d, head = heads[lam[j]]
+            rows[i] = TestRow("dim3", tau, rows[i].where, "fail",
+                              head + where,
+                              {"witness": {**d, "location": where}})
     return _report(k, "dim3", tuple(rows))
 
 
@@ -354,9 +353,8 @@ def search_check(k: SimplicialComplex,
                  budget: SearchBudget = DEFAULT_BUDGET) -> ObstructionReport:
     """Closure search at every simplex; report assembled in canonical order.
 
-    One memo level, by link key: the search runs once per key, on the star
-    of its first simplex (``search._search``), and the key's rows share its
-    result and row text, unless its witness is located (module docstring).
+    The search runs once per link key, on the star of its first simplex
+    (``search._search``; module docstring).
 
     The notes hold for every row: the completeness of the weakest pass row
     (fewest complete levels, first in canonical order on a tie), and the

@@ -166,10 +166,11 @@ def witness_text(d: dict) -> str:
     return head if d["location"] == "integral" else f"{head} at {d['location']}"
 
 
-def halving_witness(expr: Expression, simplex: Simplex,
+def halving_witness(expr: Expression, simplex: Simplex | None,
                     a: int) -> ExpressionWitness:
     """The witness of a failed halving: ``expr`` halves a link whose value
-    at ``simplex`` is the odd integer ``a``, so the half is ``a / 2``."""
+    at ``simplex`` (None: named by the caller) is the odd integer ``a``,
+    so the half is ``a / 2``."""
     return ExpressionWitness(expr=expr, kind=KIND_NON_INTEGER, location=simplex,
                              value=Dyadic(a, 1),
                              depth=expression_depth(expr),

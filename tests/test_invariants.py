@@ -21,7 +21,7 @@ from eulerlink.fileio import read_complex
 from eulerlink.invariants import (MAX_BOUND_DIMENSION, MAX_BOUND_RANGE,
                                   NECESSARY_ONLY,
                                   BoundQuery, InvariantVector, ZERO_VECTOR,
-                                  _b_text, _search_text,
+                                  _ALPHA, _b_text, _search_text,
                                   b_vector,
                                   bonnard_bounds, dim3_check,
                                   divisibility_certificate, merge_reports,
@@ -294,13 +294,73 @@ DIM3_CORPUS = [name for name in corpus.corpus_names()
                if corpus.corpus_complex(name).dim <= 3]
 
 
+def _row_text(res, label):
+    """The verdict, value and data of a dim3 row whose link has b-vector
+    or half-link witness ``res``, the witness rendered on its own."""
+    if isinstance(res, ExpressionWitness):
+        d = res.as_dict(label)
+        return ("fail", f"half-link obstruction: {witness_text(d)}",
+                {"witness": d})
+    return _b_text(res)
+
+
 def _assert_dim3_rows_match_the_link_reference(k):
     # Every field of every row, a witness's location named with the labels
     # of the row's own geometric link.
     assert dim3_check(k).rows == tuple(
         invariants.TestRow("dim3", tau, k.simplex_name(tau),
-                           *_b_text(res, link.labels))
+                           *_row_text(res, link.labels))
         for tau, link, res in _dim3_reference(k))
+
+
+def _dim3_rows_one_witness_each(k):
+    """The rows of ``dim3_check`` with every located row's witness built on
+    its own: ``halving_witness`` of the halving value at the row's odd
+    simplex, located at that simplex's rho or at b0 on a fresh id."""
+    simplices = k.simplices
+    lam, _, packed, w = invariants._b_fields(k, -1)
+    odd = [i for i, a in enumerate(lam) if a & 1]
+    fails = invariants._first_odd_cofaces(k, odd)
+    for i in odd:
+        if len(simplices[i]) > 1:
+            fails.setdefault(i, i)
+    codes = [sum(packed[j] for j in k.cofaces(i)) for i in range(len(k))]
+    base = k.max_vertex_id() + 1
+    names = {**k.labels, base: complexes._boundary_labels(k, 1)[0]}
+    for i, (tau, code) in enumerate(zip(simplices, codes)):
+        j = fails.get(i)
+        if j is None:
+            res = invariants._b_of(code, w)
+        else:
+            at = (base,) if j == i else [v for v in simplices[j]
+                                         if v not in tau]
+            res = halving_witness(_ALPHA, Simplex(at), lam[j])
+        yield invariants.TestRow("dim3", tau, k.simplex_name(tau),
+                                 *_row_text(res, names))
+
+
+@pytest.mark.parametrize("case", [*DIM3_CORPUS, "sd.cone_theta",
+                                  "sd.cone_window"])
+def test_dim3_rows_match_a_witness_built_per_row(case):
+    # Each located row shares the witness of its halving value and names
+    # its own location; cone_theta has two halving values, 1/2 and 3/2.
+    sd, _, name = case.rpartition(".")
+    k = corpus.corpus_complex(name)
+    if sd:
+        k = barycentric_subdivision(k).complex
+    assert dim3_check(k).rows == tuple(_dim3_rows_one_witness_each(k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_complexes())
+def test_dim3_rows_match_a_witness_built_per_row_on_drawn_complexes(k):
+    assert dim3_check(k).rows == tuple(_dim3_rows_one_witness_each(k))
+
+
+def test_cone_theta_has_two_halving_values():
+    rows = dim3_check(corpus.corpus_complex("cone_theta")).rows
+    assert {r.data["witness"]["value"] for r in rows
+            if "witness" in r.data} == {"1/2^1", "3/2^1"}
 
 
 @pytest.mark.parametrize("subdivided", [False, True], ids=["K", "sd"])
@@ -705,10 +765,11 @@ def test_check_calls_cofaces_once_per_complex(name, flags, once, tmp_path,
 @pytest.mark.parametrize("flags", [[], ["--search", "--max-funcs", "50"]],
                          ids=["", "search"])
 @pytest.mark.parametrize("name", ["window", "susp_window"])
-def test_check_renders_each_witness_once(name, flags, tmp_path, monkeypatch):
-    # One top-level expression_str per located witness row, and one per
-    # link key whose witness has no location; recursive calls are not
-    # counted.
+def test_check_renders_one_witness_per_halving_value_and_search_key(
+        name, flags, tmp_path, monkeypatch):
+    # One top-level expression_str per distinct halving value of the dim3
+    # rows, one per located search row, and one per link key whose
+    # witness has no location; recursive calls are not counted.
     calls, depth = [], [0]
     render = search.expression_str
 
@@ -730,14 +791,16 @@ def test_check_renders_each_witness_once(name, flags, tmp_path, monkeypatch):
     index = dict(zip(k.simplex_names(), range(len(k))))
     located = [r for r in rows
                if "witness" in r and r["witness"]["location"] != "integral"]
+    values = {r["witness"]["value"] for r in located if r["test"] == "dim3"}
+    searched = [r for r in located if r["test"] == "search"]
     keys = {(r["test"], link_key(k, index[r["simplex"]]))
             for r in rows
             if "witness" in r and r["witness"]["location"] == "integral"}
-    assert located
+    assert values == {"1/2^1"}
     assert bool(keys) == bool(flags)
-    assert len(calls) == len(located) + len(keys) == {
-        ("window", False): 32, ("window", True): 37,
-        ("susp_window", False): 98, ("susp_window", True): 108}[
+    assert len(calls) == len(values) + len(searched) + len(keys) == {
+        ("window", False): 1, ("window", True): 6,
+        ("susp_window", False): 1, ("susp_window", True): 11}[
             name, bool(flags)]
 
 
@@ -868,3 +931,21 @@ def test_bounds_monotone_in_range_radius():
             if prev is not None:
                 assert b.n >= prev.n and b.n_prime >= prev.n_prime
             prev = b
+
+
+def test_check_runs_four_zeta_passes_on_a_dim3_complex(tmp_path,
+                                                        monkeypatch):
+    # Sullivan's test and dim3_check read one Lambda_K(1); dim3_check adds
+    # the passes on alpha^2, alpha^3 and the packed parities.
+    calls = []
+    star_sums = invariants._star_sums
+
+    def counting_star_sums(k, xs):
+        calls.append(k.name)
+        return star_sums(k, xs)
+
+    monkeypatch.setattr(invariants, "_star_sums", counting_star_sums)
+    path = os.path.join(ROOT, "corpus", "window.cplx")
+    assert cli.main(["check", "--json", "-o", str(tmp_path / "r.json"),
+                     path]) == 2
+    assert calls == ["window"] * 4
