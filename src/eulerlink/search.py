@@ -19,8 +19,12 @@ it was found and the older one through the table from its start up to the
 newer one, and SUB takes the older operand first.  A value is kept the
 first time it is reached, so every kept value and every witness has
 minimal depth, and a pass that stops at the function budget has explored
-every level below the one it stopped in.  An empty level has no deeper
-one, so it ends the search as if at the depth limit.
+every level below the one it stopped in.  That level too is complete when
+the value that filled the table was its last candidate: ONE at depth 0, or
+at depth d >= 1 POP of the last value of level d-1.  The stop needs no
+look-ahead; at the depth limit such a stop is a depth-limit stop.  An
+empty level has no deeper one, so it ends the search as if at the depth
+limit.
 
 The search runs on tau's star in K, one value per cell, and builds no
 link.  Let tau have dimension d and geometric link G.  Each simplex of G
@@ -35,8 +39,13 @@ searched as the star of a cone apex: d = 0, w = (-1)^dim.
 
 The cells are the coarsest partition of rel(tau), refined from size (tau
 is alone in its size), in which every simplex of a cell has as many
-strict cofaces in each cell as any other (colour refinement along
-cofaces).  L reads a simplex's own value and its cofaces', so every
+strict cofaces in each cell as any other.  Every strict coface is larger
+than its face, so one pass in decreasing size finds them: it keys each
+simplex by its size and the cells of its strict cofaces, counted with
+multiplicity, which the pass has already found.  The keys' partition has
+this property, and it is the coarsest: in any partition with it that
+refines size, two simplices of one cell have one key, by induction from
+the largest size.  L reads a simplex's own value and its cofaces', so every
 function of the closure is kept as one value per cell: on cell a, with
 ``s = (-1)^(|sigma| + 1)``,
 
@@ -63,20 +72,23 @@ integral is the sum of the values weighted by w and the cell sizes, and
 HALFLINK halves L's ints (``functions._int_link`` on the sums along the
 cell table's rows, the halving ``b_vector`` uses on the zeta sums of one
 value per simplex), its first odd value being a non-integer witness.  A
-Dyadic is built only for a witness.
+Dyadic is built only for a witness, and so is an expression tree: the
+table keeps each value's operator and the indices of its operands.
 
 The value-growth guard drops a candidate with a value whose canonical
 numerator exceeds 2**GUARD_BITS in absolute value, and counts it as a guard
 hit; such a value is neither kept nor a witness, so levels are complete up
 to the guard.  A dropped value is never in the table, so testing for a
-duplicate before the guard changes neither outcome nor count.  A half link
+duplicate before the guard changes neither outcome nor count: duplicates
+are dropped where the candidates are made, and counted there.  A half link
 with a non-integer value is never a duplicate, even when its canonical
 numerators are those of a kept function.
 """
 
 from __future__ import annotations
 
-from operator import add, mul, sub
+from itertools import repeat
+from operator import add, mul, rshift, sub
 from typing import NamedTuple
 
 from .complexes import Simplex, SimplicialComplex
@@ -265,9 +277,10 @@ class _Quotient(NamedTuple):
 def _quotient(k: SimplicialComplex, tau: int = -1, rows=()) -> _Quotient:
     """The cells of rel(tau) in ``k`` for its simplex of index ``tau``, with
     link rows ``rows`` (``complexes._star_link``), or with no ``tau``, of
-    the link ``k`` as the star of a cone apex: the partition by size,
-    refined until each cell's simplices agree on the cells of their
-    cofaces, counted with multiplicity."""
+    the link ``k`` as the star of a cone apex: one pass in decreasing size
+    keys each simplex by its size and the cells of its strict cofaces,
+    counted with multiplicity, which that pass has already found; the
+    cells are then numbered in the order of their first simplex."""
     table = k.coface_table()
     if tau < 0:
         d, members, firsts = 0, range(len(table)), k.simplices
@@ -281,20 +294,19 @@ def _quotient(k: SimplicialComplex, tau: int = -1, rows=()) -> _Quotient:
         lens[nv:nv] = [0]
     pos = dict(zip(members, range(len(members))))
     star = [[*map(pos.__getitem__, table[j])] for j in members]
-    cells = lens
-    n = len(set(cells))
-    while True:
-        old = cells.__getitem__
-        ids: dict[tuple, int] = {}
-        cells = [ids.setdefault((c, tuple(sorted(map(old, row)))), len(ids))
-                 for c, row in zip(cells, star)]
-        if len(ids) == n:
-            break  # no cell split: the partition is stable
-        n = len(ids)
-    first: dict[int, int] = {}
-    sizes = [0] * n
-    for i, c in enumerate(cells):
+    found = [0] * len(star)  # each simplex's cell, numbered as found
+    cell = found.__getitem__
+    ids: dict[tuple, int] = {}
+    for i in sorted(range(len(star)), key=lens.__getitem__, reverse=True):
+        key = lens[i], tuple(sorted(map(cell, star[i])))
+        found[i] = ids.setdefault(key, len(ids))
+    first: dict[int, int] = {}  # each cell's first simplex, in G's order
+    for i, c in enumerate(found):
         first.setdefault(c, i)
+    number = dict(zip(first, range(len(first))))
+    cells = [*map(number.__getitem__, found)]
+    sizes = [0] * len(first)
+    for c in cells:
         sizes[c] += 1
     heads = [*first.values()]
     signs = tuple(-1 if (lens[i] + d) & 1 else 1 for i in heads)
@@ -318,69 +330,95 @@ def _cell_star_sums(q: _Quotient, xs: tuple[int, ...]) -> list[int]:
 
 
 def _candidates(q: _Quotient, values: list[tuple[int, ...]],
-                budget: SearchBudget):
-    """Yield ``(depth, op, args, nums, odd)`` for every candidate expression,
-    in search order.
+                seen: set[tuple[int, ...]], budget: SearchBudget,
+                tally: list[int]):
+    """Yield ``(depth, op, args, nums, odd)`` for every candidate expression
+    whose value is not in ``seen``, in search order.
 
-    ``args`` indexes the operands in ``values``, the table of admitted
-    functions, which the caller extends while the level is being built.
-    ``nums`` are the canonical numerators of the value, one per cell of
-    ``q``; ``odd`` is -1, or, for a half link with a non-integer value, the
-    first such cell (whose value is then ``nums[odd] / 2``).
+    ``args`` indexes the operands in ``values``, the table of kept
+    functions, which the caller extends, and ``seen``, their set, which it
+    fills, while the level is being built.  ``nums`` are the canonical
+    numerators of the value, one per cell of ``q``; ``odd`` is -1, or, for
+    a half link with a non-integer value, the first such cell (whose value
+    is then ``nums[odd] / 2``); such a half link is yielded even when its
+    numerators are in ``seen``.  ``tally[0]`` is the number of candidates
+    reached, yielded or dropped, when the generator yields or ends.
     """
+    n = tally[0] = 1
     yield 0, "ONE", (), (1,) * len(q.sizes), -1
     lo = 0
     for depth in range(1, budget.max_depth + 1):
         hi = len(values)  # level depth - 1 is values[lo:hi]
         if lo == hi:
-            return  # an empty level: the closure is exhausted
+            break  # an empty level: the closure is exhausted
         for op, f in (("ADD", add), ("SUB", sub), ("MUL", mul)):
             for j in range(lo, hi):
                 b = values[j]
                 for i in range(j + 1):
                     a = values[i]
-                    yield depth, op, (i, j), tuple(map(f, a, b)), -1
+                    n += 1
+                    if (nums := tuple(map(f, a, b))) not in seen:
+                        tally[0] = n
+                        yield depth, op, (i, j), nums, -1
                     if f is sub and i != j:
-                        yield depth, op, (j, i), tuple(map(sub, b, a)), -1
+                        n += 1
+                        if (nums := tuple(map(sub, b, a))) not in seen:
+                            tally[0] = n
+                            yield depth, op, (j, i), nums, -1
         for j in range(lo, hi):
+            n += 1
             lam, odd = _int_link(values[j], _cell_star_sums(q, values[j]))
-            if odd < 0:
-                yield depth, "HALFLINK", (j,), tuple(a >> 1 for a in lam), -1
-            else:
+            if odd >= 0:
+                tally[0] = n
                 yield depth, "HALFLINK", (j,), tuple(
                     a if a & 1 else a >> 1 for a in lam), odd
+            elif (nums := tuple(map(rshift, lam, repeat(1)))) not in seen:
+                tally[0] = n
+                yield depth, "HALFLINK", (j,), nums, -1
         for j in range(lo, hi):
-            yield depth, "POP", (j,), tuple(map(_pop, values[j])), -1
+            n += 1
+            if (nums := tuple(map(_pop, values[j]))) not in seen:
+                tally[0] = n
+                yield depth, "POP", (j,), nums, -1
         lo = hi
+    tally[0] = n
+
+
+def _expression(made: list[tuple[str, tuple[int, ...]]], op: str,
+                args: tuple[int, ...]) -> Expression:
+    """The expression tree of ``op`` on the kept values ``args``, each
+    kept value being ``(op, args)`` in ``made``."""
+    return (op, *(_expression(made, *made[i]) for i in args))
 
 
 def _search(k: SimplicialComplex, tau: int, rows,
             budget: SearchBudget) -> SearchResult:
     """The level search on the cells ``_quotient(k, tau, rows)``.  On a
     star, a witness is located on the dense ids of the link rows (b0 the
-    next id)."""
+    next id).  The table keeps each value's operator and operands, and an
+    expression is built for a witness alone.  At the budget, the level of
+    the value that filled the table is complete when that value was the
+    level's last candidate (module docstring)."""
     q = _quotient(k, tau, rows)
     guard = 1 << GUARD_BITS
     values: list[tuple[int, ...]] = []
-    exprs: list[Expression] = []
+    made: list[tuple[str, tuple[int, ...]]] = []  # (op, args) of each value
     seen: set[tuple[int, ...]] = set()
     levels: list[int] = []  # functions admitted per depth, grown as reached
-    candidates = guard_hits = 0
+    tally = [0]
+    guard_hits = 0
     witness = None
     stop, complete = "depth-limit", budget.max_depth
-    found = _candidates(q, values, budget)
-    for depth, op, args, nums, odd in found:
-        candidates += 1
-        if odd < 0 and nums in seen:
-            continue
+    for depth, op, args, nums, odd in _candidates(q, values, seen, budget,
+                                                  tally):
         if max(nums, default=0) > guard or min(nums, default=0) < -guard:
             guard_hits += 1
             continue
-        expr = (op, *(exprs[i] for i in args))
         if odd >= 0:
-            witness = halving_witness(expr, Simplex(q.simplices[odd]),
-                                      nums[odd])
+            witness = halving_witness(_expression(made, op, args),
+                                      Simplex(q.simplices[odd]), nums[odd])
         elif (integral := sum(map(mul, q.weights, nums))) & 1:
+            expr = _expression(made, op, args)
             witness = ExpressionWitness(
                 expr=expr, kind=KIND_ODD_INTEGRAL, location=None,
                 value=Dyadic(integral), depth=depth,
@@ -390,18 +428,21 @@ def _search(k: SimplicialComplex, tau: int, rows,
             break
         seen.add(nums)
         values.append(nums)
-        exprs.append(expr)
+        made.append((op, args))
         if depth == len(levels):
             levels.append(0)
         levels[depth] += 1
         if len(values) >= budget.max_functions:
-            # Complete up to the level of the next candidate, if any.
-            after = next(found, None)
-            if after is not None:
-                stop, complete = "max-functions", after[0] - 1
+            # Level depth-1 ends just before level depth's kept values.
+            last = op == "ONE" or (op == "POP" and args[0] ==
+                                   len(values) - levels[depth] - 1)
+            if not last:
+                stop, complete = "max-functions", depth - 1
+            elif depth < budget.max_depth:
+                stop, complete = "max-functions", depth
             break
     return SearchResult("witness" if witness else "pass", witness,
-                        explored=len(values), candidates=candidates,
+                        explored=len(values), candidates=tally[0],
                         guard_hits=guard_hits, stop=stop, budget=budget,
                         levels=tuple(levels[:complete + 1]),
                         depth_complete=complete)

@@ -5,6 +5,7 @@ against the geometric link."""
 
 import random
 from collections import Counter
+from functools import partial
 from itertools import combinations
 from operator import add, mul, sub
 
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import (AKL_TRIANGLES, boundary_sum, cones_and_suspensions,
                       dense_link, dense_shape, link_key, random_complex,
-                      small_or_empty_complexes)
+                      small_complexes, small_or_empty_complexes)
 from eulerlink import corpus, search
 from eulerlink.complexes import (Simplex, _star_link, build_complex, cone,
                                  geometric_link, suspension)
@@ -155,12 +156,18 @@ def test_a_four_sphere_vertex_link_has_six_cells():
     assert q.sizes == (4, 2, 6, 8, 16, 8)
 
 
-def _star_cells(k):
-    """The cells of each link key's star, at the key's first simplex, and
-    of the key's dense link."""
+def _key_firsts(k) -> dict:
+    """Each link key of ``k``, mapped to the index of its first simplex."""
     firsts = {}
     for i in range(len(k)):
         firsts.setdefault(link_key(k, i), i)
+    return firsts
+
+
+def _star_cells(k):
+    """The cells of each link key's star, at the key's first simplex, and
+    of the key's dense link."""
+    firsts = _key_firsts(k)
     return ([search._quotient(k, i, key[1]) for key, i in firsts.items()],
             [search._quotient(dense_link(key)) for key in firsts])
 
@@ -172,6 +179,60 @@ def test_a_four_complex_has_fewer_cells_on_stars_than_on_links(name, star,
     stars, links = _star_cells(corpus.corpus_complex(name))
     assert (sum(len(q.sizes) for q in stars),
             sum(len(q.sizes) for q in links)) == (star, link)
+
+
+def _refined_cells(k, tau=-1, rows=()):
+    """The cells of ``search._quotient(k, tau, rows)`` by colour refinement:
+    the partition of rel(tau) by size, refined until each cell's simplices
+    agree on the cells of their strict cofaces, counted with multiplicity,
+    and numbered in the order of their first simplex."""
+    table = k.coface_table()
+    if tau < 0:
+        members, lens = range(len(table)), [*map(len, k.simplices)]
+    else:
+        members, lens = table[tau], [*map(len, rows)]
+    if tau >= 0 and len(k.simplices[tau]) > 1:  # tau itself, as b0
+        nv = lens.count(1)
+        members = [*members[:nv], tau, *members[nv:]]
+        lens[nv:nv] = [0]
+    pos = dict(zip(members, range(len(members))))
+    star = [[pos[j] for j in table[m]] for m in members]
+    cells, n = lens, len(set(lens))
+    while True:
+        old, ids = cells, {}
+        cells = [ids.setdefault((c, tuple(sorted(old[j] for j in row))),
+                                len(ids)) for c, row in zip(old, star)]
+        if len(ids) == n:
+            return tuple(cells)
+        n = len(ids)
+
+
+def _assert_one_pass_cells(k, stars=True):
+    """The one-pass cells of ``k`` as a link and, with ``stars``, of the
+    star of each link key's first simplex, equal the refined cells."""
+    assert search._quotient(k).cells == _refined_cells(k)
+    for key, i in _key_firsts(k).items() if stars else ():
+        assert search._quotient(k, i, key[1]).cells == \
+            _refined_cells(k, i, key[1]), k.simplices[i]
+
+
+def test_one_pass_cells_equal_refined_cells_on_corpus_links():
+    for link in CORPUS_LINKS:
+        _assert_one_pass_cells(link, stars=False)
+
+
+def test_one_pass_cells_equal_refined_cells_on_corpus_stars():
+    fours = [corpus.corpus_complex(name) for name in corpus.corpus_names()]
+    fours = [k for k in fours if k.dim == 4]
+    assert len(fours) == 2
+    for k in fours:
+        _assert_one_pass_cells(k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(small_complexes(), cones_and_suspensions()))
+def test_one_pass_cells_equal_refined_cells_on_drawn_complexes(k):
+    _assert_one_pass_cells(k)
 
 
 @pytest.mark.parametrize("max_functions", [50, 300])
@@ -224,23 +285,15 @@ def test_each_cell_sign_is_that_of_its_first_simplex(k):
 # -- the search on a star ---------------------------------------------------
 
 
-def _fields(res):
-    w = res.witness
-    return (res.verdict, res.explored, res.candidates, res.guard_hits,
-            res.stop, res.levels,
-            w and (w.expr, w.kind, w.depth, w.value, w.location))
-
-
 def _assert_star_search_is_link_search(k, budget) -> list:
-    """The search on every link key's star equals ``closure_search`` on the
+    """The search on every link key's star equals ``_full_search`` on the
     key's dense link, field for field; the results, one per key."""
     results = {}
     for i, tau in enumerate(k.simplices):
         key = link_key(k, i)
         if key not in results:
             res = results[key] = search._search(k, i, key[1], budget)
-            assert _fields(res) == \
-                _fields(closure_search(dense_link(key), budget)), tau
+            assert res == _full_search(dense_link(key), budget), tau
     return [*results.values()]
 
 
@@ -253,6 +306,43 @@ def test_star_search_equals_link_search_on_corpus_four_complexes(
     stops = Counter(res.stop for res in results)
     assert stops["max-functions"] and (name == "susp_sphere3"
                                        or stops["witness"])
+
+
+def _budget_stop(res) -> str:
+    """Where a search that filled its budget stopped: ``inside`` a level,
+    or on a level's last candidate, ``ONE`` or a ``POP``, below the depth
+    limit or at it; ``other`` for a search that did not fill it."""
+    if res.stop == "witness" or res.explored < res.budget.max_functions:
+        return "other"
+    if sum(res.levels) < res.explored:
+        return "inside"
+    last = "ONE" if res.levels == (1,) else "POP"
+    return last + " at the depth limit" if res.stop == "depth-limit" else last
+
+
+def test_budget_stop_without_look_ahead_equals_full_search():
+    # Every budget from 1 to 60 at the depth limits 0, 3 and 6, on the
+    # vertex-0 link of susp_sphere3 and on the stars of the first three
+    # link keys of each corpus 4-complex, against the look-ahead at the
+    # budget that ``_full_search`` keeps.
+    k = corpus.corpus_complex("susp_sphere3")
+    link = geometric_link(k, k.simplices[0])
+    searches = [(partial(closure_search, link), link)]
+    for name in ("susp_sphere3", "cone_sphere3"):
+        k = corpus.corpus_complex(name)
+        searches += [(partial(search._search, k, i, key[1]), dense_link(key))
+                     for key, i in [*_key_firsts(k).items()][:3]]
+    stops = Counter()
+    for run, link in searches:
+        for depth in (0, 3, 6):
+            for funcs in range(1, 61):
+                budget = SearchBudget(max_depth=depth, max_functions=funcs)
+                res = run(budget)
+                assert res == _full_search(link, budget), (depth, funcs)
+                stops[_budget_stop(res)] += 1
+    # ONE is the last candidate of level 0: max_functions=1 stops on it.
+    assert {"inside", "ONE", "POP", "ONE at the depth limit",
+            "POP at the depth limit"} <= set(stops), stops
 
 
 def test_star_search_equals_link_search_on_susp2_akl():

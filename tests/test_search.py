@@ -214,9 +214,9 @@ def _search_levels(link, budget):
     tables = []
     real = search._candidates
 
-    def spy(q, values, budget):
+    def spy(q, values, seen, budget, tally):
         tables.append((q.cells, values))
-        return real(q, values, budget)
+        return real(q, values, seen, budget, tally)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(search, "_candidates", spy)
