@@ -95,6 +95,10 @@ def _parse_value(token, line: int | None = None) -> Dyadic:
         raise ParseError(str(e), line) from None
 
 
+class Written(list):
+    """A list of JSON texts, written at the indent of its members."""
+
+
 def _json(v, indent: str) -> str:
     """``v`` as ``json.dumps(v, indent=2, sort_keys=True)`` writes it, with
     its nested lines indented by ``indent`` further.
@@ -104,7 +108,8 @@ def _json(v, indent: str) -> str:
     any other key).  ``type(v) is int`` keeps bools out of the int branch;
     anything else, tuples and floats included, is a TypeError.
 
-    A dict is written from its ``_template``, a list by ``_members``."""
+    A dict is written from its ``_template``, a list by ``_members``, and a
+    ``Written`` list from its members' texts as they are."""
     t = type(v)
     if t is str:
         return encode_basestring_ascii(v)
@@ -116,11 +121,12 @@ def _json(v, indent: str) -> str:
         return "true"
     if v is False:
         return "false"
-    if t is list:
+    if t is list or t is Written:
         if not v:
             return "[]"
         inner = indent + "  "
-        return ("[\n" + inner + (",\n" + inner).join(_members(v, inner))
+        texts = v if t is Written else _members(v, inner)
+        return ("[\n" + inner + (",\n" + inner).join(texts)
                 + "\n" + indent + "]")
     if t is dict:
         if not v:
@@ -143,10 +149,9 @@ def _template(keys, indent: str) -> tuple[str, list]:
 
 
 def _members(items: list, indent: str) -> list[str]:
-    """The text of each member of a list, written at ``indent``.  Rows are
-    most of a report, and rows of one test share a key order, so the
-    nonempty dicts of one key order are written together, from one
-    template, a key at a time (``_column``)."""
+    """The text of each member of a list, written at ``indent``.  The
+    nonempty dicts of one key order, such as a report's row bodies, are
+    written together, from one template, a key at a time (``_column``)."""
     shapes = [tuple(x) if type(x) is dict else None for x in items]
     groups = {shape: [] for shape in shapes}
     for shape, x in zip(shapes, items):
@@ -166,18 +171,13 @@ def _members(items: list, indent: str) -> list[str]:
 def _column(values: list, indent: str):
     """The texts of one key's values in a group of rows, for ``%s``
     slots: the ints themselves (``%s`` writes an int as ``int.__repr__``
-    does), the encoded strs, or else ``_json`` once per distinct ``repr``.
-    ``repr`` tells every built-in type apart (``True`` from ``1``, ``"1"``
-    from ``1``), so a float or a tuple still reaches ``_json`` and
-    raises."""
+    does), the encoded strs, or else ``_json`` of each."""
     types = set(map(type, values))
     if types == {int}:
         return values
     if types == {str}:
         return map(encode_basestring_ascii, values)
-    reprs = list(map(repr, values))
-    texts = {r: _json(y, indent) for r, y in dict(zip(reprs, values)).items()}
-    return map(texts.__getitem__, reprs)
+    return map(_json, values, repeat(indent))
 
 
 def json_text(payload) -> str:

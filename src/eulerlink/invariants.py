@@ -80,8 +80,8 @@ b-vectors share (``_lambda_one``).  A failed halving of 1 has the value
 a / 2, a = lam at the odd simplex, so ``dim3_check`` makes the witness and
 its row text's head once per a, by ``halving_witness``, and a located row
 carries the one witness of its halving value with its own location, b0 or
-rho.  The other rows are read from a text per b-vector, as Sullivan's are
-from a text per link chi (``_rows``).
+rho.  Rows are read from a text per halving value and location, or per
+b-vector, as Sullivan's are from a text per link chi (``_rows``).
 
 A pass is never a realizability proof; reports carry that caveat.
 """
@@ -315,8 +315,7 @@ def dim3_check(k: SimplicialComplex) -> ObstructionReport:
     mask = sum(1 << (w * f) for f in range(5))
     codes = list(map(and_, map(sub, _star_sums(k, _signed(k, packed)),
                                packed), repeat(mask)))
-    rows = _rows(k, "dim3", codes,
-                 {code: _b_text(_b_of(code, w)) for code in set(codes)})
+    texts = {code: _b_text(_b_of(code, w)) for code in set(codes)}
     if fails:
         heads = {}  # halving value -> witness dict, its row text's head
         for a in {lam[j] for j in fails.values()}:
@@ -329,11 +328,12 @@ def dim3_check(k: SimplicialComplex) -> ObstructionReport:
             tau = simplices[i]  # located at rho = sigma_j - tau, or at b0
             where = "(" + " ".join(b0 if j == i else [
                 label(v) for v in simplices[j] if v not in tau]) + ")"
-            d, head = heads[lam[j]]
-            rows[i] = TestRow("dim3", tau, rows[i].where, "fail",
-                              head + where,
+            codes[i] = key = lam[j], where  # a text per value and location
+            if key not in texts:
+                d, head = heads[lam[j]]
+                texts[key] = ("fail", head + where,
                               {"witness": {**d, "location": where}})
-    return _report(k, "dim3", tuple(rows))
+    return _report(k, "dim3", tuple(_rows(k, "dim3", codes, texts)))
 
 
 def _search_text(res: SearchResult, label) -> tuple[str, str, dict]:

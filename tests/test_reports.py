@@ -2,7 +2,9 @@
 ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``: byte for byte on
 every corpus report payload, on drawn nested payloads and on drawn lists of
 rows that share key sets, and a TypeError for any type a report does not
-hold."""
+hold.  ``reports.render`` against the reference of ``report_payload``, on
+every corpus report and on drawn reports whose rows share data objects,
+and the one body it writes per distinct ``(test, verdict, value, data)``."""
 
 import copy
 import json
@@ -14,6 +16,8 @@ from hypothesis import strategies as st
 
 from eulerlink import cli, corpus, reports
 from eulerlink.fileio import read_complex
+from eulerlink.invariants import ObstructionReport
+from eulerlink.invariants import TestRow as Row
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -40,19 +44,60 @@ def _check_runs() -> list[list[str]]:
                          ids=lambda a: " ".join([os.path.basename(a[1])]
                                                 + a[2:]))
 def test_corpus_reports_match_the_reference(argv, tmp_path, monkeypatch):
-    payloads = []
-    writer = reports.json_text
+    calls = []
+    render = reports.render
 
-    def spy(payload):
-        payloads.append(payload)
-        return writer(payload)
+    def spy(report, config):
+        calls.append((report, config))
+        return render(report, config)
 
-    monkeypatch.setattr(reports, "json_text", spy)
+    monkeypatch.setattr(cli, "render", spy)
     out = tmp_path / "report.json"
     cli.main([*argv, "-o", str(out)])
-    [payload] = payloads
-    assert writer(payload) == reference(payload)
+    [(report, config)] = calls
+    payload = reports.report_payload(report, config)
+    assert reports.json_text(payload) == reference(payload)
     assert out.read_text(encoding="utf-8") == reference(payload)
+
+
+def _written_bodies(argv, monkeypatch, tmp_path):
+    """The report of ``check --json`` with ``argv``, and the dicts that
+    its render wrote as list members."""
+    calls, written = [], []
+    render, members = reports.render, reports._members
+
+    def spy_render(report, config):
+        calls.append(report)
+        return render(report, config)
+
+    def spy_members(items, indent):
+        written.extend(items)
+        return members(items, indent)
+
+    monkeypatch.setattr(cli, "render", spy_render)
+    monkeypatch.setattr(reports, "_members", spy_members)
+    cli.main(["check", *argv, "--json", "-o", str(tmp_path / "report.json")])
+    [report] = calls
+    return report, written
+
+
+@pytest.mark.parametrize("name, args", [
+    ("window", []), ("susp_window", []), ("cone_theta", []),
+    ("susp_sphere3", ["--max-funcs", "50"]),
+])
+def test_render_writes_each_distinct_body_once(name, args, monkeypatch,
+                                               tmp_path):
+    path = os.path.join(ROOT, "corpus", f"{name}.cplx")
+    report, written = _written_bodies([path, *args], monkeypatch, tmp_path)
+    distinct = {(r.test, r.verdict, r.value, id(r.data)): r
+                for r in report.rows}
+    assert len(written) == len(distinct) < len(report.rows)
+    assert sorted(map(reference, written)) == sorted(
+        reference(reports._body(r)) for r in distinct.values())
+    if read_complex(path).dim <= 3:
+        # Located dim3 rows of one halving value and location share one
+        # text too, so no two written bodies are equal.
+        assert len(set(map(reference, written))) == len(written)
 
 
 strings = st.text() | st.text(
@@ -157,3 +202,90 @@ def test_empty_containers_bools_none_and_large_ints():
 def test_other_types_are_a_type_error(value):
     with pytest.raises(TypeError):
         reports.json_text(value)
+
+
+# -- render: each distinct row body written once --------------------------------
+
+JSON = reports.RunConfig(inputs=("in.cplx",), output_format="json")
+
+# Row texts that a splice could get wrong: format characters, a NUL, a raw
+# newline, the text of a key line, and non-ASCII characters.
+awkward_texts = strings | st.sampled_from([
+    "%", "%s", "\x00", "\n", '"test": ', '\n      "test": ', '"simplex": ',
+    "\xe9", "\U0001f600", "(a u)"])
+# Data keys on both sides of "simplex" and "test" in sorted order; the
+# row's own four keys only as nested keys.
+data_keys = strings.filter(
+    lambda key: key not in ("test", "simplex", "verdict", "value")
+) | st.sampled_from(["a", "b", "sa", "simplew", "simplex\x00", "simplexa",
+                     "stop", "t", "tesa", "test\x00", "tests", "w", "%"])
+nested = st.recursive(scalars, lambda inner: st.lists(inner, max_size=3)
+                      | st.dictionaries(st.sampled_from(
+                          ["test", "simplex", "value", "a", "z"]) | strings,
+                          inner, max_size=3),
+                      max_leaves=8)
+datas = st.none() | st.dictionaries(data_keys, nested, max_size=4)
+
+
+@st.composite
+def drawn_reports(draw):
+    """A report whose rows draw their test, verdict, value and data object
+    from small pools, so that rows share a data object with other
+    verdicts or values, share a verdict and value with other data, and
+    hold equal data as separate objects."""
+    pool = draw(st.lists(datas, min_size=1, max_size=4))
+    tests = draw(st.lists(st.sampled_from(["sullivan", "dim3", "search"])
+                          | strings, min_size=1, max_size=2))
+    values = draw(st.lists(awkward_texts, min_size=1, max_size=3))
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        data = draw(st.sampled_from(pool))
+        if draw(st.integers(0, 3)) == 0:
+            data = copy.deepcopy(data)
+        rows.append(Row(draw(st.sampled_from(tests)), None,
+                            draw(awkward_texts),
+                            draw(st.sampled_from(["pass", "fail"])),
+                            draw(st.sampled_from(values)), data))
+    return ObstructionReport(
+        draw(strings), draw(st.integers(0, 4)), tuple(rows),
+        draw(st.dictionaries(st.sampled_from(tests),
+                             st.sampled_from(["pass", "fail"]))),
+        tuple(draw(st.lists(strings, max_size=2))))
+
+
+def _assert_render_is_the_reference(report):
+    assert reports.render(report, JSON) == reference(
+        reports.report_payload(report, JSON))
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn_reports())
+def test_render_of_drawn_reports_matches_the_reference(report):
+    _assert_render_is_the_reference(report)
+
+
+SHARED = {"a": {"test": 1, "simplex": [2]}, "stop": "x", "z": [{"test": 0}]}
+
+
+@pytest.mark.parametrize("rows", [
+    # one data object, other verdicts and values
+    [("search", "(a b)", "pass", "v", SHARED),
+     ("search", "(c)", "fail", "v", SHARED),
+     ("search", "(d)", "pass", "w", SHARED)],
+    # one verdict and value, other data, equal data as separate objects
+    [("dim3", "(a)", "pass", "v", SHARED),
+     ("dim3", "(b)", "pass", "v", {"b": [1]}),
+     ("dim3", "(c)", "pass", "v", copy.deepcopy(SHARED)),
+     ("dim3", "(d)", "pass", "v", None),
+     ("sullivan", "(e)", "pass", "v", None)],
+    # nested "test" keys before the row's own, awkward texts and names
+    [("dim3", "(\xe9 %s)", "fail", '"test": \n\x00%', {"a": {"test": 0}}),
+     ("dim3", '("test": )', "fail", '"test": \n\x00%', {"a": {"test": 0}}),
+     ("dim3", "(\U0001f600)", "pass", "%s", {"simplex\x00": "%"})],
+    [],
+], ids=["shared-data", "other-data", "nested-keys", "no-rows"])
+def test_render_of_rows_that_share_data(rows):
+    _assert_render_is_the_reference(ObstructionReport(
+        "k", 2, tuple(Row(test, None, where, verdict, value, data)
+                      for test, where, verdict, value, data in rows),
+        {"dim3": "fail"}, ("a note",)))
